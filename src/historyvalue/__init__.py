@@ -12,6 +12,7 @@ from .beliefs import (
     posterior,
     structure_from_json,
     structure_to_json,
+    uninformative_mass,
     validate_structure,
 )
 from .design import (
@@ -30,7 +31,6 @@ from .design import (
     ternary_social_value,
     ternary_structure,
     ternary_value_i,
-    uninformative_mass,
     verify_dominance,
 )
 from .learning import (
@@ -64,5 +64,8 @@ from .market import (
     ternary_weighted_surplus_sticky,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The imports above are the public API; submodules are not re-exported.
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]
 __version__ = "0.1.0"

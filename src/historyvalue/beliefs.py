@@ -46,16 +46,12 @@ class InformationStructure:
 
     ``like_high[k]`` / ``like_low[k]`` are the probabilities of signal
     ``signals[k]`` in the high / low state.  Each column sums to one.
-    Construct via :func:`validate_structure` (or ``from_table``).
+    Construct via :func:`validate_structure`.
     """
 
     signals: tuple
     like_high: tuple
     like_low: tuple
-
-    @classmethod
-    def from_table(cls, table) -> "InformationStructure":
-        return validate_structure(table)
 
     def likelihoods(self, signal):
         k = self.signals.index(signal)
@@ -201,6 +197,15 @@ def iid_belief_distribution(structure: InformationStructure, n: int, cap: int = 
     for _ in range(n - 1):
         dist = compose_distributions(dist, base)
     return dist
+
+
+def uninformative_mass(structure: InformationStructure):
+    """The probability of the belief-1/2 signal if ``structure`` is ternary
+    (induces beliefs only in {0, 1/2, 1}), else None."""
+    atoms = induced_belief_distribution(structure).atoms
+    if any(belief not in (0, HALF, ONE) for belief, _wh, _wl in atoms):
+        return None
+    return next((wh for belief, wh, _wl in atoms if belief == HALF), Fraction(0))
 
 
 # -- JSON structure-file format ------------------------------------------------

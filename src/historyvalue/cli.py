@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import design, market
-from .beliefs import structure_from_json, validate_structure
+from .beliefs import structure_from_json, structure_to_json
 from .errors import (
     CapExceeded,
     HistoryValueError,
@@ -65,14 +65,31 @@ def _load_structure(cfg: dict):
     return structure_from_json(json.dumps(cfg["structure"]))
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _section(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(f"{key} must be a JSON object")
+    return value
+
+
 def _common(cfg: dict, args) -> dict:
+    horizon = args.horizon if args.horizon is not None else cfg.get("horizon", 6)
+    tol = args.tol if args.tol is not None else cfg.get("tolerance", "1/1000000000")
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out = {
-        "horizon": args.horizon or int(cfg.get("horizon", 6)),
-        "tolerance": parse_rational(args.tol if args.tol else cfg.get("tolerance", "1/1000000000")),
-        "seed": args.seed if args.seed is not None else int(cfg.get("seed", 0)),
+        "horizon": _int(horizon, "horizon"),
+        "tolerance": parse_rational(tol),
+        "seed": _int(seed, "seed"),
         "delta": parse_rational(cfg.get("delta", "1/2")),
         "alpha": parse_rational(cfg.get("alpha", "1/2")),
-        "stickiness": int(cfg.get("stickiness", 1)),
+        "stickiness": _int(cfg.get("stickiness", 1), "stickiness"),
     }
     if out["horizon"] < 1:
         raise ValidationError("horizon must be >= 1")
@@ -170,9 +187,7 @@ def run_market(cfg: dict, args) -> dict:
             "buyer": format_decimal(market.optimal_eps_buyer()),
             "seller": format_decimal(market.optimal_eps_seller_sticky(params["delta"], t)),
             "weighted": format_decimal(
-                market.optimal_eps_weighted(params["delta"], params["alpha"])
-                if t == 1
-                else market.optimal_eps_weighted_sticky(
+                market.optimal_eps_weighted_sticky(
                     params["delta"], params["alpha"], t, params["tolerance"]
                 )
             ),
@@ -182,10 +197,10 @@ def run_market(cfg: dict, args) -> dict:
 
 def run_verify(cfg: dict, args) -> dict:
     params = _common(cfg, args)
-    corpus_cfg = cfg.get("corpus", {})
-    count = int(corpus_cfg.get("count", 100))
-    max_signals = int(corpus_cfg.get("max_signals", 4))
-    max_den = int(corpus_cfg.get("max_denominator", 12))
+    corpus_cfg = _section(cfg, "corpus")
+    count = _int(corpus_cfg.get("count", 100), "corpus.count")
+    max_signals = _int(corpus_cfg.get("max_signals", 4), "corpus.max_signals")
+    max_den = _int(corpus_cfg.get("max_denominator", 12), "corpus.max_denominator")
     structures = design.corpus(params["seed"], count, max_signals, max_den)
     results = []
     failures = []
@@ -197,12 +212,7 @@ def run_verify(cfg: dict, args) -> dict:
             "pass": report.verdict,
         }
         if not report.verdict:
-            entry["structure"] = {
-                "signals": [
-                    {"id": s, "pH": format_rational(ph), "pL": format_rational(pl)}
-                    for s, ph, pl in structure.items()
-                ]
-            }
+            entry["structure"] = json.loads(structure_to_json(structure))
             entry["dominance"] = report.to_json_dict()
             failures.append(entry)
         results.append(entry)
@@ -219,10 +229,10 @@ def run_verify(cfg: dict, args) -> dict:
 
 def run_sweep(cfg: dict, args):
     params = _common(cfg, args)
-    sweep = cfg.get("sweep", {})
+    sweep = _section(cfg, "sweep")
     deltas = [parse_rational(d) for d in sweep.get("delta_grid", ["1/2"])]
     alphas = [parse_rational(a) for a in sweep.get("alpha_grid", ["1/2"])]
-    ts = [int(t) for t in sweep.get("t_grid", [1])]
+    ts = [_int(t, "t_grid entry") for t in sweep.get("t_grid", [1])]
     rows = ["delta,alpha,t,eps_star_buyer,eps_star_seller,eps_star_weighted,"
             "seller,buyer,social"]
     seller_track = {}
@@ -231,12 +241,7 @@ def run_sweep(cfg: dict, args):
             for t in ts:
                 eps_b = market.optimal_eps_buyer()
                 eps_s = market.optimal_eps_seller_sticky(d, t)
-                if t == 1:
-                    eps_w = market.optimal_eps_weighted(d, a)
-                else:
-                    eps_w = float(
-                        market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"])
-                    )
+                eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
                 seller = market.ternary_sticky_seller_surplus(eps_w_frac, d, t)
                 buyer = market.ternary_sticky_buyer_surplus(eps_w_frac, d, t)
@@ -289,6 +294,15 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         result = runners[args.command](cfg, args)
+        text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write output: {exc}") from exc
+        else:
+            sys.stdout.write(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -301,13 +315,6 @@ def main(argv=None) -> int:
     except HistoryValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-    text = result if isinstance(result, str) else json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

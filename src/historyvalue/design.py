@@ -16,9 +16,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beliefs import InformationStructure, induced_belief_distribution, validate_structure
+from .beliefs import (
+    InformationStructure,
+    induced_belief_distribution,
+    uninformative_mass,
+    validate_structure,
+)
 from .errors import NonFiniteEvaluation, ValidationError
-from .learning import best_equilibrium_payoffs, single_signal_payoff
+from .learning import best_equilibrium_payoffs
 from .rationals import HALF, format_decimal, format_rational
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
@@ -73,18 +78,6 @@ def split_to_ternary(structure: InformationStructure) -> InformationStructure:
     if lo:
         table[LO_ID] = (Fraction(0), lo)
     return validate_structure(table)
-
-
-def uninformative_mass(structure: InformationStructure):
-    """The probability of the belief-1/2 signal if ``structure`` is ternary,
-    else None."""
-    dist = induced_belief_distribution(structure)
-    if not set(dist.beliefs()) <= {Fraction(0), HALF, Fraction(1)}:
-        return None
-    for belief, wh, _wl in dist.atoms:
-        if belief == HALF:
-            return wh
-    return Fraction(0)
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -393,5 +386,7 @@ def random_structure(
 
 def corpus(seed: int, count: int, max_signals: int = 4, max_denominator: int = 12):
     """Deterministic list of random structures for dominance sweeps."""
+    if max_signals < 1 or max_denominator < 1:
+        raise ValidationError("corpus needs max_signals >= 1 and max_denominator >= 1")
     rng = random.Random(seed)
     return [random_structure(rng, max_signals, max_denominator) for _ in range(count)]

@@ -65,5 +65,9 @@ class TooManyIndifferenceNodes(CapExceeded):
         self.count = count
 
 
+class InvariantViolation(HistoryValueError):
+    """An internal consistency check failed: a fault in the library, not the input."""
+
+
 class NonFiniteEvaluation(HistoryValueError):
     """Objective returned NaN or infinity during a numeric search."""

@@ -26,13 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import (
+    IID_CAP,
     InformationStructure,
+    compose_distributions,
     iid_belief_distribution,
     induced_belief_distribution,
+    uninformative_mass,
 )
 from .errors import (
+    CapExceeded,
     HorizonCapExceeded,
     IncompleteTieBreakTable,
+    InvariantViolation,
     TooManyIndifferenceNodes,
     ValidationError,
 )
@@ -85,29 +90,24 @@ class PayoffProfile:
         return "\n".join(lines) + "\n"
 
 
+def _expected_payoff(dist) -> Fraction:
+    """Payoff of acting on a belief drawn from ``dist``: each belief above
+    1/2 earns ``(b - 1/2) * (w_high + w_low) / 2 = (w_high - w_low) / 4``."""
+    return sum(((wh - wl) / 4 for b, wh, wl in dist.atoms if b > HALF), Fraction(0))
+
+
 def single_signal_payoff(structure: InformationStructure) -> Fraction:
     """Expected payoff of an agent acting on one private signal only.
 
     Equals the mass of beliefs strictly above 1/2 weighted by their edge
     over the cutoff; 1/4 for conclusive signals, 0 for uninformative ones.
     """
-    dist = induced_belief_distribution(structure)
-    total = Fraction(0)
-    for belief, wh, wl in dist.atoms:
-        if belief > HALF:
-            total += (belief - HALF) * (wh + wl) / 2
-    return total
+    return _expected_payoff(induced_belief_distribution(structure))
 
 
-def full_observation_payoff(structure: InformationStructure, i: int, cap: int = 16) -> Fraction:
+def full_observation_payoff(structure: InformationStructure, i: int, cap: int = IID_CAP) -> Fraction:
     """Payoff of an agent who directly observes ``i`` i.i.d. signals."""
-    dist = iid_belief_distribution(structure, i, cap=cap)
-    total = Fraction(0)
-    for belief, wh, wl in dist.atoms:
-        gain = belief - HALF
-        if gain > 0:
-            total += gain * (wh + wl) / 2
-    return total
+    return _expected_payoff(iid_belief_distribution(structure, i, cap=cap))
 
 
 def _chooser(rule):
@@ -175,9 +175,34 @@ def _advance(level, atoms, depth, choose):
 
 
 def _check_level(level):
-    # Tree consistency: reach probabilities sum to one in each state.
-    assert sum(v[0] for v in level.values()) == 1
-    assert sum(v[1] for v in level.values()) == 1
+    """Tree consistency: reach probabilities sum to one in each state."""
+    if sum(v[0] for v in level.values()) != 1 or sum(v[1] for v in level.values()) != 1:
+        raise InvariantViolation("public-belief level reach probabilities do not sum to one")
+
+
+def _check_horizon(horizon: int, cap: int, cap_name: str):
+    if horizon < 0:
+        raise ValidationError(f"horizon must be >= 0: {horizon}")
+    if horizon > cap:
+        raise HorizonCapExceeded(f"horizon {horizon} exceeds {cap_name} {cap}")
+
+
+def _profile(structure: InformationStructure, values) -> PayoffProfile:
+    """Profile of per-agent payoffs ``values``; agent ``i``'s benchmark composes
+    one more i.i.d. signal onto agent ``i-1``'s, as :func:`iid_belief_distribution` does."""
+    if len(values) > IID_CAP:
+        raise CapExceeded(f"{len(values)} i.i.d. draws exceeds cap {IID_CAP}")
+    base = induced_belief_distribution(structure)
+    dists = itertools.accumulate(
+        itertools.repeat(base, len(values) - 1), compose_distributions, initial=base
+    )
+    single = values[0] if values else _expected_payoff(base)
+    return PayoffProfile(
+        single=single,
+        with_history=tuple(values),
+        benchmark=tuple(_expected_payoff(dist) for _v, dist in zip(values, dists)),
+        history_value=tuple(v - single for v in values),
+    )
 
 
 def simulate_equilibrium(
@@ -192,8 +217,7 @@ def simulate_equilibrium(
     public beliefs.  Every non-tie action is the strict best response by
     construction; ties are resolved by ``rule``.
     """
-    if horizon > horizon_cap:
-        raise HorizonCapExceeded(f"horizon {horizon} exceeds cap {horizon_cap}")
+    _check_horizon(horizon, horizon_cap, "cap")
     choose = _chooser(rule)
     atoms = induced_belief_distribution(structure).atoms
     level = {HALF: [Fraction(1), Fraction(1)]}
@@ -202,14 +226,7 @@ def simulate_equilibrium(
         _check_level(level)
         payoff, level, _ = _advance(level, atoms, depth, choose)
         values.append(payoff)
-    single = values[0] if values else single_signal_payoff(structure)
-    benchmark = tuple(full_observation_payoff(structure, i) for i in range(1, horizon + 1))
-    return PayoffProfile(
-        single=single,
-        with_history=tuple(values),
-        benchmark=benchmark,
-        history_value=tuple(v - single for v in values),
-    )
+    return _profile(structure, values)
 
 
 def best_equilibrium_payoffs(
@@ -226,8 +243,7 @@ def best_equilibrium_payoffs(
     own tie-break never changes that agent's payoff, only what later
     agents can learn, so this realizes the greedy forward selection.
     """
-    if horizon > lex_cap:
-        raise HorizonCapExceeded(f"horizon {horizon} exceeds lexicographic cap {lex_cap}")
+    _check_horizon(horizon, lex_cap, "lexicographic cap")
     atoms = induced_belief_distribution(structure).atoms
     root = {HALF: [Fraction(1), Fraction(1)]}
     vectors = []
@@ -242,24 +258,17 @@ def best_equilibrium_payoffs(
             vectors.append(tuple(acc))
             return
         _check_level(level)
-        # Discover reachable indifference points with a throwaway pass.
-        _, _, points = _advance(level, atoms, depth, lambda d, q, x: 1)
-        for assignment in itertools.product((1, 0), repeat=len(points)):
-            table = dict(zip(((depth, q, x) for q, x in points), assignment))
-            choose = _chooser(table) if points else (lambda d, q, x: 1)
-            payoff, nxt, _ = _advance(level, atoms, depth, choose)
+        # The all-ones assignment comes first; its pass also finds the
+        # reachable indifference points that the other assignments vary.
+        payoff, nxt, points = _advance(level, atoms, depth, lambda d, q, x: 1)
+        explore(nxt, depth + 1, acc + [payoff])
+        keys = [(depth, q, x) for q, x in points]
+        for assignment in itertools.islice(itertools.product((1, 0), repeat=len(points)), 1, None):
+            payoff, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
             explore(nxt, depth + 1, acc + [payoff])
 
     explore(root, 0, [])
-    best = max(vectors)
-    single = best[0]
-    benchmark = tuple(full_observation_payoff(structure, i) for i in range(1, horizon + 1))
-    return PayoffProfile(
-        single=single,
-        with_history=best,
-        benchmark=benchmark,
-        history_value=tuple(v - single for v in best),
-    )
+    return _profile(structure, max(vectors))
 
 
 @dataclass(frozen=True)
@@ -277,17 +286,18 @@ class BoundedValue:
         return float(self.value)
 
 
-def _ternary_mid_probability(structure: InformationStructure):
-    """Return the uninformative-signal probability if the structure only
-    induces beliefs in {0, 1/2, 1}, else None."""
-    dist = induced_belief_distribution(structure)
-    allowed = {Fraction(0), HALF, Fraction(1)}
-    if not set(dist.beliefs()) <= allowed:
-        return None
-    for belief, wh, _wl in dist.atoms:
-        if belief == HALF:
-            return wh
-    return Fraction(0)
+def truncation_horizon(delta: Fraction, tolerance: Fraction, cap: int = LEX_CAP) -> int:
+    """Fewest agents ``N >= 1`` whose discounted tail bound ``d^N / 4`` is
+    within ``tolerance`` (each per-agent gain lies in [0, 1/4])."""
+    depth = 1
+    while QUARTER * delta**depth > tolerance:
+        depth += 1
+        if depth > cap:
+            raise HorizonCapExceeded(
+                f"tolerance {tolerance} needs horizon {depth} > cap {cap}",
+                achievable_tolerance=QUARTER * delta**cap,
+            )
+    return depth
 
 
 def social_value(
@@ -310,21 +320,12 @@ def social_value(
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
 
-    eps = _ternary_mid_probability(structure)
+    eps = uninformative_mass(structure)
     if eps is not None:
         value = delta * eps * (1 - eps) / (4 * (1 - delta * eps))
         return BoundedValue(value, Fraction(0))
 
-    depth = 1
-    tail = QUARTER * delta
-    while tail > tolerance:
-        depth += 1
-        tail *= delta
-        if depth > lex_cap:
-            raise HorizonCapExceeded(
-                f"tolerance {tolerance} needs horizon {depth} > cap {lex_cap}",
-                achievable_tolerance=QUARTER * delta**lex_cap,
-            )
+    depth = truncation_horizon(delta, tolerance, lex_cap)
     profile = best_equilibrium_payoffs(structure, depth, lex_cap=lex_cap)
     partial = (1 - delta) * sum(
         delta**i * g for i, g in enumerate(profile.history_value)

@@ -15,20 +15,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beliefs import InformationStructure
-from .design import (
-    argmax_unit_interval,
-    optimal_eps_social,
-    ternary_social_value,
-    uninformative_mass,
-)
-from .errors import DegenerateParameter, HorizonCapExceeded, ValidationError
+from .beliefs import InformationStructure, uninformative_mass
+from .design import argmax_unit_interval, optimal_eps_social, ternary_social_value
+from .errors import DegenerateParameter, ValidationError
 from .learning import (
-    LEX_CAP,
     BoundedValue,
     best_equilibrium_payoffs,
     single_signal_payoff,
     social_value,
+    truncation_horizon,
 )
 from .rationals import QUARTER, format_decimal, format_rational
 
@@ -89,10 +84,18 @@ class SurplusReport:
         }
 
 
+def _regime(t: int) -> str:
+    return "dynamic" if t == 1 else f"sticky({t})"
+
+
+def _block_prices(gains, t: int) -> tuple:
+    """Block ``k`` of ``t`` buyers is priced at buyer ``k*t + 1``'s gain."""
+    return tuple(gains[(i // t) * t] for i in range(len(gains)))
+
+
 def dynamic_price_path(structure: InformationStructure, horizon: int) -> PriceSchedule:
     """Per-buyer prices under dynamic pricing: each buyer's history gain."""
-    profile = best_equilibrium_payoffs(structure, horizon)
-    return PriceSchedule(prices=profile.history_value, regime="dynamic")
+    return sticky_price_path(structure, 1, horizon)
 
 
 def sticky_price_path(structure: InformationStructure, t: int, horizon: int) -> PriceSchedule:
@@ -100,17 +103,17 @@ def sticky_price_path(structure: InformationStructure, t: int, horizon: int) -> 
     if t < 1:
         raise ValidationError(f"stickiness must be >= 1: {t}")
     profile = best_equilibrium_payoffs(structure, horizon)
-    gains = profile.history_value
-    prices = tuple(gains[(i // t) * t] for i in range(horizon))
-    regime = "dynamic" if t == 1 else f"sticky({t})"
-    return PriceSchedule(prices=prices, regime=regime)
+    return PriceSchedule(prices=_block_prices(profile.history_value, t), regime=_regime(t))
 
 
-def _weighted(alpha: Fraction, buyer: BoundedValue, seller: BoundedValue) -> BoundedValue:
-    return BoundedValue(
-        alpha * buyer.value + (1 - alpha) * seller.value,
-        alpha * buyer.error_bound + (1 - alpha) * seller.error_bound,
+def _report(alpha, seller, buyer, regime: str) -> SurplusReport:
+    """Report whose social surplus weights buyers by ``alpha``, sellers by ``1 - alpha``."""
+    a = Fraction(alpha)
+    social = BoundedValue(
+        a * buyer.value + (1 - a) * seller.value,
+        a * buyer.error_bound + (1 - a) * seller.error_bound,
     )
+    return SurplusReport(seller=seller, buyer=buyer, social=social, regime=regime)
 
 
 def surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
@@ -120,12 +123,7 @@ def surpluses(structure: InformationStructure, params: MarketParams, tolerance) 
         raise ValidationError("use sticky_surpluses for stickiness > 1")
     seller = social_value(structure, params.delta, tolerance)
     buyer = BoundedValue(single_signal_payoff(structure), Fraction(0))
-    return SurplusReport(
-        seller=seller,
-        buyer=buyer,
-        social=_weighted(Fraction(params.alpha), buyer, seller),
-        regime="dynamic",
-    )
+    return _report(params.alpha, seller, buyer, "dynamic")
 
 
 def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
@@ -162,46 +160,28 @@ def sticky_surpluses(structure: InformationStructure, params: MarketParams, tole
     leaves at most ``d^N / 4`` on the table for each series.
     """
     t = params.stickiness
+    if t == 1:
+        return surpluses(structure, params, tolerance)
     d = Fraction(params.delta)
-    a = Fraction(params.alpha)
-    tol = Fraction(tolerance)
-    regime = "dynamic" if t == 1 else f"sticky({t})"
 
     eps = uninformative_mass(structure)
     if eps is not None:
-        if t == 1:
-            return surpluses(structure, params, tolerance)
         seller = BoundedValue(ternary_sticky_seller_surplus(eps, d, t), Fraction(0))
         buyer = BoundedValue(ternary_sticky_buyer_surplus(eps, d, t), Fraction(0))
-        return SurplusReport(
-            seller=seller, buyer=buyer, social=_weighted(a, buyer, seller), regime=regime
-        )
-
-    if t == 1:
-        return surpluses(structure, MarketParams(d, a, 1), tolerance)
+        return _report(params.alpha, seller, buyer, _regime(t))
 
     # General structure: truncate both discounted series.
-    horizon = 1
-    while QUARTER * d**horizon > tol:
-        horizon += 1
-        if horizon > LEX_CAP:
-            raise HorizonCapExceeded(
-                f"tolerance {tol} needs horizon {horizon} > cap {LEX_CAP}",
-                achievable_tolerance=QUARTER * d**LEX_CAP,
-            )
+    horizon = truncation_horizon(d, Fraction(tolerance))
     profile = best_equilibrium_payoffs(structure, horizon)
     gains = profile.history_value
-    prices = [gains[(i // t) * t] for i in range(horizon)]
+    prices = _block_prices(gains, t)
     tail = QUARTER * d**horizon
     seller_sum = (1 - d) * sum(d**i * p for i, p in enumerate(prices))
     buyer_sum = (1 - d) * sum(
         d**i * (profile.single + gains[i] - prices[i]) for i in range(horizon)
     )
-    seller = BoundedValue(seller_sum, tail)
-    buyer = BoundedValue(buyer_sum, tail)
-    return SurplusReport(
-        seller=seller, buyer=buyer, social=_weighted(a, buyer, seller), regime=regime
-    )
+    seller, buyer = BoundedValue(seller_sum, tail), BoundedValue(buyer_sum, tail)
+    return _report(params.alpha, seller, buyer, _regime(t))
 
 
 # -- surplus-optimal mixing probabilities --------------------------------------
@@ -270,10 +250,13 @@ def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
 def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**9)):
     """Mass maximizing the weighted sticky surplus.
 
-    Exactly 0 for ``alpha >= 1/2``; otherwise located numerically (no
-    closed form is provided) with the returned point within ``tolerance``
-    of the argmax.
+    At ``t == 1`` this is :func:`optimal_eps_weighted`.  Otherwise it is
+    exactly 0 for ``alpha >= 1/2``, and located numerically (no closed
+    form is provided) with the returned point within ``tolerance`` of the
+    argmax.
     """
+    if t == 1:
+        return optimal_eps_weighted(delta, alpha)
     a = Fraction(alpha)
     if not 0 < a < 1:
         raise DegenerateParameter(f"alpha must lie in (0, 1): {alpha}")

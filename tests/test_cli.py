@@ -111,6 +111,44 @@ class TestErrorCodes:
         code, _, _ = run(capsys, "value", "--config", cfg)
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [("--horizon", "0", EXIT_VALIDATION), ("--horizon", "-1", EXIT_VALIDATION),
+         ("--tol", "", EXIT_PARSE)],
+    )
+    def test_flag_is_not_ignored(self, tmp_path, capsys, flag, value, expected):
+        # a given flag is used even when falsy, never replaced by the config's value
+        cfg = write_config(tmp_path, {"ternary_eps": "1/2", "horizon": 3})
+        code, out, _ = run(capsys, "value", "--config", cfg, flag, value)
+        assert code == expected and out == ""
+
+    @pytest.mark.parametrize(
+        "command, payload, expected",
+        [
+            ("value", {"ternary_eps": "1/2", "horizon": "abc"}, EXIT_PARSE),
+            ("value", {"ternary_eps": "1/2", "seed": [1]}, EXIT_PARSE),
+            ("market", {"ternary_eps": "1/2", "stickiness": "x"}, EXIT_PARSE),
+            ("verify", {"corpus": {"count": "x"}}, EXIT_PARSE),
+            ("verify", {"corpus": [1]}, EXIT_PARSE),
+            ("verify", {"corpus": {"count": 2, "max_signals": 0}}, EXIT_VALIDATION),
+            ("verify", {"corpus": {"count": 2, "max_denominator": 0}}, EXIT_VALIDATION),
+            ("sweep", {"sweep": [1]}, EXIT_PARSE),
+            ("sweep", {"sweep": {"t_grid": ["two"]}}, EXIT_PARSE),
+        ],
+    )
+    def test_bad_field_exits_cleanly(self, tmp_path, capsys, command, payload, expected):
+        cfg = write_config(tmp_path, payload)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == expected and out == ""
+        assert "error" in err and "Traceback" not in err
+
+    def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"ternary_eps": "1/2", "horizon": 2})
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "value", "--config", cfg, "--out", str(out_path))
+        assert code == EXIT_PARSE and out == ""
+        assert "cannot write output" in err and "Traceback" not in err
+
 
 class TestDesign:
     def test_dominance_report(self, tmp_path, capsys):

@@ -1,0 +1,32 @@
+"""The demos run end to end, and the package's star import binds no module."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from historyvalue import *", namespace)
+    namespace.pop("__builtins__", None)
+    modules = [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert modules == []
+    assert "uninformative_mass" in namespace and "best_equilibrium_payoffs" in namespace

@@ -14,7 +14,14 @@ from historyvalue import (
     ternary_structure,
     validate_structure,
 )
-from historyvalue.errors import HorizonCapExceeded, IncompleteTieBreakTable
+from historyvalue.errors import (
+    HistoryValueError,
+    HorizonCapExceeded,
+    IncompleteTieBreakTable,
+    InvariantViolation,
+    ValidationError,
+)
+from historyvalue.learning import _check_level, truncation_horizon
 
 HALF = F(1, 2)
 
@@ -158,3 +165,49 @@ class TestCsvExport:
         assert row[0] == "2"
         assert F(row[1]) == p.with_history[1]
         assert F(row[3]) == p.history_value[1]
+
+
+class TestHorizonEdges:
+    @pytest.mark.parametrize("solve", [simulate_equilibrium, best_equilibrium_payoffs])
+    def test_negative_horizon_rejected(self, solve):
+        with pytest.raises(ValidationError):
+            solve(sym_binary(), -1)
+
+    @pytest.mark.parametrize("solve", [simulate_equilibrium, best_equilibrium_payoffs])
+    def test_zero_horizon_is_empty_profile(self, solve):
+        p = solve(sym_binary(), 0)
+        assert p.horizon == 0
+        assert p.with_history == p.benchmark == p.history_value == ()
+        assert p.single == single_signal_payoff(sym_binary())
+
+    @pytest.mark.parametrize(
+        "structure", [sym_binary(), ternary_structure(F(1, 3)), full_info(), no_info()]
+    )
+    def test_benchmark_matches_full_observation(self, structure):
+        expected = tuple(full_observation_payoff(structure, i) for i in range(1, 7))
+        assert simulate_equilibrium(structure, 6).benchmark == expected
+        assert best_equilibrium_payoffs(structure, 6).benchmark == expected
+
+
+class TestTruncationHorizon:
+    def test_smallest_depth(self):
+        # (1/2)^N / 4 <= 1/100 first holds at N = 5
+        assert truncation_horizon(HALF, F(1, 100)) == 5
+        assert truncation_horizon(HALF, F(1, 4)) == 1
+
+    def test_cap(self):
+        with pytest.raises(HorizonCapExceeded) as err:
+            truncation_horizon(HALF, F(1, 10**6), cap=4)
+        assert err.value.achievable_tolerance == F(1, 4) * HALF**4
+
+
+class TestLevelInvariant:
+    def test_consistent_level_passes(self):
+        _check_level({F(1, 3): [F(1, 2), F(1, 4)], F(2, 3): [F(1, 2), F(3, 4)]})
+
+    def test_unbalanced_level_raises(self):
+        with pytest.raises(InvariantViolation) as err:
+            _check_level({HALF: [F(1, 2), F(1)]})
+        # an internal fault: not an input error, so the CLI maps it to exit 5
+        assert isinstance(err.value, HistoryValueError)
+        assert not isinstance(err.value, ValidationError)

@@ -198,6 +198,10 @@ class TestOptima:
         assert optimal_eps_weighted(F(9, 10), HALF) == 0.0
         assert optimal_eps_weighted(F(9, 10), F(3, 4)) == 0.0
 
+    @pytest.mark.parametrize("delta, alpha", [(HALF, F(1, 4)), (F(9, 10), F(1, 3)), (HALF, F(3, 5))])
+    def test_weighted_sticky_one_is_dynamic(self, delta, alpha):
+        assert optimal_eps_weighted_sticky(delta, alpha, 1) == optimal_eps_weighted(delta, alpha)
+
     def test_weighted_sticky_alpha_high(self):
         assert optimal_eps_weighted_sticky(HALF, F(3, 5), 2) == 0
 
