@@ -66,6 +66,10 @@ def _load_structure(cfg: dict):
 
 
 def _int(value, name: str) -> int:
+    """An integer config field: a JSON integer or an integer string, never
+    a bool or a number with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -76,6 +80,13 @@ def _section(cfg: dict, key: str) -> dict:
     value = cfg.get(key, {})
     if not isinstance(value, dict):
         raise ParseError(f"{key} must be a JSON object")
+    return value
+
+
+def _grid(sweep: dict, key: str, default: list) -> list:
+    value = sweep.get(key, default)
+    if not isinstance(value, list):
+        raise ParseError(f"sweep.{key} must be a JSON list")
     return value
 
 
@@ -230,9 +241,9 @@ def run_verify(cfg: dict, args) -> dict:
 def run_sweep(cfg: dict, args):
     params = _common(cfg, args)
     sweep = _section(cfg, "sweep")
-    deltas = [parse_rational(d) for d in sweep.get("delta_grid", ["1/2"])]
-    alphas = [parse_rational(a) for a in sweep.get("alpha_grid", ["1/2"])]
-    ts = [_int(t, "t_grid entry") for t in sweep.get("t_grid", [1])]
+    deltas = [parse_rational(d) for d in _grid(sweep, "delta_grid", ["1/2"])]
+    alphas = [parse_rational(a) for a in _grid(sweep, "alpha_grid", ["1/2"])]
+    ts = [_int(t, "t_grid entry") for t in _grid(sweep, "t_grid", [1])]
     rows = ["delta,alpha,t,eps_star_buyer,eps_star_seller,eps_star_weighted,"
             "seller,buyer,social"]
     seller_track = {}

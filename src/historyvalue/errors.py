@@ -58,7 +58,7 @@ class HorizonCapExceeded(CapExceeded):
 
 
 class TooManyIndifferenceNodes(CapExceeded):
-    """Tie-break enumeration would exceed the configured bound."""
+    """The tie-break search would try more assignments at one depth than its bound."""
 
     def __init__(self, message, count=None):
         super().__init__(message)

@@ -45,9 +45,9 @@ from .rationals import HALF, QUARTER, format_rational, format_decimal
 
 #: Horizon cap for fixed-rule simulation.
 HORIZON_CAP = 12
-#: Horizon cap for the lexicographic tie-break enumeration.
+#: Horizon cap for the lexicographic tie-break search.
 LEX_CAP = 8
-#: Bound on enumerated tie-break assignments in one search.
+#: Bound on tie-break assignments tried at one depth of that search.
 MAX_TIE_PROFILES = 20000
 
 # Fixed tie-break rules; a per-node table is a dict
@@ -180,6 +180,11 @@ def _check_level(level):
         raise InvariantViolation("public-belief level reach probabilities do not sum to one")
 
 
+def _level_key(level):
+    """Hashable identity of a public-belief level."""
+    return frozenset((q, lh, ll) for q, (lh, ll) in level.items())
+
+
 def _check_horizon(horizon: int, cap: int, cap_name: str):
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0: {horizon}")
@@ -237,38 +242,51 @@ def best_equilibrium_payoffs(
 ) -> PayoffProfile:
     """Lexicographically best per-agent payoffs over tie-break tables.
 
-    Enumerates every deterministic assignment of actions to reachable
-    indifference points, depth by depth, and selects the payoff vector
-    maximal in lexicographic order (earlier agents first).  An agent's
-    own tie-break never changes that agent's payoff, only what later
-    agents can learn, so this realizes the greedy forward selection.
+    The maximum is over every deterministic assignment of actions to
+    reachable indifference points, in lexicographic order of the payoff
+    vector (earlier agents first).  At a tie the agent's payoff term
+    ``(ph - pl)/4`` is zero, so agent ``d``'s payoff depends only on the
+    public level that the tie-breaks before depth ``d`` produced, never
+    on its own.  The lexicographic maximum is therefore a running
+    maximum over prefixes: at each depth only the levels whose agent
+    reaches the best payoff are kept, duplicate levels are merged, and
+    only the kept levels are expanded over their tie-break assignments.
+
+    ``max_profiles`` bounds the assignments tried at one depth, summed
+    over the kept levels; past it :class:`TooManyIndifferenceNodes`
+    carries that sum as ``count``.
     """
     _check_horizon(horizon, lex_cap, "lexicographic cap")
     atoms = induced_belief_distribution(structure).atoms
-    root = {HALF: [Fraction(1), Fraction(1)]}
-    vectors = []
-    counter = itertools.count(1)
-
-    def explore(level, depth, acc):
-        if depth == horizon:
-            if next(counter) > max_profiles:
-                raise TooManyIndifferenceNodes(
-                    f"more than {max_profiles} tie-break profiles", count=max_profiles
-                )
-            vectors.append(tuple(acc))
-            return
-        _check_level(level)
-        # The all-ones assignment comes first; its pass also finds the
+    frontier = [{HALF: [Fraction(1), Fraction(1)]}]
+    values = []
+    for depth in range(horizon):
+        # The all-ones pass gives the level's payoff, one child, and the
         # reachable indifference points that the other assignments vary.
-        payoff, nxt, points = _advance(level, atoms, depth, lambda d, q, x: 1)
-        explore(nxt, depth + 1, acc + [payoff])
-        keys = [(depth, q, x) for q, x in points]
-        for assignment in itertools.islice(itertools.product((1, 0), repeat=len(points)), 1, None):
-            payoff, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
-            explore(nxt, depth + 1, acc + [payoff])
-
-    explore(root, 0, [])
-    return _profile(structure, max(vectors))
+        passes = []
+        for level in frontier:
+            _check_level(level)
+            passes.append((level, *_advance(level, atoms, depth, lambda d, q, x: 1)))
+        best = max(payoff for _, payoff, _, _ in passes)
+        values.append(best)
+        if depth == horizon - 1:
+            break
+        kept = [(level, nxt, points) for level, payoff, nxt, points in passes if payoff == best]
+        count = sum(2 ** len(points) for _, _, points in kept)
+        if count > max_profiles:
+            raise TooManyIndifferenceNodes(
+                f"{count} tie-break assignments at depth {depth} exceed {max_profiles}",
+                count=count,
+            )
+        children = {}
+        for level, nxt, points in kept:
+            children.setdefault(_level_key(nxt), nxt)
+            keys = [(depth, q, x) for q, x in points]
+            for assignment in itertools.islice(itertools.product((1, 0), repeat=len(points)), 1, None):
+                _, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
+                children.setdefault(_level_key(nxt), nxt)
+        frontier = list(children.values())
+    return _profile(structure, values)
 
 
 @dataclass(frozen=True)

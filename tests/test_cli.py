@@ -134,6 +134,11 @@ class TestErrorCodes:
             ("verify", {"corpus": {"count": 2, "max_denominator": 0}}, EXIT_VALIDATION),
             ("sweep", {"sweep": [1]}, EXIT_PARSE),
             ("sweep", {"sweep": {"t_grid": ["two"]}}, EXIT_PARSE),
+            ("sweep", {"sweep": {"delta_grid": 5}}, EXIT_PARSE),
+            ("sweep", {"sweep": {"delta_grid": "1/2"}}, EXIT_PARSE),
+            ("value", {"ternary_eps": "1/2", "horizon": 2.7}, EXIT_PARSE),
+            ("value", {"ternary_eps": "1/2", "horizon": True}, EXIT_PARSE),
+            ("sweep", {"sweep": {"t_grid": [1.5]}}, EXIT_PARSE),
         ],
     )
     def test_bad_field_exits_cleanly(self, tmp_path, capsys, command, payload, expected):
@@ -148,6 +153,24 @@ class TestErrorCodes:
         code, out, err = run(capsys, "value", "--config", cfg, "--out", str(out_path))
         assert code == EXIT_PARSE and out == ""
         assert "cannot write output" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("delta_grid", "1/2"), ("alpha_grid", {"a": "1/2"}), ("t_grid", 2)]
+    )
+    def test_sweep_grid_must_be_list(self, tmp_path, capsys, key, value):
+        # a string or an object is not walked entry by entry
+        cfg = write_config(tmp_path, {"sweep": {key: value}})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_PARSE and out == ""
+        assert f"sweep.{key} must be a JSON list" in err
+
+    @pytest.mark.parametrize("horizon", [3, "3"])
+    def test_integer_field_accepts_int_and_integer_string(self, tmp_path, capsys, horizon):
+        cfg = write_config(tmp_path, {"ternary_eps": "1/2", "horizon": horizon})
+        code, out, _ = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["config"]["horizon"] == 3 and len(payload["agents"]) == 3
 
 
 class TestDesign:

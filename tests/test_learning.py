@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -14,14 +15,17 @@ from historyvalue import (
     ternary_structure,
     validate_structure,
 )
+from historyvalue.beliefs import induced_belief_distribution
+from historyvalue.design import corpus, split_to_ternary
 from historyvalue.errors import (
     HistoryValueError,
     HorizonCapExceeded,
     IncompleteTieBreakTable,
     InvariantViolation,
+    TooManyIndifferenceNodes,
     ValidationError,
 )
-from historyvalue.learning import _check_level, truncation_horizon
+from historyvalue.learning import _advance, _check_level, _chooser, truncation_horizon
 
 HALF = F(1, 2)
 
@@ -36,6 +40,33 @@ def full_info():
 
 def no_info():
     return validate_structure({"s1": (HALF, HALF), "s2": (HALF, HALF)})
+
+
+def fixture():
+    return validate_structure(
+        {"a": (F(1, 2), F(1, 6)), "b": (F(1, 3), F(1, 3)), "c": (F(1, 6), F(1, 2))}
+    )
+
+
+def exhaustive_best(structure, horizon):
+    """Oracle: the lexicographic maximum over the payoff vectors of every
+    tie-break table, enumerated to the leaves without pruning or merging
+    equal levels."""
+    atoms = induced_belief_distribution(structure).atoms
+    vectors = []
+
+    def explore(level, depth, acc):
+        if depth == horizon:
+            vectors.append(tuple(acc))
+            return
+        _, _, points = _advance(level, atoms, depth, lambda d, q, x: 1)
+        keys = [(depth, q, x) for q, x in points]
+        for assignment in itertools.product((1, 0), repeat=len(points)):
+            payoff, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
+            explore(nxt, depth + 1, acc + [payoff])
+
+    explore({HALF: [F(1), F(1)]}, 0, [])
+    return max(vectors)
 
 
 class TestSingleSignalPayoff:
@@ -127,6 +158,54 @@ class TestBestEquilibrium:
     def test_lex_cap(self):
         with pytest.raises(HorizonCapExceeded):
             best_equilibrium_payoffs(sym_binary(), 9)
+
+
+class TestPrefixPruning:
+    CORPUS = [s for base in corpus(7, 60) for s in (base, split_to_ternary(base))]
+
+    @pytest.mark.parametrize("horizon", [4, 6])
+    def test_matches_exhaustive_on_corpus(self, horizon):
+        for structure in self.CORPUS:
+            got = best_equilibrium_payoffs(structure, horizon).with_history
+            assert got == exhaustive_best(structure, horizon), structure
+
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    def test_matches_exhaustive_on_fixture(self, horizon):
+        assert best_equilibrium_payoffs(fixture(), horizon).with_history == exhaustive_best(
+            fixture(), horizon
+        )
+
+    def test_later_agent_does_not_outrank_earlier(self):
+        # Some tie-break gives agent 4 a payoff of 127/1728, but only after a
+        # depth-2 level on which agent 3 earns less than its best, 61/864.
+        structure = validate_structure(
+            {"s0": (F(1, 3), F(1, 2)), "s1": (F(1, 3), F(1, 6)), "s2": (F(1, 3), F(1, 3))}
+        )
+        got = best_equilibrium_payoffs(structure, 4).with_history
+        assert got == exhaustive_best(structure, 4)
+        assert got[2:] == (F(61, 864), F(95, 1296))
+
+    @pytest.mark.parametrize("structure", [fixture(), sym_binary(), ternary_structure(F(1, 3))])
+    def test_prefix_of_longer_horizon(self, structure):
+        # agent k's payoff does not depend on how many agents follow
+        full = best_equilibrium_payoffs(structure, 7).with_history
+        for k in range(7):
+            assert full[:k] == best_equilibrium_payoffs(structure, k).with_history
+
+    def test_cap_reports_real_count(self):
+        # Depth 0 ties once (2 assignments, within the cap).  Its two child
+        # levels mirror each other, so both are kept, and each ties once:
+        # 4 assignments at depth 1, which is where the cap of 2 binds.
+        atoms = induced_belief_distribution(fixture()).atoms
+        root = {HALF: [F(1), F(1)]}
+        children = [_advance(root, atoms, 0, lambda d, q, x, a=a: a)[1] for a in (1, 0)]
+        passes = [_advance(c, atoms, 1, lambda d, q, x: 1) for c in children]
+        assert passes[0][0] == passes[1][0]
+        count = sum(2 ** len(points) for _payoff, _nxt, points in passes)
+        with pytest.raises(TooManyIndifferenceNodes) as err:
+            best_equilibrium_payoffs(fixture(), 4, max_profiles=2)
+        assert err.value.count == count == 4
+        assert "depth 1" in str(err.value)
 
 
 class TestSocialValue:
