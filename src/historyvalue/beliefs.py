@@ -28,7 +28,7 @@ from .rationals import HALF, format_rational, parse_rational
 
 ONE = Fraction(1)
 
-#: Default cap on the number of composed i.i.d. draws.
+#: Cap on the number of composed i.i.d. draws.
 IID_CAP = 16
 
 
@@ -186,12 +186,12 @@ def compose_distributions(a: BeliefDistribution, b: BeliefDistribution) -> Belie
     return BeliefDistribution.from_weights(weights)
 
 
-def iid_belief_distribution(structure: InformationStructure, n: int, cap: int = IID_CAP) -> BeliefDistribution:
+def iid_belief_distribution(structure: InformationStructure, n: int) -> BeliefDistribution:
     """Exact distribution of the belief combined from ``n`` i.i.d. signals."""
     if n < 1:
         raise ValidationError("need at least one draw")
-    if n > cap:
-        raise CapExceeded(f"{n} i.i.d. draws exceeds cap {cap}")
+    if n > IID_CAP:
+        raise CapExceeded(f"{n} i.i.d. draws exceeds cap {IID_CAP}")
     base = induced_belief_distribution(structure)
     dist = base
     for _ in range(n - 1):

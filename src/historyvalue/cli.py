@@ -247,10 +247,10 @@ def run_sweep(cfg: dict, args):
     rows = ["delta,alpha,t,eps_star_buyer,eps_star_seller,eps_star_weighted,"
             "seller,buyer,social"]
     seller_track = {}
+    eps_b = market.optimal_eps_buyer()
     for d in deltas:
         for a in alphas:
             for t in ts:
-                eps_b = market.optimal_eps_buyer()
                 eps_s = market.optimal_eps_seller_sticky(d, t)
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)

@@ -215,6 +215,7 @@ def max_social_value(delta) -> float:
 # -- numeric search ------------------------------------------------------------
 
 _LIMIT = 10**40  # denominator cap for interior probe points
+_GRID = 64  # coarse-scan intervals before golden-section refinement
 
 
 @dataclass(frozen=True)
@@ -266,12 +267,12 @@ def maximize_concave(f, tolerance, lo=0, hi=1) -> SearchResult:
     return SearchResult(argmax=mid, value=ev(mid), flat=seen_min == seen_max)
 
 
-def argmax_unit_interval(f, tolerance, grid: int = 64) -> SearchResult:
+def argmax_unit_interval(f, tolerance) -> SearchResult:
     """Coarse grid scan followed by golden-section refinement on [0, 1]."""
-    values = [f(Fraction(k, grid)) for k in range(grid + 1)]
-    best = max(range(grid + 1), key=lambda k: values[k])
-    lo = Fraction(max(best - 1, 0), grid)
-    hi = Fraction(min(best + 1, grid), grid)
+    values = [f(Fraction(k, _GRID)) for k in range(_GRID + 1)]
+    best = max(range(_GRID + 1), key=lambda k: values[k])
+    lo = Fraction(max(best - 1, 0), _GRID)
+    hi = Fraction(min(best + 1, _GRID), _GRID)
     result = maximize_concave(f, tolerance, lo, hi)
     flat = result.flat and len(set(values)) == 1
     return SearchResult(argmax=result.argmax, value=result.value, flat=flat)
@@ -386,6 +387,8 @@ def random_structure(
 
 def corpus(seed: int, count: int, max_signals: int = 4, max_denominator: int = 12):
     """Deterministic list of random structures for dominance sweeps."""
+    if count < 0:
+        raise ValidationError(f"corpus count must be >= 0: {count}")
     if max_signals < 1 or max_denominator < 1:
         raise ValidationError("corpus needs max_signals >= 1 and max_denominator >= 1")
     rng = random.Random(seed)

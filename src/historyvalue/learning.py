@@ -21,12 +21,14 @@ Computed quantities, all exact rationals:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import (
     IID_CAP,
+    BeliefDistribution,
     InformationStructure,
     compose_distributions,
     iid_belief_distribution,
@@ -61,28 +63,43 @@ FOLLOW_SIGNAL = "follow-signal"
 class PayoffProfile:
     """Per-agent value accounting for one structure and horizon.
 
-    ``single`` is the signal-only payoff; ``with_history[i-1]`` the
-    equilibrium payoff of agent ``i``; ``benchmark[i-1]`` the payoff
-    from observing ``i`` signals directly; ``history_value[i-1]`` the
-    gain from history, ``with_history - single``.
+    ``signal`` is the belief distribution of one private signal and
+    ``with_history[i-1]`` the equilibrium payoff of agent ``i``; the rest
+    is derived.  ``single`` is the signal-only payoff,
+    ``history_value[i-1]`` the gain from history, ``with_history - single``,
+    and ``benchmark[i-1]`` the payoff from observing ``i`` signals
+    directly, composed the first time it is read.
     """
 
-    single: Fraction
+    signal: BeliefDistribution
     with_history: tuple
-    benchmark: tuple
-    history_value: tuple
 
     @property
     def horizon(self) -> int:
         return len(self.with_history)
 
+    @functools.cached_property
+    def single(self) -> Fraction:
+        return _expected_payoff(self.signal)
+
+    @functools.cached_property
+    def history_value(self) -> tuple:
+        return tuple(v - self.single for v in self.with_history)
+
+    @functools.cached_property
+    def benchmark(self) -> tuple:
+        """Agent ``i``'s benchmark composes one more i.i.d. signal onto agent
+        ``i-1``'s, as :func:`iid_belief_distribution` does."""
+        if self.horizon > IID_CAP:
+            raise CapExceeded(f"{self.horizon} i.i.d. draws exceeds cap {IID_CAP}")
+        draws = itertools.repeat(self.signal, self.horizon)
+        dists = itertools.accumulate(draws, compose_distributions)
+        return tuple(map(_expected_payoff, dists))
+
     def to_csv(self) -> str:
         """Export: columns i, V_i, Vbar_i, hist_value_i (exact + decimal)."""
-        lines = [
-            "i,V_i,Vbar_i,hist_value_i,V_i_dec,Vbar_i_dec,hist_value_i_dec"
-        ]
-        for i in range(self.horizon):
-            v, vb, h = self.with_history[i], self.benchmark[i], self.history_value[i]
+        lines = ["i,V_i,Vbar_i,hist_value_i,V_i_dec,Vbar_i_dec,hist_value_i_dec"]
+        for i, (v, vb, h) in enumerate(zip(self.with_history, self.benchmark, self.history_value)):
             lines.append(
                 f"{i + 1},{format_rational(v)},{format_rational(vb)},{format_rational(h)},"
                 f"{format_decimal(v)},{format_decimal(vb)},{format_decimal(h)}"
@@ -105,9 +122,9 @@ def single_signal_payoff(structure: InformationStructure) -> Fraction:
     return _expected_payoff(induced_belief_distribution(structure))
 
 
-def full_observation_payoff(structure: InformationStructure, i: int, cap: int = IID_CAP) -> Fraction:
+def full_observation_payoff(structure: InformationStructure, i: int) -> Fraction:
     """Payoff of an agent who directly observes ``i`` i.i.d. signals."""
-    return _expected_payoff(iid_belief_distribution(structure, i, cap=cap))
+    return _expected_payoff(iid_belief_distribution(structure, i))
 
 
 def _chooser(rule):
@@ -150,16 +167,16 @@ def _advance(level, atoms, depth, choose):
             pl = ll * wl
             if ph == 0 and pl == 0:
                 continue
-            composed = ph / (ph + pl)
-            if composed > HALF:
+            # The composed belief ph / (ph + pl) against 1/2, without dividing.
+            if ph > pl:
                 action = 1
-            elif composed < HALF:
+                payoff += (ph - pl) / 4
+            elif ph < pl:
                 action = 0
             else:
+                # a tie earns (ph - pl) / 4 = 0 whichever action is chosen
                 indifference.append((public, private))
                 action = choose(depth, public, private)
-            if action == 1:
-                payoff += (ph - pl) / 4
             sums[action][0] += wh
             sums[action][1] += wl
         for action in (1, 0):
@@ -185,61 +202,33 @@ def _level_key(level):
     return frozenset((q, lh, ll) for q, (lh, ll) in level.items())
 
 
-def _check_horizon(horizon: int, cap: int, cap_name: str):
+def _check_horizon(horizon: int, limit: int, limit_name: str):
     if horizon < 0:
         raise ValidationError(f"horizon must be >= 0: {horizon}")
-    if horizon > cap:
-        raise HorizonCapExceeded(f"horizon {horizon} exceeds {cap_name} {cap}")
+    if horizon > limit:
+        raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
 
 
-def _profile(structure: InformationStructure, values) -> PayoffProfile:
-    """Profile of per-agent payoffs ``values``; agent ``i``'s benchmark composes
-    one more i.i.d. signal onto agent ``i-1``'s, as :func:`iid_belief_distribution` does."""
-    if len(values) > IID_CAP:
-        raise CapExceeded(f"{len(values)} i.i.d. draws exceeds cap {IID_CAP}")
-    base = induced_belief_distribution(structure)
-    dists = itertools.accumulate(
-        itertools.repeat(base, len(values) - 1), compose_distributions, initial=base
-    )
-    single = values[0] if values else _expected_payoff(base)
-    return PayoffProfile(
-        single=single,
-        with_history=tuple(values),
-        benchmark=tuple(_expected_payoff(dist) for _v, dist in zip(values, dists)),
-        history_value=tuple(v - single for v in values),
-    )
-
-
-def simulate_equilibrium(
-    structure: InformationStructure,
-    horizon: int,
-    rule=ACTION1,
-    horizon_cap: int = HORIZON_CAP,
-) -> PayoffProfile:
+def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
     """Per-agent equilibrium payoffs under a fixed tie-break rule.
 
     Builds the public-belief tree forward, merging histories with equal
     public beliefs.  Every non-tie action is the strict best response by
     construction; ties are resolved by ``rule``.
     """
-    _check_horizon(horizon, horizon_cap, "cap")
+    _check_horizon(horizon, HORIZON_CAP, "cap")
     choose = _chooser(rule)
-    atoms = induced_belief_distribution(structure).atoms
+    signal = induced_belief_distribution(structure)
     level = {HALF: [Fraction(1), Fraction(1)]}
     values = []
     for depth in range(horizon):
         _check_level(level)
-        payoff, level, _ = _advance(level, atoms, depth, choose)
+        payoff, level, _ = _advance(level, signal.atoms, depth, choose)
         values.append(payoff)
-    return _profile(structure, values)
+    return PayoffProfile(signal, tuple(values))
 
 
-def best_equilibrium_payoffs(
-    structure: InformationStructure,
-    horizon: int,
-    lex_cap: int = LEX_CAP,
-    max_profiles: int = MAX_TIE_PROFILES,
-) -> PayoffProfile:
+def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
     """Lexicographically best per-agent payoffs over tie-break tables.
 
     The maximum is over every deterministic assignment of actions to
@@ -252,12 +241,13 @@ def best_equilibrium_payoffs(
     reaches the best payoff are kept, duplicate levels are merged, and
     only the kept levels are expanded over their tie-break assignments.
 
-    ``max_profiles`` bounds the assignments tried at one depth, summed
+    ``MAX_TIE_PROFILES`` bounds the assignments tried at one depth, summed
     over the kept levels; past it :class:`TooManyIndifferenceNodes`
     carries that sum as ``count``.
     """
-    _check_horizon(horizon, lex_cap, "lexicographic cap")
-    atoms = induced_belief_distribution(structure).atoms
+    _check_horizon(horizon, LEX_CAP, "lexicographic cap")
+    signal = induced_belief_distribution(structure)
+    atoms = signal.atoms
     frontier = [{HALF: [Fraction(1), Fraction(1)]}]
     values = []
     for depth in range(horizon):
@@ -273,9 +263,9 @@ def best_equilibrium_payoffs(
             break
         kept = [(level, nxt, points) for level, payoff, nxt, points in passes if payoff == best]
         count = sum(2 ** len(points) for _, _, points in kept)
-        if count > max_profiles:
+        if count > MAX_TIE_PROFILES:
             raise TooManyIndifferenceNodes(
-                f"{count} tie-break assignments at depth {depth} exceed {max_profiles}",
+                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
                 count=count,
             )
         children = {}
@@ -286,7 +276,7 @@ def best_equilibrium_payoffs(
                 _, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
                 children.setdefault(_level_key(nxt), nxt)
         frontier = list(children.values())
-    return _profile(structure, values)
+    return PayoffProfile(signal, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -304,26 +294,24 @@ class BoundedValue:
         return float(self.value)
 
 
-def truncation_horizon(delta: Fraction, tolerance: Fraction, cap: int = LEX_CAP) -> int:
+def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
     """Fewest agents ``N >= 1`` whose discounted tail bound ``d^N / 4`` is
-    within ``tolerance`` (each per-agent gain lies in [0, 1/4])."""
+    within ``tolerance`` (each per-agent gain lies in [0, 1/4]), up to
+    ``LEX_CAP``."""
     depth = 1
     while QUARTER * delta**depth > tolerance:
         depth += 1
-        if depth > cap:
+        if depth > LEX_CAP:
+            achievable = QUARTER * delta**LEX_CAP
             raise HorizonCapExceeded(
-                f"tolerance {tolerance} needs horizon {depth} > cap {cap}",
-                achievable_tolerance=QUARTER * delta**cap,
+                f"tolerance {tolerance} is not reached within cap {LEX_CAP}; "
+                f"the cap reaches tolerance {achievable}",
+                achievable_tolerance=achievable,
             )
     return depth
 
 
-def social_value(
-    structure: InformationStructure,
-    delta: Fraction,
-    tolerance,
-    lex_cap: int = LEX_CAP,
-) -> BoundedValue:
+def social_value(structure: InformationStructure, delta: Fraction, tolerance) -> BoundedValue:
     """Discounted aggregate history gain, ``(1-d) * sum d^(i-1) * gain_i``.
 
     Structures whose beliefs live on {0, 1/2, 1} admit an exact closed
@@ -343,8 +331,8 @@ def social_value(
         value = delta * eps * (1 - eps) / (4 * (1 - delta * eps))
         return BoundedValue(value, Fraction(0))
 
-    depth = truncation_horizon(delta, tolerance, lex_cap)
-    profile = best_equilibrium_payoffs(structure, depth, lex_cap=lex_cap)
+    depth = truncation_horizon(delta, tolerance)
+    profile = best_equilibrium_payoffs(structure, depth)
     partial = (1 - delta) * sum(
         delta**i * g for i, g in enumerate(profile.history_value)
     )

@@ -140,6 +140,12 @@ def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
     return (d**t / 4) * e * (1 - e**t) / (1 - d**t * e**t)
 
 
+def _ternary_with_history(e: Fraction, d: Fraction) -> Fraction:
+    """Discounted average payoff-with-history on the ternary family:
+    ``1/4 - (1-d)*e / (4*(1-d*e))``."""
+    return QUARTER - (1 - d) * e / (4 * (1 - d * e))
+
+
 def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
     """Closed-form sticky buyer surplus for the ternary family.
 
@@ -148,8 +154,8 @@ def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
     """
     e = Fraction(eps)
     d = Fraction(delta)
-    with_history = QUARTER - (1 - d) * e / (4 * (1 - d * e))
-    return with_history - ternary_sticky_seller_surplus(e, d, t)
+    seller = ternary_sticky_seller_surplus(e, d, t)
+    return _ternary_with_history(e, d) - seller
 
 
 def sticky_surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
@@ -241,10 +247,12 @@ def ternary_weighted_surplus(eps, delta, alpha) -> Fraction:
 
 def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
     """Exact weighted surplus on the ternary family, sticky regime."""
+    e = Fraction(eps)
+    d = Fraction(delta)
     a = Fraction(alpha)
-    return a * ternary_sticky_buyer_surplus(eps, delta, t) + (
-        1 - a
-    ) * ternary_sticky_seller_surplus(eps, delta, t)
+    seller = ternary_sticky_seller_surplus(e, d, t)
+    buyer = _ternary_with_history(e, d) - seller
+    return a * buyer + (1 - a) * seller
 
 
 def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**9)):

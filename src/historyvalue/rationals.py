@@ -33,6 +33,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def format_decimal(x, sig: int = 12) -> str:
-    """Fixed-width decimal rendering at ``sig`` significant digits."""
-    return f"{float(x):.{sig}g}"
+def format_decimal(x) -> str:
+    """Fixed-width decimal rendering at 12 significant digits."""
+    return f"{float(x):.12g}"

@@ -139,6 +139,7 @@ class TestErrorCodes:
             ("value", {"ternary_eps": "1/2", "horizon": 2.7}, EXIT_PARSE),
             ("value", {"ternary_eps": "1/2", "horizon": True}, EXIT_PARSE),
             ("sweep", {"sweep": {"t_grid": [1.5]}}, EXIT_PARSE),
+            ("verify", {"corpus": {"count": -5}}, EXIT_VALIDATION),
         ],
     )
     def test_bad_field_exits_cleanly(self, tmp_path, capsys, command, payload, expected):

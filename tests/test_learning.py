@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import itertools
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +28,7 @@ from historyvalue.errors import (
     TooManyIndifferenceNodes,
     ValidationError,
 )
+from historyvalue import learning
 from historyvalue.learning import _advance, _check_level, _chooser, truncation_horizon
 
 HALF = F(1, 2)
@@ -192,7 +196,7 @@ class TestPrefixPruning:
         for k in range(7):
             assert full[:k] == best_equilibrium_payoffs(structure, k).with_history
 
-    def test_cap_reports_real_count(self):
+    def test_cap_reports_real_count(self, monkeypatch):
         # Depth 0 ties once (2 assignments, within the cap).  Its two child
         # levels mirror each other, so both are kept, and each ties once:
         # 4 assignments at depth 1, which is where the cap of 2 binds.
@@ -202,8 +206,9 @@ class TestPrefixPruning:
         passes = [_advance(c, atoms, 1, lambda d, q, x: 1) for c in children]
         assert passes[0][0] == passes[1][0]
         count = sum(2 ** len(points) for _payoff, _nxt, points in passes)
+        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
         with pytest.raises(TooManyIndifferenceNodes) as err:
-            best_equilibrium_payoffs(fixture(), 4, max_profiles=2)
+            best_equilibrium_payoffs(fixture(), 4)
         assert err.value.count == count == 4
         assert "depth 1" in str(err.value)
 
@@ -227,6 +232,15 @@ class TestSocialValue:
         assert got.error_bound <= F(1, 10**4)
         # positive: agent 3 onward gains from history
         assert got.value > 0
+
+    def test_cap_error_names_cap_not_a_horizon(self):
+        # 1/10^9 needs 28 agents at d = 1/2; the message must not claim 9
+        with pytest.raises(HorizonCapExceeded) as err:
+            social_value(sym_binary(), HALF, F(1, 10**9))
+        assert err.value.achievable_tolerance == F(1, 1024)
+        message = str(err.value)
+        assert "cap 8" in message and "1/1024" in message
+        assert "horizon 9" not in message
 
     def test_unreachable_tolerance(self):
         with pytest.raises(HorizonCapExceeded) as err:
@@ -274,9 +288,10 @@ class TestTruncationHorizon:
         assert truncation_horizon(HALF, F(1, 100)) == 5
         assert truncation_horizon(HALF, F(1, 4)) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(learning, "LEX_CAP", 4)
         with pytest.raises(HorizonCapExceeded) as err:
-            truncation_horizon(HALF, F(1, 10**6), cap=4)
+            truncation_horizon(HALF, F(1, 10**6))
         assert err.value.achievable_tolerance == F(1, 4) * HALF**4
 
 
@@ -290,3 +305,40 @@ class TestLevelInvariant:
         # an internal fault: not an input error, so the CLI maps it to exit 5
         assert isinstance(err.value, HistoryValueError)
         assert not isinstance(err.value, ValidationError)
+
+
+class TestPayoffProfile:
+    def test_benchmark_composed_on_first_read_only(self, monkeypatch):
+        calls = []
+        compose = learning.compose_distributions
+
+        def counting(a, b):
+            calls.append(1)
+            return compose(a, b)
+
+        monkeypatch.setattr(learning, "compose_distributions", counting)
+        p = best_equilibrium_payoffs(fixture(), 5)
+        p.with_history, p.single, p.history_value
+        assert calls == []
+        first = p.benchmark
+        assert len(calls) == 4
+        assert p.benchmark is first and len(calls) == 4
+
+    @pytest.mark.parametrize("solve", [simulate_equilibrium, best_equilibrium_payoffs])
+    def test_single_is_first_agent_payoff(self, solve):
+        for structure in corpus(7, 30):
+            p = solve(structure, 4)
+            assert p.single == p.with_history[0], structure
+
+    def test_fields_are_signal_and_payoffs(self):
+        names = [f.name for f in dataclasses.fields(learning.PayoffProfile)]
+        assert names == ["signal", "with_history"]
+
+
+def test_no_assert_statements_in_library():
+    # invariants must still be checked under python -O
+    package = pathlib.Path(learning.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert at lines {found}"
