@@ -54,7 +54,10 @@ class InformationStructure:
     like_low: tuple
 
     def likelihoods(self, signal):
-        k = self.signals.index(signal)
+        try:
+            k = self.signals.index(signal)
+        except ValueError:
+            raise ValidationError(f"unknown signal: {signal!r}") from None
         return self.like_high[k], self.like_low[k]
 
     def items(self):

@@ -198,17 +198,22 @@ def optimal_eps_agent(i: int) -> AgentOptimum:
     return AgentOptimum(eps=(1.0 / i) ** (1.0 / (i - 1)), degenerate=False)
 
 
-def optimal_eps_social(delta) -> float:
-    """Uninformative mass maximizing the aggregate gain: (1 - sqrt(1-d))/d."""
+def _discount(delta) -> float:
     d = float(delta)
     if not 0 < d < 1:
         raise ValidationError(f"discount factor must lie in (0, 1): {delta}")
+    return d
+
+
+def optimal_eps_social(delta) -> float:
+    """Uninformative mass maximizing the aggregate gain: (1 - sqrt(1-d))/d."""
+    d = _discount(delta)
     return (1.0 - math.sqrt(1.0 - d)) / d
 
 
 def max_social_value(delta) -> float:
     """Aggregate gain at the maximizing mass: (1 - sqrt(1-d))^2 / (4*d)."""
-    d = float(delta)
+    d = _discount(delta)
     return (1.0 - math.sqrt(1.0 - d)) ** 2 / (4.0 * d)
 
 

@@ -41,10 +41,6 @@ class DegenerateParameter(ValidationError):
     """Discount factor or welfare weight outside the open unit interval."""
 
 
-class IncompleteTieBreakTable(ValidationError):
-    """A per-node tie-break table misses a reachable indifference node."""
-
-
 class CapExceeded(HistoryValueError):
     """A configured size or depth cap would be exceeded."""
 

@@ -13,7 +13,8 @@ Computed quantities, all exact rationals:
 * ``single_signal_payoff`` -- expected payoff from the private signal alone;
 * ``full_observation_payoff`` -- benchmark payoff of an agent who sees
   ``i`` i.i.d. signals directly (an upper bound on equilibrium payoffs);
-* ``simulate_equilibrium`` -- per-agent payoffs under a fixed tie rule;
+* ``simulate_equilibrium`` -- per-agent payoffs under a fixed tie rule,
+  one of ``ACTION1``, ``ACTION0`` and ``FOLLOW_SIGNAL``;
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
   all deterministic per-node tie-break tables;
 * ``social_value`` -- discounted aggregate of the per-agent history gains.
@@ -38,7 +39,6 @@ from .beliefs import (
 from .errors import (
     CapExceeded,
     HorizonCapExceeded,
-    IncompleteTieBreakTable,
     InvariantViolation,
     TooManyIndifferenceNodes,
     ValidationError,
@@ -52,11 +52,18 @@ LEX_CAP = 8
 #: Bound on tie-break assignments tried at one depth of that search.
 MAX_TIE_PROFILES = 20000
 
-# Fixed tie-break rules; a per-node table is a dict
-# {(depth, public_belief, private_belief): action}.
+# Fixed tie-break rules.
 ACTION1 = "action1"
 ACTION0 = "action0"
 FOLLOW_SIGNAL = "follow-signal"
+
+# Each rule's action at a tie, given the tied agent's private belief.
+# Following the signal sends an exactly uninformative one to action 1.
+_RULES = {
+    ACTION1: lambda private: 1,
+    ACTION0: lambda private: 0,
+    FOLLOW_SIGNAL: lambda private: 1 if private >= HALF else 0,
+}
 
 
 @dataclass(frozen=True)
@@ -127,41 +134,21 @@ def full_observation_payoff(structure: InformationStructure, i: int) -> Fraction
     return _expected_payoff(iid_belief_distribution(structure, i))
 
 
-def _chooser(rule):
-    """Turn a tie-break rule into ``choose(depth, public, private) -> action``."""
-    if rule == ACTION1:
-        return lambda d, q, x: 1
-    if rule == ACTION0:
-        return lambda d, q, x: 0
-    if rule == FOLLOW_SIGNAL:
-        # Follow the private signal's direction; an exactly uninformative
-        # private belief defaults to action 1.
-        return lambda d, q, x: 1 if x >= HALF else 0
-    if isinstance(rule, dict):
-        def choose(d, q, x):
-            try:
-                return rule[(d, q, x)]
-            except KeyError:
-                raise IncompleteTieBreakTable(
-                    f"no tie-break entry for depth {d}, public {q}, private {x}"
-                ) from None
-        return choose
-    raise ValidationError(f"unknown tie-break rule: {rule!r}")
+def _advance(level, atoms):
+    """Play one generation up to its ties.
 
-
-def _advance(level, atoms, depth, choose):
-    """Play one generation.
-
-    ``level`` maps public belief -> [like_high, like_low] (probability of
-    reaching that public state in each state of the world).  Returns the
-    agent's ex-ante payoff, the next level, and the indifference points
-    ``(public, private)`` encountered.
+    ``level`` is a sorted tuple of ``(public, like_high, like_low)``: each
+    public belief with its probability of being reached in each state of
+    the world.  Returns the agent's ex-ante payoff and, per public node,
+    ``(like_high, like_low, strict1, strict0, ties)``: the summed
+    ``(w_high, w_low)`` of the signals that strictly prefer action 1 and
+    action 0, and the tied signals' ``(private, w_high, w_low)``.
     """
     payoff = Fraction(0)
-    nxt = {}
-    indifference = []
-    for public, (lh, ll) in level.items():
-        sums = {1: [Fraction(0), Fraction(0)], 0: [Fraction(0), Fraction(0)]}
+    nodes = []
+    for _, lh, ll in level:
+        h1 = l1 = h0 = l0 = Fraction(0)
+        ties = []
         for private, wh, wl in atoms:
             ph = lh * wh
             pl = ll * wl
@@ -169,37 +156,45 @@ def _advance(level, atoms, depth, choose):
                 continue
             # The composed belief ph / (ph + pl) against 1/2, without dividing.
             if ph > pl:
-                action = 1
                 payoff += (ph - pl) / 4
+                h1 += wh
+                l1 += wl
             elif ph < pl:
-                action = 0
+                h0 += wh
+                l0 += wl
             else:
                 # a tie earns (ph - pl) / 4 = 0 whichever action is chosen
-                indifference.append((public, private))
-                action = choose(depth, public, private)
-            sums[action][0] += wh
-            sums[action][1] += wl
-        for action in (1, 0):
-            ch = lh * sums[action][0]
-            cl = ll * sums[action][1]
+                ties.append((private, wh, wl))
+        nodes.append((lh, ll, (h1, l1), (h0, l0), ties))
+    return payoff, nodes
+
+
+def _children(nodes, actions):
+    """The next level when the ties of ``nodes``, taken node by node in
+    order, choose ``actions``; equal public beliefs merge."""
+    actions = iter(actions)
+    nxt = {}
+    for lh, ll, strict1, strict0, ties in nodes:
+        sums = {1: list(strict1), 0: list(strict0)}
+        for _, wh, wl in ties:
+            side = sums[next(actions)]
+            side[0] += wh
+            side[1] += wl
+        for wh, wl in sums.values():
+            ch = lh * wh
+            cl = ll * wl
             if ch == 0 and cl == 0:
                 continue
-            belief = ch / (ch + cl)
-            node = nxt.setdefault(belief, [Fraction(0), Fraction(0)])
+            node = nxt.setdefault(ch / (ch + cl), [Fraction(0), Fraction(0)])
             node[0] += ch
             node[1] += cl
-    return payoff, nxt, indifference
+    return tuple(sorted((q, ch, cl) for q, (ch, cl) in nxt.items()))
 
 
 def _check_level(level):
     """Tree consistency: reach probabilities sum to one in each state."""
-    if sum(v[0] for v in level.values()) != 1 or sum(v[1] for v in level.values()) != 1:
+    if sum(lh for _, lh, _ in level) != 1 or sum(ll for _, _, ll in level) != 1:
         raise InvariantViolation("public-belief level reach probabilities do not sum to one")
-
-
-def _level_key(level):
-    """Hashable identity of a public-belief level."""
-    return frozenset((q, lh, ll) for q, (lh, ll) in level.items())
 
 
 def _check_horizon(horizon: int, limit: int, limit_name: str):
@@ -209,21 +204,29 @@ def _check_horizon(horizon: int, limit: int, limit_name: str):
         raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
 
 
+_ROOT = ((HALF, Fraction(1), Fraction(1)),)
+
+
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
     """Per-agent equilibrium payoffs under a fixed tie-break rule.
 
     Builds the public-belief tree forward, merging histories with equal
     public beliefs.  Every non-tie action is the strict best response by
-    construction; ties are resolved by ``rule``.
+    construction; ties are resolved by ``rule``, one of ``ACTION1``,
+    ``ACTION0`` and ``FOLLOW_SIGNAL``.
     """
     _check_horizon(horizon, HORIZON_CAP, "cap")
-    choose = _chooser(rule)
+    # a dict rule is unhashable, so test the type before the membership
+    if not (isinstance(rule, str) and rule in _RULES):
+        raise ValidationError(f"unknown tie-break rule: {rule!r}")
+    act = _RULES[rule]
     signal = induced_belief_distribution(structure)
-    level = {HALF: [Fraction(1), Fraction(1)]}
+    level = _ROOT
     values = []
-    for depth in range(horizon):
+    for _ in range(horizon):
         _check_level(level)
-        payoff, level, _ = _advance(level, signal.atoms, depth, choose)
+        payoff, nodes = _advance(level, signal.atoms)
+        level = _children(nodes, (act(x) for *_, ties in nodes for x, _, _ in ties))
         values.append(payoff)
     return PayoffProfile(signal, tuple(values))
 
@@ -238,8 +241,8 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     public level that the tie-breaks before depth ``d`` produced, never
     on its own.  The lexicographic maximum is therefore a running
     maximum over prefixes: at each depth only the levels whose agent
-    reaches the best payoff are kept, duplicate levels are merged, and
-    only the kept levels are expanded over their tie-break assignments.
+    reaches the best payoff are kept, equal levels are merged, and only
+    the kept levels are expanded over their tie-break assignments.
 
     ``MAX_TIE_PROFILES`` bounds the assignments tried at one depth, summed
     over the kept levels; past it :class:`TooManyIndifferenceNodes`
@@ -247,35 +250,30 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
     signal = induced_belief_distribution(structure)
-    atoms = signal.atoms
-    frontier = [{HALF: [Fraction(1), Fraction(1)]}]
+    frontier = {_ROOT}
     values = []
     for depth in range(horizon):
-        # The all-ones pass gives the level's payoff, one child, and the
-        # reachable indifference points that the other assignments vary.
         passes = []
         for level in frontier:
             _check_level(level)
-            passes.append((level, *_advance(level, atoms, depth, lambda d, q, x: 1)))
-        best = max(payoff for _, payoff, _, _ in passes)
+            passes.append(_advance(level, signal.atoms))
+        best = max(payoff for payoff, _ in passes)
         values.append(best)
         if depth == horizon - 1:
             break
-        kept = [(level, nxt, points) for level, payoff, nxt, points in passes if payoff == best]
-        count = sum(2 ** len(points) for _, _, points in kept)
+        kept = [(nodes, sum(len(ties) for *_, ties in nodes))
+                for payoff, nodes in passes if payoff == best]
+        count = sum(2**n for _, n in kept)
         if count > MAX_TIE_PROFILES:
             raise TooManyIndifferenceNodes(
                 f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
                 count=count,
             )
-        children = {}
-        for level, nxt, points in kept:
-            children.setdefault(_level_key(nxt), nxt)
-            keys = [(depth, q, x) for q, x in points]
-            for assignment in itertools.islice(itertools.product((1, 0), repeat=len(points)), 1, None):
-                _, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
-                children.setdefault(_level_key(nxt), nxt)
-        frontier = list(children.values())
+        frontier = {
+            _children(nodes, actions)
+            for nodes, n in kept
+            for actions in itertools.product((1, 0), repeat=n)
+        }
     return PayoffProfile(signal, tuple(values))
 
 

@@ -265,10 +265,8 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
     """
     if t == 1:
         return optimal_eps_weighted(delta, alpha)
-    a = Fraction(alpha)
-    if not 0 < a < 1:
-        raise DegenerateParameter(f"alpha must lie in (0, 1): {alpha}")
-    if a >= Fraction(1, 2):
+    MarketParams(delta, alpha, t)  # checks delta, alpha and t before the shortcut
+    if Fraction(alpha) >= Fraction(1, 2):
         return Fraction(0)
     result = argmax_unit_interval(
         lambda e: ternary_weighted_surplus_sticky(e, delta, alpha, t), tolerance

@@ -18,6 +18,7 @@ from historyvalue.errors import (
     NegativeLikelihood,
     NonStochastic,
     ParseError,
+    ValidationError,
     ZeroProbabilitySignal,
 )
 
@@ -71,6 +72,10 @@ class TestPosterior:
     def test_zero_probability(self):
         with pytest.raises(ZeroProbabilitySignal):
             posterior(F(1), "s2", full_info())
+
+    def test_unknown_signal(self):
+        with pytest.raises(ValidationError, match="unknown signal: 'zz'"):
+            posterior(HALF, "zz", sym_binary())
 
 
 class TestCompose:

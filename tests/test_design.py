@@ -23,7 +23,7 @@ from historyvalue import (
     validate_structure,
     verify_dominance,
 )
-from historyvalue.errors import NonFiniteEvaluation
+from historyvalue.errors import NonFiniteEvaluation, ValidationError
 
 HALF = F(1, 2)
 
@@ -144,6 +144,11 @@ class TestOptima:
 
     def test_max_social_value(self):
         assert max_social_value(F(3, 4)) == pytest.approx(1 / 12, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [F(0), F(1), F(2), F(-1, 2)])
+    def test_max_social_value_rejects_bad_delta(self, delta):
+        with pytest.raises(ValidationError, match="discount factor"):
+            max_social_value(delta)
 
 
 class TestMaximizeConcave:

@@ -23,13 +23,12 @@ from historyvalue.design import corpus, split_to_ternary
 from historyvalue.errors import (
     HistoryValueError,
     HorizonCapExceeded,
-    IncompleteTieBreakTable,
     InvariantViolation,
     TooManyIndifferenceNodes,
     ValidationError,
 )
 from historyvalue import learning
-from historyvalue.learning import _advance, _check_level, _chooser, truncation_horizon
+from historyvalue.learning import _check_level, truncation_horizon
 
 HALF = F(1, 2)
 
@@ -52,6 +51,68 @@ def fixture():
     )
 
 
+CORPUS = [s for base in corpus(7, 60) for s in (base, split_to_ternary(base))]
+
+
+# The oracles' own engine, frozen apart from the library's: one generation
+# of the public-belief tree with every tie settled by ``choose(public,
+# private)``.  A level maps public belief -> [like_high, like_low].
+def frozen_advance(level, atoms, choose):
+    payoff = F(0)
+    nxt = {}
+    indifference = []
+    for public, (lh, ll) in level.items():
+        sums = {1: [F(0), F(0)], 0: [F(0), F(0)]}
+        for private, wh, wl in atoms:
+            ph = lh * wh
+            pl = ll * wl
+            if ph == 0 and pl == 0:
+                continue
+            if ph > pl:
+                action = 1
+                payoff += (ph - pl) / 4
+            elif ph < pl:
+                action = 0
+            else:
+                indifference.append((public, private))
+                action = choose(public, private)
+            sums[action][0] += wh
+            sums[action][1] += wl
+        for action in (1, 0):
+            ch = lh * sums[action][0]
+            cl = ll * sums[action][1]
+            if ch == 0 and cl == 0:
+                continue
+            node = nxt.setdefault(ch / (ch + cl), [F(0), F(0)])
+            node[0] += ch
+            node[1] += cl
+    return payoff, nxt, indifference
+
+
+FROZEN_ROOT = {HALF: [F(1), F(1)]}
+
+FROZEN_RULES = {
+    ACTION1: lambda q, x: 1,
+    ACTION0: lambda q, x: 0,
+    FOLLOW_SIGNAL: lambda q, x: 1 if x >= HALF else 0,
+}
+
+
+def table_chooser(table):
+    """Settle each tie by looking up ``(public, private)`` in ``table``."""
+    return lambda q, x: table[(q, x)]
+
+
+def frozen_simulate(structure, horizon, rule):
+    """Oracle: per-agent payoffs under a fixed rule on the frozen engine."""
+    atoms = induced_belief_distribution(structure).atoms
+    level, values = FROZEN_ROOT, []
+    for _ in range(horizon):
+        payoff, level, _ = frozen_advance(level, atoms, FROZEN_RULES[rule])
+        values.append(payoff)
+    return tuple(values)
+
+
 def exhaustive_best(structure, horizon):
     """Oracle: the lexicographic maximum over the payoff vectors of every
     tie-break table, enumerated to the leaves without pruning or merging
@@ -63,13 +124,13 @@ def exhaustive_best(structure, horizon):
         if depth == horizon:
             vectors.append(tuple(acc))
             return
-        _, _, points = _advance(level, atoms, depth, lambda d, q, x: 1)
-        keys = [(depth, q, x) for q, x in points]
+        _, _, points = frozen_advance(level, atoms, FROZEN_RULES[ACTION1])
         for assignment in itertools.product((1, 0), repeat=len(points)):
-            payoff, nxt, _ = _advance(level, atoms, depth, _chooser(dict(zip(keys, assignment))))
+            choose = table_chooser(dict(zip(points, assignment)))
+            payoff, nxt, _ = frozen_advance(level, atoms, choose)
             explore(nxt, depth + 1, acc + [payoff])
 
-    explore({HALF: [F(1), F(1)]}, 0, [])
+    explore(FROZEN_ROOT, 0, [])
     return max(vectors)
 
 
@@ -125,14 +186,20 @@ class TestSimulateEquilibrium:
         with pytest.raises(HorizonCapExceeded):
             simulate_equilibrium(sym_binary(), 13)
 
-    def test_incomplete_table(self):
-        with pytest.raises(IncompleteTieBreakTable):
-            simulate_equilibrium(ternary_structure(HALF), 3, rule={})
+    @pytest.mark.parametrize("rule", [{}, None, "nope", {(0, HALF, HALF): 1}])
+    def test_unknown_rule_rejected(self, rule):
+        with pytest.raises(ValidationError) as err:
+            simulate_equilibrium(ternary_structure(HALF), 3, rule=rule)
+        assert "tie-break rule" in str(err.value) and repr(rule) in str(err.value)
 
-    def test_table_rule(self):
-        table = {(0, HALF, HALF): 1}
-        p = simulate_equilibrium(ternary_structure(HALF), 2, rule=table)
-        assert p.with_history == (F(1, 8), F(3, 16))
+    @pytest.mark.parametrize("rule", [ACTION1, ACTION0, FOLLOW_SIGNAL])
+    def test_matches_frozen_engine(self, rule):
+        for structure in CORPUS:
+            got = simulate_equilibrium(structure, 6, rule).with_history
+            assert got == frozen_simulate(structure, 6, rule), structure
+        horizon = learning.HORIZON_CAP
+        got = simulate_equilibrium(fixture(), horizon, rule).with_history
+        assert got == frozen_simulate(fixture(), horizon, rule)
 
 
 class TestBestEquilibrium:
@@ -165,11 +232,9 @@ class TestBestEquilibrium:
 
 
 class TestPrefixPruning:
-    CORPUS = [s for base in corpus(7, 60) for s in (base, split_to_ternary(base))]
-
     @pytest.mark.parametrize("horizon", [4, 6])
     def test_matches_exhaustive_on_corpus(self, horizon):
-        for structure in self.CORPUS:
+        for structure in CORPUS:
             got = best_equilibrium_payoffs(structure, horizon).with_history
             assert got == exhaustive_best(structure, horizon), structure
 
@@ -201,9 +266,9 @@ class TestPrefixPruning:
         # levels mirror each other, so both are kept, and each ties once:
         # 4 assignments at depth 1, which is where the cap of 2 binds.
         atoms = induced_belief_distribution(fixture()).atoms
-        root = {HALF: [F(1), F(1)]}
-        children = [_advance(root, atoms, 0, lambda d, q, x, a=a: a)[1] for a in (1, 0)]
-        passes = [_advance(c, atoms, 1, lambda d, q, x: 1) for c in children]
+        rules = [FROZEN_RULES[ACTION1], FROZEN_RULES[ACTION0]]
+        children = [frozen_advance(FROZEN_ROOT, atoms, rule)[1] for rule in rules]
+        passes = [frozen_advance(c, atoms, FROZEN_RULES[ACTION1]) for c in children]
         assert passes[0][0] == passes[1][0]
         count = sum(2 ** len(points) for _payoff, _nxt, points in passes)
         monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
@@ -297,11 +362,11 @@ class TestTruncationHorizon:
 
 class TestLevelInvariant:
     def test_consistent_level_passes(self):
-        _check_level({F(1, 3): [F(1, 2), F(1, 4)], F(2, 3): [F(1, 2), F(3, 4)]})
+        _check_level(((F(1, 3), F(1, 2), F(1, 4)), (F(2, 3), F(1, 2), F(3, 4))))
 
     def test_unbalanced_level_raises(self):
         with pytest.raises(InvariantViolation) as err:
-            _check_level({HALF: [F(1, 2), F(1)]})
+            _check_level(((HALF, F(1, 2), F(1)),))
         # an internal fault: not an input error, so the CLI maps it to exit 5
         assert isinstance(err.value, HistoryValueError)
         assert not isinstance(err.value, ValidationError)

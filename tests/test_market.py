@@ -22,7 +22,7 @@ from historyvalue import (
     ternary_value_i,
     validate_structure,
 )
-from historyvalue.errors import DegenerateParameter
+from historyvalue.errors import DegenerateParameter, ValidationError
 
 HALF = F(1, 2)
 
@@ -204,6 +204,13 @@ class TestOptima:
 
     def test_weighted_sticky_alpha_high(self):
         assert optimal_eps_weighted_sticky(HALF, F(3, 5), 2) == 0
+
+    @pytest.mark.parametrize(
+        "delta, t, message", [(F(5), 2, "delta"), (F(0), 3, "delta"), (HALF, 0, "stickiness")]
+    )
+    def test_weighted_sticky_checks_before_alpha_shortcut(self, delta, t, message):
+        with pytest.raises(ValidationError, match=message):
+            optimal_eps_weighted_sticky(delta, F(7, 10), t)
 
     def test_weighted_sticky_numeric(self):
         got = optimal_eps_weighted_sticky(F(3, 4), F(1, 4), 2, F(1, 10**8))
