@@ -60,6 +60,7 @@ from .market import (
     surpluses,
     ternary_sticky_buyer_surplus,
     ternary_sticky_seller_surplus,
+    ternary_sticky_surpluses,
     ternary_weighted_surplus,
     ternary_weighted_surplus_sticky,
 )

@@ -254,8 +254,7 @@ def run_sweep(cfg: dict, args):
                 eps_s = market.optimal_eps_seller_sticky(d, t)
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
-                seller = market.ternary_sticky_seller_surplus(eps_w_frac, d, t)
-                buyer = market._ternary_with_history(eps_w_frac, d) - seller
+                seller, buyer = market.ternary_sticky_surpluses(eps_w_frac, d, t)
                 social = a * buyer + (1 - a) * seller
                 rows.append(
                     f"{format_decimal(d)},{format_decimal(a)},{t},"

@@ -39,10 +39,25 @@ class MarketParams:
     def __post_init__(self):
         if not 0 < Fraction(self.delta) < 1:
             raise DegenerateParameter(f"delta must lie in (0, 1): {self.delta}")
-        if not 0 < Fraction(self.alpha) < 1:
-            raise DegenerateParameter(f"alpha must lie in (0, 1): {self.alpha}")
-        if self.stickiness < 1:
-            raise ValidationError(f"stickiness must be >= 1: {self.stickiness}")
+        _alpha(self.alpha)
+        _stickiness(self.stickiness)
+
+
+def _alpha(alpha) -> Fraction:
+    """A welfare weight in the open unit interval, as a Fraction."""
+    a = Fraction(alpha)
+    if not 0 < a.numerator < a.denominator:
+        raise DegenerateParameter(f"alpha must lie in (0, 1): {alpha}")
+    return a
+
+
+def _stickiness(t) -> None:
+    """Check that ``t`` is an ``int`` (not a bool) of at least 1: a float
+    stickiness would carry floats into the exact closed forms."""
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValidationError(f"stickiness must be an integer, got {t!r}")
+    if t < 1:
+        raise ValidationError(f"stickiness must be >= 1: {t}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +115,7 @@ def dynamic_price_path(structure: InformationStructure, horizon: int) -> PriceSc
 
 def sticky_price_path(structure: InformationStructure, t: int, horizon: int) -> PriceSchedule:
     """Block-constant prices: block ``k`` is priced at buyer ``k*t + 1``'s gain."""
-    if t < 1:
-        raise ValidationError(f"stickiness must be >= 1: {t}")
+    _stickiness(t)
     profile = best_equilibrium_payoffs(structure, horizon)
     return PriceSchedule(prices=_block_prices(profile.history_value, t), regime=_regime(t))
 
@@ -126,36 +140,64 @@ def surpluses(structure: InformationStructure, params: MarketParams, tolerance) 
     return _report(params.alpha, seller, buyer, "dynamic")
 
 
-def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
-    """Closed-form sticky seller surplus for the ternary family:
-    (d^t / 4) * e * (1 - e^t) / (1 - d^t * e^t)."""
-    e = Fraction(eps)
-    d = Fraction(delta)
-    if not 0 <= e <= 1:
-        raise ValidationError(f"eps outside [0, 1]: {e}")
-    if not 0 < d < 1:
-        raise DegenerateParameter(f"delta must lie in (0, 1): {d}")
-    if t < 1:
-        raise ValidationError(f"stickiness must be >= 1: {t}")
-    return (d**t / 4) * e * (1 - e**t) / (1 - d**t * e**t)
+def _ternary_sticky(eps, delta, t: int) -> tuple:
+    """Integer parts of the ternary sticky closed forms, inputs checked.
 
+    With ``e = n/m`` and ``d = p/q`` in lowest terms, returns
+    ``(wn, wd, sn, sd)`` with payoff-with-history ``W = wn / (4*wd)`` and
+    seller surplus ``S = sn / (4*sd)``, where
 
-def _ternary_with_history(e: Fraction, d: Fraction) -> Fraction:
-    """Discounted average payoff-with-history on the ternary family:
-    ``1/4 - (1-d)*e / (4*(1-d*e))``."""
-    return QUARTER - (1 - d) * e / (4 * (1 - d * e))
+        wd = q*m - p*n,         wn = wd - (q-p)*n,
+        sd = m*(q^t*m^t - p^t*n^t),   sn = p^t * n * (m^t - n^t).
 
-
-def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
-    """Closed-form sticky buyer surplus for the ternary family.
-
-    The discounted average of payoff-with-history minus price:
-    ``1/4 - (1-d)*e / (4*(1-d*e)) - seller``.
+    ``0 <= n <= m`` and ``0 < p < q`` make both denominators positive.
+    The wrappers build each Fraction once from these integers, which is
+    exact and avoids a gcd per intermediate Fraction operation.
     """
     e = Fraction(eps)
     d = Fraction(delta)
-    seller = ternary_sticky_seller_surplus(e, d, t)
-    return _ternary_with_history(e, d) - seller
+    n, m = e.numerator, e.denominator
+    p, q = d.numerator, d.denominator
+    if not 0 <= n <= m:
+        raise ValidationError(f"eps outside [0, 1]: {e}")
+    if not 0 < p < q:
+        raise DegenerateParameter(f"delta must lie in (0, 1): {d}")
+    _stickiness(t)
+    wd = q * m - p * n
+    pt = p**t
+    mt = m**t
+    nt = n**t
+    return wd - (q - p) * n, wd, pt * n * (mt - nt), m * (q**t * mt - pt * nt)
+
+
+def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
+    """Closed-form sticky seller surplus for the ternary family:
+    (d^t / 4) * e * (1 - e^t) / (1 - d^t * e^t).
+
+    With ``e = n/m`` and ``d = p/q`` this is
+    ``p^t*n*(m^t - n^t) / (4*m*(q^t*m^t - p^t*n^t))``.
+    """
+    _, _, sn, sd = _ternary_sticky(eps, delta, t)
+    return Fraction(sn, 4 * sd)
+
+
+def ternary_sticky_surpluses(eps, delta, t: int) -> tuple:
+    """Closed-form sticky ``(seller, buyer)`` surplus for the ternary family,
+    from one evaluation.
+
+    Buyer is the discounted average of payoff-with-history minus price,
+    ``W - S`` with ``W = 1/4 - (1-d)*e / (4*(1-d*e))``; with ``e = n/m``
+    and ``d = p/q``, ``W = (q*m - p*n - (q-p)*n) / (4*(q*m - p*n))``.
+    """
+    wn, wd, sn, sd = _ternary_sticky(eps, delta, t)
+    return Fraction(sn, 4 * sd), Fraction(wn * sd - sn * wd, 4 * wd * sd)
+
+
+def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
+    """Closed-form sticky buyer surplus for the ternary family:
+    ``1/4 - (1-d)*e / (4*(1-d*e)) - seller`` (see
+    :func:`ternary_sticky_surpluses` for the integer form)."""
+    return ternary_sticky_surpluses(eps, delta, t)[1]
 
 
 def sticky_surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
@@ -172,8 +214,7 @@ def sticky_surpluses(structure: InformationStructure, params: MarketParams, tole
 
     eps = uninformative_mass(structure)
     if eps is not None:
-        seller = BoundedValue(ternary_sticky_seller_surplus(eps, d, t), Fraction(0))
-        buyer = BoundedValue(ternary_sticky_buyer_surplus(eps, d, t), Fraction(0))
+        seller, buyer = (BoundedValue(v, Fraction(0)) for v in ternary_sticky_surpluses(eps, d, t))
         return _report(params.alpha, seller, buyer, _regime(t))
 
     # General structure: truncate both discounted series.
@@ -211,8 +252,7 @@ def optimal_eps_seller_sticky(delta, t: int) -> float:
     d = float(delta)
     if not 0 < d < 1:
         raise DegenerateParameter(f"delta must lie in (0, 1): {delta}")
-    if t < 1:
-        raise ValidationError(f"stickiness must be >= 1: {t}")
+    _stickiness(t)
     dt = d**t
     b = t + 1 - (t - 1) * dt
     root = (b - math.sqrt(b * b - 4 * dt)) / (2 * dt)
@@ -240,19 +280,23 @@ def optimal_eps_weighted(delta, alpha) -> float:
 def ternary_weighted_surplus(eps, delta, alpha) -> Fraction:
     """Exact weighted surplus on the ternary family, dynamic regime."""
     e = Fraction(eps)
-    a = Fraction(alpha)
+    a = _alpha(alpha)
     buyer = (1 - e) / 4
     return a * buyer + (1 - a) * ternary_social_value(e, delta)
 
 
 def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
-    """Exact weighted surplus on the ternary family, sticky regime."""
-    e = Fraction(eps)
-    d = Fraction(delta)
-    a = Fraction(alpha)
-    seller = ternary_sticky_seller_surplus(e, d, t)
-    buyer = _ternary_with_history(e, d) - seller
-    return a * buyer + (1 - a) * seller
+    """Exact weighted surplus on the ternary family, sticky regime:
+    ``alpha*buyer + (1-alpha)*seller = alpha*W + (1-2*alpha)*S``.
+
+    With ``alpha = r/s`` and the kernel's ``W = wn/(4*wd)``,
+    ``S = sn/(4*sd)`` this is
+    ``(r*wn*sd + (s-2*r)*sn*wd) / (4*s*wd*sd)``.
+    """
+    wn, wd, sn, sd = _ternary_sticky(eps, delta, t)
+    a = _alpha(alpha)
+    r, s = a.numerator, a.denominator
+    return Fraction(r * wn * sd + (s - 2 * r) * sn * wd, 4 * s * wd * sd)
 
 
 def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**9)):
@@ -263,9 +307,9 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
     form is provided) with the returned point within ``tolerance`` of the
     argmax.
     """
+    MarketParams(delta, alpha, t)  # checks delta, alpha and t before either shortcut
     if t == 1:
         return optimal_eps_weighted(delta, alpha)
-    MarketParams(delta, alpha, t)  # checks delta, alpha and t before the shortcut
     if Fraction(alpha) >= Fraction(1, 2):
         return Fraction(0)
     result = argmax_unit_interval(

@@ -1,8 +1,11 @@
+import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from historyvalue import cli, market
 from historyvalue import (
     MarketParams,
     dynamic_price_path,
@@ -17,9 +20,12 @@ from historyvalue import (
     surpluses,
     ternary_sticky_buyer_surplus,
     ternary_sticky_seller_surplus,
+    ternary_sticky_surpluses,
     ternary_social_value,
     ternary_structure,
     ternary_value_i,
+    ternary_weighted_surplus,
+    ternary_weighted_surplus_sticky,
     validate_structure,
 )
 from historyvalue.errors import DegenerateParameter, ValidationError
@@ -221,3 +227,135 @@ class TestOptima:
         best = ternary_weighted_surplus_sticky(star, F(3, 4), F(1, 4), 2)
         for probe in (star - F(1, 100), star + F(1, 100)):
             assert ternary_weighted_surplus_sticky(probe, F(3, 4), F(1, 4), 2) < best
+
+
+# -- integer kernel against the Fraction formulas ------------------------------
+#
+# Frozen copy of the closed forms as Fraction arithmetic, before they were
+# evaluated through market's integer kernel.  Kept only as the oracle.
+
+
+def oracle_seller(eps, delta, t):
+    e, d = F(eps), F(delta)
+    return (d**t / 4) * e * (1 - e**t) / (1 - d**t * e**t)
+
+
+def oracle_with_history(eps, delta):
+    e, d = F(eps), F(delta)
+    return F(1, 4) - (1 - d) * e / (4 * (1 - d * e))
+
+
+def oracle_buyer(eps, delta, t):
+    return oracle_with_history(eps, delta) - oracle_seller(eps, delta, t)
+
+
+def oracle_weighted(eps, delta, alpha, t):
+    a = F(alpha)
+    seller = oracle_seller(eps, delta, t)
+    return a * (oracle_with_history(eps, delta) - seller) + (1 - a) * seller
+
+
+def oracle_points(count=300, seed=20240607):
+    rng = random.Random(seed)
+    special = [F(0), F(1)] + [F(k, 64) for k in range(65)]
+    points = []
+    for k in range(count):
+        if k < len(special):
+            e = special[k]
+        else:
+            den = rng.randint(1, 10**40)
+            e = F(rng.randint(0, den), den)
+        d = F(rng.randint(1, 999), 1000)
+        a = F(rng.randint(1, 99), 100)
+        points.append((e, d, a, (1, 2, 3, 5, 8)[k % 5]))
+    return points
+
+
+class TestIntegerKernel:
+    def test_closed_forms_match_oracle(self):
+        for e, d, a, t in oracle_points():
+            seller, buyer = ternary_sticky_surpluses(e, d, t)
+            assert seller == oracle_seller(e, d, t)
+            assert buyer == oracle_buyer(e, d, t)
+            assert seller + buyer == oracle_with_history(e, d)
+            assert ternary_sticky_seller_surplus(e, d, t) == seller
+            assert ternary_sticky_buyer_surplus(e, d, t) == buyer
+            assert ternary_weighted_surplus_sticky(e, d, a, t) == oracle_weighted(e, d, a, t)
+
+    def test_results_are_exact_fractions(self):
+        e, d, a, t = F(3, 7), F(2, 3), F(1, 5), 3
+        results = (*ternary_sticky_surpluses(e, d, t), ternary_sticky_seller_surplus(e, d, t),
+                   ternary_sticky_buyer_surplus(e, d, t),
+                   ternary_weighted_surplus_sticky(e, d, a, t))
+        assert all(type(x) is F for x in results)
+
+    @pytest.mark.parametrize("delta", [F(1, 3), F(3, 4)])
+    @pytest.mark.parametrize("alpha", [F(1, 5), F(2, 5)])
+    @pytest.mark.parametrize("t", [2, 5])
+    def test_weighted_argmax_matches_oracle(self, delta, alpha, t):
+        expected = argmax_unit_interval(
+            lambda e: oracle_weighted(e, delta, alpha, t), F(1, 10**9)
+        ).argmax
+        assert optimal_eps_weighted_sticky(delta, alpha, t) == expected
+
+    def test_sweep_csv_matches_oracle(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": {
+            "delta_grid": ["1/3", "9/10"], "alpha_grid": ["1/5", "3/5"], "t_grid": [1, 2, 3],
+        }}))
+
+        def sweep():
+            assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_OK
+            return capsys.readouterr().out
+
+        kernel = sweep()
+        monkeypatch.setattr(market, "ternary_weighted_surplus_sticky", oracle_weighted)
+        monkeypatch.setattr(
+            market, "ternary_sticky_surpluses",
+            lambda e, d, t: (oracle_seller(e, d, t), oracle_buyer(e, d, t)),
+        )
+        assert sweep() == kernel
+        assert len(kernel.splitlines()) == 2 + 2 * 2 * 3
+
+
+class TestStickinessIsInteger:
+    CALLS = {
+        "seller": lambda t: ternary_sticky_seller_surplus(HALF, HALF, t),
+        "buyer": lambda t: ternary_sticky_buyer_surplus(HALF, HALF, t),
+        "surpluses": lambda t: ternary_sticky_surpluses(HALF, HALF, t),
+        "weighted": lambda t: ternary_weighted_surplus_sticky(HALF, HALF, F(1, 3), t),
+        "optimal_weighted": lambda t: optimal_eps_weighted_sticky(HALF, F(1, 3), t),
+        "optimal_seller": lambda t: optimal_eps_seller_sticky(HALF, t),
+        "params": lambda t: MarketParams(HALF, F(1, 3), t),
+        "price_path": lambda t: sticky_price_path(ternary_structure(HALF), t, 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("t", [1.5, 2.5, 2.0, True, "2", F(2)])
+    def test_non_int_rejected(self, name, t):
+        with pytest.raises(ValidationError, match="stickiness must be an integer"):
+            self.CALLS[name](t)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_int_accepted(self, name):
+        self.CALLS[name](2)
+
+
+class TestWeightedAlpha:
+    @pytest.mark.parametrize("alpha", [F(0), F(1), F(2), F(-3), 2, -3, 1.5])
+    def test_sticky_rejects(self, alpha):
+        with pytest.raises(DegenerateParameter, match="alpha"):
+            ternary_weighted_surplus_sticky(HALF, HALF, alpha, 5)
+
+    @pytest.mark.parametrize("alpha", [F(0), F(1), F(2), F(-3), 2, -3, 1.5])
+    def test_dynamic_rejects(self, alpha):
+        with pytest.raises(DegenerateParameter, match="alpha"):
+            ternary_weighted_surplus(HALF, HALF, alpha)
+
+    def test_inner_alpha_accepted(self):
+        assert ternary_weighted_surplus(HALF, HALF, F(1, 4)) == (
+            F(1, 4) * F(1, 8) + F(3, 4) * ternary_social_value(HALF, HALF)
+        )
+        assert ternary_weighted_surplus_sticky(HALF, HALF, F(1, 4), 2) == oracle_weighted(
+            HALF, HALF, F(1, 4), 2
+        )
