@@ -18,7 +18,6 @@ from .beliefs import (
 from .design import (
     DominanceReport,
     EquivalenceReport,
-    TernaryStructure,
     argmax_unit_interval,
     check_equivalence,
     corpus,
@@ -28,7 +27,6 @@ from .design import (
     max_social_value,
     random_structure,
     split_to_ternary,
-    ternary_social_value,
     ternary_structure,
     ternary_value_i,
     verify_dominance,
@@ -44,6 +42,7 @@ from .learning import (
     simulate_equilibrium,
     single_signal_payoff,
     social_value,
+    ternary_social_value,
 )
 from .market import (
     MarketParams,

@@ -25,6 +25,7 @@ from .errors import (
     ZeroProbabilitySignal,
 )
 from .rationals import HALF, format_rational, parse_rational
+from .rationals import closed_unit, int_at_least
 
 ONE = Fraction(1)
 
@@ -34,10 +35,7 @@ IID_CAP = 16
 
 def as_belief(value) -> Fraction:
     """Validate and return a belief (probability of the high state)."""
-    p = Fraction(value)
-    if not 0 <= p <= 1:
-        raise ValidationError(f"belief outside [0, 1]: {p}")
-    return p
+    return closed_unit(value, "belief")
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,7 @@ def compose_distributions(a: BeliefDistribution, b: BeliefDistribution) -> Belie
 
 def iid_belief_distribution(structure: InformationStructure, n: int) -> BeliefDistribution:
     """Exact distribution of the belief combined from ``n`` i.i.d. signals."""
-    if n < 1:
-        raise ValidationError("need at least one draw")
+    int_at_least(n, 1, "draw count")
     if n > IID_CAP:
         raise CapExceeded(f"{n} i.i.d. draws exceeds cap {IID_CAP}")
     base = induced_belief_distribution(structure)

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .learning import best_equilibrium_payoffs, social_value
 from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import int_at_least, positive
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,8 +58,12 @@ def _load_structure(cfg: dict):
     if "ternary_eps" in cfg:
         return design.ternary_structure(parse_rational(cfg["ternary_eps"]))
     if "structure_file" in cfg:
+        path = cfg["structure_file"]
+        # open() would take an int as a file descriptor (0 is stdin)
+        if not isinstance(path, str):
+            raise ParseError(f"structure_file must be a string, got {path!r}")
         try:
-            with open(cfg["structure_file"]) as fh:
+            with open(path) as fh:
                 return structure_from_json(fh.read())
         except OSError as exc:
             raise ParseError(f"cannot read structure file: {exc}") from exc
@@ -102,10 +107,8 @@ def _common(cfg: dict, args) -> dict:
         "alpha": parse_rational(cfg.get("alpha", "1/2")),
         "stickiness": _int(cfg.get("stickiness", 1), "stickiness"),
     }
-    if out["horizon"] < 1:
-        raise ValidationError("horizon must be >= 1")
-    if out["tolerance"] <= 0:
-        raise ValidationError("tolerance must be positive")
+    int_at_least(out["horizon"], 1, "horizon")
+    positive(out["tolerance"], "tolerance")
     return out
 
 

@@ -23,35 +23,22 @@ from .beliefs import (
     validate_structure,
 )
 from .errors import NonFiniteEvaluation, ValidationError
-from .learning import best_equilibrium_payoffs
+# ternary_social_value lives in learning, next to social_value; design re-exports it.
+from .learning import best_equilibrium_payoffs, ternary_social_value  # noqa: F401
 from .rationals import HALF, format_decimal, format_rational
+from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
 
 
-@dataclass(frozen=True)
-class TernaryStructure:
-    """Mixture of full and no information with uninformative mass ``eps``."""
-
-    eps: Fraction
-
-    def __post_init__(self):
-        if not 0 <= self.eps <= 1:
-            raise ValidationError(f"eps outside [0, 1]: {self.eps}")
-
-    def to_structure(self) -> InformationStructure:
-        e = Fraction(self.eps)
-        return validate_structure(
-            {
-                HI_ID: (1 - e, Fraction(0)),
-                MID_ID: (e, e),
-                LO_ID: (Fraction(0), 1 - e),
-            }
-        )
-
-
 def ternary_structure(eps) -> InformationStructure:
-    return TernaryStructure(Fraction(eps)).to_structure()
+    """The ternary structure with uninformative mass ``eps``: signal ``hi``
+    (``lo``) reveals the high (low) state with probability ``1 - eps``, and
+    ``mid`` has probability ``eps`` in both states.  Zero-probability
+    signals are left out."""
+    e = closed_unit(eps, "eps")
+    table = {HI_ID: (1 - e, Fraction(0)), MID_ID: (e, e), LO_ID: (Fraction(0), 1 - e)}
+    return validate_structure({s: p for s, p in table.items() if any(p)})
 
 
 def split_to_ternary(structure: InformationStructure) -> InformationStructure:
@@ -60,24 +47,11 @@ def split_to_ternary(structure: InformationStructure) -> InformationStructure:
     Signal by signal, likelihood mass ``min(pH, pL)`` moves to the
     uninformative signal in both states and the residual to the
     conclusive signal on the majority side; the conditional mean of the
-    post-split belief equals the original belief.  The output is always
-    a ternary structure with uninformative mass ``sum min(pH, pL)``.
+    post-split belief equals the original belief.  The residuals sum to
+    ``1 - sum min(pH, pL)`` in each state, so the split is the ternary
+    structure with uninformative mass ``sum min(pH, pL)``.
     """
-    mid = Fraction(0)
-    hi = Fraction(0)
-    lo = Fraction(0)
-    for _s, ph, pl in structure.items():
-        mid += min(ph, pl)
-        hi += max(Fraction(0), ph - pl)
-        lo += max(Fraction(0), pl - ph)
-    table = {}
-    if hi:
-        table[HI_ID] = (hi, Fraction(0))
-    if mid:
-        table[MID_ID] = (mid, mid)
-    if lo:
-        table[LO_ID] = (Fraction(0), lo)
-    return validate_structure(table)
+    return ternary_structure(sum(min(ph, pl) for _s, ph, pl in structure.items()))
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -157,23 +131,9 @@ def check_equivalence(
 
 def ternary_value_i(eps, i: int) -> Fraction:
     """History gain of agent ``i`` under the ternary structure: (e - e^i)/4."""
-    e = Fraction(eps)
-    if not 0 <= e <= 1:
-        raise ValidationError(f"eps outside [0, 1]: {e}")
-    if i < 1:
-        raise ValidationError("agent index must be >= 1")
+    e = closed_unit(eps, "eps")
+    int_at_least(i, 1, "agent index")
     return (e - e**i) / 4
-
-
-def ternary_social_value(eps, delta) -> Fraction:
-    """Discounted aggregate history gain: d*e*(1-e) / (4*(1-d*e))."""
-    e = Fraction(eps)
-    d = Fraction(delta)
-    if not 0 <= e <= 1:
-        raise ValidationError(f"eps outside [0, 1]: {e}")
-    if not 0 < d < 1:
-        raise ValidationError(f"discount factor must lie in (0, 1): {d}")
-    return d * e * (1 - e) / (4 * (1 - d * e))
 
 
 @dataclass(frozen=True)
@@ -191,29 +151,20 @@ def optimal_eps_agent(i: int) -> AgentOptimum:
     i.e. at ``(1/i)^(1/(i-1))``; for ``i = 1`` the gain is identically
     zero and the result is flagged degenerate.
     """
-    if i < 1:
-        raise ValidationError("agent index must be >= 1")
-    if i == 1:
+    if int_at_least(i, 1, "agent index") == 1:
         return AgentOptimum(eps=1.0, degenerate=True)
     return AgentOptimum(eps=(1.0 / i) ** (1.0 / (i - 1)), degenerate=False)
 
 
-def _discount(delta) -> float:
-    d = float(delta)
-    if not 0 < d < 1:
-        raise ValidationError(f"discount factor must lie in (0, 1): {delta}")
-    return d
-
-
 def optimal_eps_social(delta) -> float:
     """Uninformative mass maximizing the aggregate gain: (1 - sqrt(1-d))/d."""
-    d = _discount(delta)
+    d = float(open_unit(delta, DISCOUNT))
     return (1.0 - math.sqrt(1.0 - d)) / d
 
 
 def max_social_value(delta) -> float:
     """Aggregate gain at the maximizing mass: (1 - sqrt(1-d))^2 / (4*d)."""
-    d = _discount(delta)
+    d = float(open_unit(delta, DISCOUNT))
     return (1.0 - math.sqrt(1.0 - d)) ** 2 / (4.0 * d)
 
 
@@ -242,9 +193,7 @@ def maximize_concave(f, tolerance, lo=0, hi=1) -> SearchResult:
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
-    tol = Fraction(tolerance)
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    tol = positive(tolerance, "tolerance")
     invphi = Fraction(math.sqrt(5.0) - 1.0) / 2
 
     def ev(x):
@@ -392,9 +341,8 @@ def random_structure(
 
 def corpus(seed: int, count: int, max_signals: int = 4, max_denominator: int = 12):
     """Deterministic list of random structures for dominance sweeps."""
-    if count < 0:
-        raise ValidationError(f"corpus count must be >= 0: {count}")
-    if max_signals < 1 or max_denominator < 1:
-        raise ValidationError("corpus needs max_signals >= 1 and max_denominator >= 1")
+    int_at_least(count, 0, "corpus count")
+    int_at_least(max_signals, 1, "max_signals")
+    int_at_least(max_denominator, 1, "max_denominator")
     rng = random.Random(seed)
     return [random_structure(rng, max_signals, max_denominator) for _ in range(count)]

@@ -17,7 +17,8 @@ Computed quantities, all exact rationals:
   one of ``ACTION1``, ``ACTION0`` and ``FOLLOW_SIGNAL``;
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
   all deterministic per-node tie-break tables;
-* ``social_value`` -- discounted aggregate of the per-agent history gains.
+* ``social_value`` -- discounted aggregate of the per-agent history gains,
+  in closed form (``ternary_social_value``) on the ternary family.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .errors import (
     TooManyIndifferenceNodes,
     ValidationError,
 )
-from .rationals import HALF, QUARTER, format_rational, format_decimal
+from .rationals import HALF, QUARTER, format_decimal, format_rational
+from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 #: Horizon cap for fixed-rule simulation.
 HORIZON_CAP = 12
@@ -198,8 +200,7 @@ def _check_level(level):
 
 
 def _check_horizon(horizon: int, limit: int, limit_name: str):
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0: {horizon}")
+    int_at_least(horizon, 0, "horizon")
     if horizon > limit:
         raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
 
@@ -309,25 +310,28 @@ def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
     return depth
 
 
+def ternary_social_value(eps, delta) -> Fraction:
+    """Discounted aggregate history gain of the ternary structure with
+    uninformative mass ``eps``: d*e*(1-e) / (4*(1-d*e))."""
+    e = closed_unit(eps, "eps")
+    d = open_unit(delta, DISCOUNT)
+    return d * e * (1 - e) / (4 * (1 - d * e))
+
+
 def social_value(structure: InformationStructure, delta: Fraction, tolerance) -> BoundedValue:
     """Discounted aggregate history gain, ``(1-d) * sum d^(i-1) * gain_i``.
 
     Structures whose beliefs live on {0, 1/2, 1} admit an exact closed
-    form ``d*e*(1-e) / (4*(1-d*e))`` and return error bound 0.  Otherwise
+    form, :func:`ternary_social_value`, and return error bound 0.  Otherwise
     the series is truncated at a depth whose tail bound ``d^N / 4`` (each
     per-agent gain lies in [0, 1/4]) is below ``tolerance``.
     """
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValidationError(f"discount factor must lie in (0, 1): {delta}")
-    tolerance = Fraction(tolerance)
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    delta = open_unit(delta, DISCOUNT)
+    tolerance = positive(tolerance, "tolerance")
 
     eps = uninformative_mass(structure)
     if eps is not None:
-        value = delta * eps * (1 - eps) / (4 * (1 - delta * eps))
-        return BoundedValue(value, Fraction(0))
+        return BoundedValue(ternary_social_value(eps, delta), Fraction(0))
 
     depth = truncation_horizon(delta, tolerance)
     profile = best_equilibrium_payoffs(structure, depth)

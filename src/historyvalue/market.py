@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import InformationStructure, uninformative_mass
-from .design import argmax_unit_interval, optimal_eps_social, ternary_social_value
-from .errors import DegenerateParameter, ValidationError
+from .design import argmax_unit_interval, optimal_eps_social
+from .errors import ValidationError
 from .learning import (
     BoundedValue,
     best_equilibrium_payoffs,
@@ -26,6 +26,7 @@ from .learning import (
     truncation_horizon,
 )
 from .rationals import QUARTER, format_decimal, format_rational
+from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit, positive
 
 
 @dataclass(frozen=True)
@@ -37,27 +38,9 @@ class MarketParams:
     stickiness: int = 1
 
     def __post_init__(self):
-        if not 0 < Fraction(self.delta) < 1:
-            raise DegenerateParameter(f"delta must lie in (0, 1): {self.delta}")
-        _alpha(self.alpha)
-        _stickiness(self.stickiness)
-
-
-def _alpha(alpha) -> Fraction:
-    """A welfare weight in the open unit interval, as a Fraction."""
-    a = Fraction(alpha)
-    if not 0 < a.numerator < a.denominator:
-        raise DegenerateParameter(f"alpha must lie in (0, 1): {alpha}")
-    return a
-
-
-def _stickiness(t) -> None:
-    """Check that ``t`` is an ``int`` (not a bool) of at least 1: a float
-    stickiness would carry floats into the exact closed forms."""
-    if isinstance(t, bool) or not isinstance(t, int):
-        raise ValidationError(f"stickiness must be an integer, got {t!r}")
-    if t < 1:
-        raise ValidationError(f"stickiness must be >= 1: {t}")
+        open_unit(self.delta, DISCOUNT)
+        open_unit(self.alpha, WEIGHT)
+        int_at_least(self.stickiness, 1, "stickiness")
 
 
 @dataclass(frozen=True)
@@ -115,7 +98,7 @@ def dynamic_price_path(structure: InformationStructure, horizon: int) -> PriceSc
 
 def sticky_price_path(structure: InformationStructure, t: int, horizon: int) -> PriceSchedule:
     """Block-constant prices: block ``k`` is priced at buyer ``k*t + 1``'s gain."""
-    _stickiness(t)
+    int_at_least(t, 1, "stickiness")
     profile = best_equilibrium_payoffs(structure, horizon)
     return PriceSchedule(prices=_block_prices(profile.history_value, t), regime=_regime(t))
 
@@ -154,15 +137,11 @@ def _ternary_sticky(eps, delta, t: int) -> tuple:
     The wrappers build each Fraction once from these integers, which is
     exact and avoids a gcd per intermediate Fraction operation.
     """
-    e = Fraction(eps)
-    d = Fraction(delta)
+    e = closed_unit(eps, "eps")
+    d = open_unit(delta, DISCOUNT)
+    int_at_least(t, 1, "stickiness")
     n, m = e.numerator, e.denominator
     p, q = d.numerator, d.denominator
-    if not 0 <= n <= m:
-        raise ValidationError(f"eps outside [0, 1]: {e}")
-    if not 0 < p < q:
-        raise DegenerateParameter(f"delta must lie in (0, 1): {d}")
-    _stickiness(t)
     wd = q * m - p * n
     pt = p**t
     mt = m**t
@@ -207,6 +186,7 @@ def sticky_surpluses(structure: InformationStructure, params: MarketParams, tole
     bound: every term is in [0, 1/4], so stopping after ``N`` buyers
     leaves at most ``d^N / 4`` on the table for each series.
     """
+    tolerance = positive(tolerance, "tolerance")
     t = params.stickiness
     if t == 1:
         return surpluses(structure, params, tolerance)
@@ -218,7 +198,7 @@ def sticky_surpluses(structure: InformationStructure, params: MarketParams, tole
         return _report(params.alpha, seller, buyer, _regime(t))
 
     # General structure: truncate both discounted series.
-    horizon = truncation_horizon(d, Fraction(tolerance))
+    horizon = truncation_horizon(d, tolerance)
     profile = best_equilibrium_payoffs(structure, horizon)
     gains = profile.history_value
     prices = _block_prices(gains, t)
@@ -249,10 +229,8 @@ def optimal_eps_seller_sticky(delta, t: int) -> float:
 
     Root of a quadratic in ``e^t``; reduces to the dynamic formula at t=1.
     """
-    d = float(delta)
-    if not 0 < d < 1:
-        raise DegenerateParameter(f"delta must lie in (0, 1): {delta}")
-    _stickiness(t)
+    d = float(open_unit(delta, DISCOUNT))
+    int_at_least(t, 1, "stickiness")
     dt = d**t
     b = t + 1 - (t - 1) * dt
     root = (b - math.sqrt(b * b - 4 * dt)) / (2 * dt)
@@ -266,23 +244,18 @@ def optimal_eps_weighted(delta, alpha) -> float:
     otherwise ``(1 - sqrt((1-alpha)(1-delta)/(1-2*alpha))) / delta``.  The
     interior branch only arises for ``alpha < 1/2``.
     """
-    d = float(delta)
-    a = float(alpha)
-    if not 0 < d < 1:
-        raise DegenerateParameter(f"delta must lie in (0, 1): {delta}")
-    if not 0 < a < 1:
-        raise DegenerateParameter(f"alpha must lie in (0, 1): {alpha}")
+    d = float(open_unit(delta, DISCOUNT))
+    a = float(open_unit(alpha, WEIGHT))
     if a >= 0.5 or d <= a / (1 - a):
         return 0.0
     return (1.0 - math.sqrt((1 - a) * (1 - d) / (1 - 2 * a))) / d
 
 
 def ternary_weighted_surplus(eps, delta, alpha) -> Fraction:
-    """Exact weighted surplus on the ternary family, dynamic regime."""
-    e = Fraction(eps)
-    a = _alpha(alpha)
-    buyer = (1 - e) / 4
-    return a * buyer + (1 - a) * ternary_social_value(e, delta)
+    """Exact weighted surplus on the ternary family, dynamic regime: the
+    sticky form at ``t = 1``, where the seller gets the aggregate history
+    gain and each buyer keeps ``(1 - e)/4``."""
+    return ternary_weighted_surplus_sticky(eps, delta, alpha, 1)
 
 
 def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
@@ -294,7 +267,7 @@ def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
     ``(r*wn*sd + (s-2*r)*sn*wd) / (4*s*wd*sd)``.
     """
     wn, wd, sn, sd = _ternary_sticky(eps, delta, t)
-    a = _alpha(alpha)
+    a = open_unit(alpha, WEIGHT)
     r, s = a.numerator, a.denominator
     return Fraction(r * wn * sd + (s - 2 * r) * sn * wd, 4 * s * wd * sd)
 

@@ -1,30 +1,88 @@
-"""Helpers for exact rationals and their serialized form.
+"""Helpers for exact rationals, their serialized form, and parameter checks.
 
 All probabilities and payoffs in this library are ``fractions.Fraction``
 values.  On the wire they travel as ``"num/den"`` strings so that files
 round-trip bit-exactly; decimals are rendered alongside for humans.
+
+Each parameter range is checked by one function here: the open unit
+interval (discount factor, welfare weight), the closed one (uninformative
+mass, beliefs), positive rationals (tolerance) and integers with a floor
+(horizon, stickiness, agent index, counts).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DegenerateParameter, ParseError, ValidationError
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
+#: Parameter names as errors give them.
+DISCOUNT = "discount factor delta"
+WEIGHT = "welfare weight alpha"
+
+# What Fraction() raises for NaN, infinity or a non-number.
+_NOT_RATIONAL = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
 
 def parse_rational(text) -> Fraction:
-    """Parse ``"num/den"``, integer, or exact decimal strings to a Fraction."""
+    """Parse ``"num/den"``, integer, or exact decimal strings to a Fraction.
+
+    A bool is not a number here, so ``true`` in a config is a parse error."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+
+
+def open_unit(value, name: str) -> Fraction:
+    """``value`` as a Fraction strictly inside (0, 1), else
+    :class:`DegenerateParameter`; NaN and infinity are out of range too."""
+    try:
+        x = Fraction(value)
+        if 0 < x.numerator < x.denominator:
+            return x
+    except _NOT_RATIONAL:
+        pass
+    raise DegenerateParameter(f"{name} must lie in (0, 1): {value}")
+
+
+def closed_unit(value, name: str) -> Fraction:
+    """``value`` as a Fraction in [0, 1], else :class:`ValidationError`."""
+    try:
+        x = Fraction(value)
+        if 0 <= x.numerator <= x.denominator:
+            return x
+    except _NOT_RATIONAL:
+        pass
+    raise ValidationError(f"{name} outside [0, 1]: {value}")
+
+
+def positive(value, name: str) -> Fraction:
+    """``value`` as a Fraction greater than 0, else :class:`ValidationError`."""
+    try:
+        x = Fraction(value)
+        if x.numerator > 0:
+            return x
+    except _NOT_RATIONAL:
+        pass
+    raise ValidationError(f"{name} must be positive: {value}")
+
+
+def int_at_least(value, least: int, name: str) -> int:
+    """``value`` if it is an ``int`` (not a bool) of at least ``least``, else
+    :class:`ValidationError`: a float would carry floats into exact code."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}: {value}")
+    return value
 
 
 def format_rational(q: Fraction) -> str:

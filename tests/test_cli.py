@@ -140,6 +140,18 @@ class TestErrorCodes:
             ("value", {"ternary_eps": "1/2", "horizon": True}, EXIT_PARSE),
             ("sweep", {"sweep": {"t_grid": [1.5]}}, EXIT_PARSE),
             ("verify", {"corpus": {"count": -5}}, EXIT_VALIDATION),
+            # open() takes an int as a file descriptor: 0 (or false) is stdin, 1 stdout
+            ("value", {"structure_file": 0}, EXIT_PARSE),
+            ("value", {"structure_file": False}, EXIT_PARSE),
+            ("value", {"structure_file": 1}, EXIT_PARSE),
+            ("value", {"structure_file": None}, EXIT_PARSE),
+            ("value", {"structure_file": ["a.json"]}, EXIT_PARSE),
+            # a bool is not a rational
+            ("value", {"ternary_eps": True}, EXIT_PARSE),
+            ("value", {"ternary_eps": "1/2", "tolerance": True}, EXIT_PARSE),
+            ("value", {"ternary_eps": "1/2", "delta": True}, EXIT_PARSE),
+            ("value", {"structure": {"signals": [{"id": "s", "pH": True, "pL": 1}]}},
+             EXIT_PARSE),
         ],
     )
     def test_bad_field_exits_cleanly(self, tmp_path, capsys, command, payload, expected):
@@ -147,6 +159,14 @@ class TestErrorCodes:
         code, out, err = run(capsys, command, "--config", cfg)
         assert code == expected and out == ""
         assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [0, False, 1, None, ["a.json"]])
+    def test_structure_file_must_be_string(self, tmp_path, capsys, value):
+        # rejected before open(), so no file descriptor is read or closed
+        cfg = write_config(tmp_path, {"structure_file": value})
+        code, out, err = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_PARSE and out == ""
+        assert "structure_file must be a string" in err
 
     def test_unwritable_out_is_parse_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ternary_eps": "1/2", "horizon": 2})

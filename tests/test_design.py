@@ -210,3 +210,40 @@ class TestRandomCorpus:
             s = random_structure(rng)
             assert len(s.signals) <= 4
             assert all(q.denominator <= 12 for q in s.like_high + s.like_low)
+
+
+# -- the ternary family has one builder ----------------------------------------
+
+
+def frozen_split(structure):
+    """The split as it was built before it delegated to ``ternary_structure``:
+    per-signal sums of min(pH, pL) and of the residuals on each side."""
+    mid = hi = lo = F(0)
+    for _s, ph, pl in structure.items():
+        mid += min(ph, pl)
+        hi += max(F(0), ph - pl)
+        lo += max(F(0), pl - ph)
+    table = {"hi": (hi, F(0)), "mid": (mid, mid), "lo": (F(0), lo)}
+    return validate_structure({s: p for s, p in table.items() if any(p)})
+
+
+class TestTernaryBuilder:
+    @pytest.mark.parametrize(
+        "structures", [lambda: corpus(7, 300), lambda: corpus(101, 300, 4, 6)]
+    )
+    def test_split_matches_frozen_split(self, structures):
+        for s in structures():
+            assert split_to_ternary(s) == frozen_split(s)
+
+    def test_split_is_ternary_structure_of_its_mass(self):
+        for s in corpus(7, 300):
+            split = split_to_ternary(s)
+            assert split == ternary_structure(uninformative_mass(split))
+
+    @pytest.mark.parametrize(
+        "eps, signals", [(0, ("hi", "lo")), (1, ("mid",)), (F(1, 3), ("hi", "mid", "lo"))]
+    )
+    def test_zero_rows_left_out(self, eps, signals):
+        s = ternary_structure(eps)
+        assert s.signals == signals
+        assert uninformative_mass(s) == eps

@@ -359,3 +359,19 @@ class TestWeightedAlpha:
         assert ternary_weighted_surplus_sticky(HALF, HALF, F(1, 4), 2) == oracle_weighted(
             HALF, HALF, F(1, 4), 2
         )
+
+
+class TestDynamicIsStickyAtOne:
+    def test_kernel_at_one_is_dynamic(self):
+        # at t = 1 the seller gets the aggregate history gain and each
+        # buyer keeps the payoff of a conclusive signal, 1/4, times 1 - e
+        for e, d, a, _ in oracle_points():
+            seller, buyer = ternary_sticky_surpluses(e, d, 1)
+            assert seller == ternary_social_value(e, d)
+            assert buyer == (1 - e) / 4
+
+    def test_weighted_is_sticky_at_one(self):
+        for e, d, a, _ in oracle_points():
+            expected = a * (1 - e) / 4 + (1 - a) * ternary_social_value(e, d)
+            assert ternary_weighted_surplus(e, d, a) == expected
+            assert ternary_weighted_surplus_sticky(e, d, a, 1) == expected
