@@ -10,6 +10,7 @@ Every operation here is pure and introduces no rounding.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     ZeroProbabilitySignal,
 )
 from .rationals import HALF, format_rational, parse_rational
-from .rationals import closed_unit, int_at_least
+from .rationals import closed_unit, int_at_least, rational
 
 ONE = Fraction(1)
 
@@ -66,16 +67,23 @@ def validate_structure(table) -> InformationStructure:
     """Check a raw ``{signal: (p_high, p_low)}`` table and canonicalize it.
 
     Raises ``EmptyAlphabet``, ``NegativeLikelihood`` or ``NonStochastic``
-    when the table is not a valid pair of probability columns.
+    when the table is not a valid pair of probability columns, and a
+    ``ValidationError`` when an entry is not a pair of rationals.
     """
     if not table:
         raise EmptyAlphabet("at least one signal is required")
     signals = tuple(table.keys())
-    like_high = tuple(Fraction(table[s][0]) for s in signals)
-    like_low = tuple(Fraction(table[s][1]) for s in signals)
-    for s, ph, pl in zip(signals, like_high, like_low):
+    pairs = []
+    for s in signals:
+        try:
+            ph, pl = table[s]
+        except (TypeError, ValueError):
+            raise ValidationError(f"signal {s!r} needs a (p_high, p_low) pair") from None
+        ph, pl = (rational(p, f"signal {s!r} likelihood") for p in (ph, pl))
         if ph < 0 or pl < 0:
             raise NegativeLikelihood(f"signal {s!r} has a negative likelihood")
+        pairs.append((ph, pl))
+    like_high, like_low = zip(*pairs)
     if sum(like_high) != 1 or sum(like_low) != 1:
         raise NonStochastic(
             f"columns sum to {sum(like_high)} (high) and {sum(like_low)} (low), expected 1"
@@ -128,10 +136,8 @@ class BeliefDistribution:
             if wh == 0 and wl == 0:
                 continue
             belief = Fraction(belief)
-            if belief != wh / (wh + wl):
-                raise ValidationError(
-                    f"atom {belief} inconsistent with weights ({wh}, {wl})"
-                )
+            if belief * (wh + wl) != wh:  # belief = wh / (wh + wl), even if wh + wl = 0
+                raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
             atoms.append((belief, wh, wl))
         dist = cls(tuple(sorted(atoms)))
         dist._check()
@@ -156,47 +162,50 @@ class BeliefDistribution:
         return sum(((wh + wl) / 2) * b for b, wh, wl in self.atoms)
 
 
+def merge_beliefs(pairs) -> dict:
+    """``{belief: (w_high, w_low)}`` from ``(w_high, w_low)`` pairs: the
+    pairs that give the same belief ``w_high / (w_high + w_low)`` are
+    summed, and null pairs, reached in neither state, are dropped."""
+    merged = {}
+    for wh, wl in pairs:
+        if wh or wl:
+            belief = wh / (wh + wl)
+            h, l = merged.get(belief, (0, 0))
+            merged[belief] = (h + wh, l + wl)
+    return merged
+
+
 def induced_belief_distribution(structure: InformationStructure) -> BeliefDistribution:
     """Distribution of the posterior after one signal, uniform prior.
 
     Signals inducing the same posterior are merged into a single atom;
     the signal labels carry no further payoff-relevant content.
     """
-    weights = {}
-    for _s, ph, pl in structure.items():
-        if ph == 0 and pl == 0:
-            continue
-        belief = ph / (ph + pl)
-        wh, wl = weights.get(belief, (Fraction(0), Fraction(0)))
-        weights[belief] = (wh + ph, wl + pl)
-    return BeliefDistribution.from_weights(weights)
+    return BeliefDistribution.from_weights(
+        merge_beliefs(zip(structure.like_high, structure.like_low))
+    )
 
 
 def compose_distributions(a: BeliefDistribution, b: BeliefDistribution) -> BeliefDistribution:
-    """Distribution of the combined belief from two independent draws."""
-    weights = {}
-    for _ba, wha, wla in a.atoms:
-        for _bb, whb, wlb in b.atoms:
-            wh = wha * whb
-            wl = wla * wlb
-            if wh == 0 and wl == 0:
-                continue  # jointly impossible (e.g. conclusive-low with conclusive-high)
-            belief = wh / (wh + wl)
-            cwh, cwl = weights.get(belief, (Fraction(0), Fraction(0)))
-            weights[belief] = (cwh + wh, cwl + wl)
-    return BeliefDistribution.from_weights(weights)
+    """Distribution of the combined belief from two independent draws; jointly
+    impossible pairs (conclusive-low with conclusive-high) drop out."""
+    return BeliefDistribution.from_weights(merge_beliefs(
+        (wha * whb, wla * wlb) for _ba, wha, wla in a.atoms for _bb, whb, wlb in b.atoms
+    ))
+
+
+def iid_chain(base: BeliefDistribution, n: int):
+    """The distributions of the belief combined from 1, 2, ..., ``n``
+    i.i.d. draws of ``base``, each composed onto the one before."""
+    if n > IID_CAP:
+        raise CapExceeded(f"{n} i.i.d. draws exceeds cap {IID_CAP}")
+    return itertools.accumulate(itertools.repeat(base, n), compose_distributions)
 
 
 def iid_belief_distribution(structure: InformationStructure, n: int) -> BeliefDistribution:
     """Exact distribution of the belief combined from ``n`` i.i.d. signals."""
     int_at_least(n, 1, "draw count")
-    if n > IID_CAP:
-        raise CapExceeded(f"{n} i.i.d. draws exceeds cap {IID_CAP}")
-    base = induced_belief_distribution(structure)
-    dist = base
-    for _ in range(n - 1):
-        dist = compose_distributions(dist, base)
-    return dist
+    return tuple(iid_chain(induced_belief_distribution(structure), n))[-1]
 
 
 def uninformative_mass(structure: InformationStructure):

@@ -49,8 +49,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+_SOURCES = ("structure", "structure_file", "ternary_eps")
+
+
 def _load_structure(cfg: dict):
-    sources = [k for k in ("structure", "structure_file", "ternary_eps") if k in cfg]
+    sources = [k for k in _SOURCES if k in cfg]
     if len(sources) != 1:
         raise ParseError(
             f"config must name exactly one structure source, got {sources or 'none'}"
@@ -275,20 +278,20 @@ def run_sweep(cfg: dict, args):
 
 def _echo(cfg: dict, params: dict) -> dict:
     echo = {k: (format_rational(v) if isinstance(v, Fraction) else v) for k, v in params.items()}
-    echo["source"] = {
-        k: cfg[k] for k in ("structure", "structure_file", "ternary_eps") if k in cfg
-    }
+    echo["source"] = {k: cfg[k] for k in _SOURCES if k in cfg}
     return echo
 
 
 def main(argv=None) -> int:
+    runners = {"value": run_value, "design": run_design, "market": run_market,
+               "verify": run_verify, "sweep": run_sweep}
     parser = argparse.ArgumentParser(
         prog="hv",
         description="Value of history: exact social-learning payoffs, belief "
         "splitting, and monopoly pricing of the action record.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("value", "design", "market", "verify", "sweep"):
+    for name in runners:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -296,14 +299,6 @@ def main(argv=None) -> int:
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--tol", default=None)
     args = parser.parse_args(argv)
-
-    runners = {
-        "value": run_value,
-        "design": run_design,
-        "market": run_market,
-        "verify": run_verify,
-        "sweep": run_sweep,
-    }
     try:
         cfg = _load_config(args.config)
         result = runners[args.command](cfg, args)

@@ -324,6 +324,8 @@ def random_structure(
     rng: random.Random, max_signals: int = 4, max_denominator: int = 12
 ) -> InformationStructure:
     """Random structure with small-denominator rational likelihoods."""
+    int_at_least(max_signals, 1, "max_signals")
+    int_at_least(max_denominator, 1, "max_denominator")
     k = rng.randint(1, max_signals)
 
     def column():

@@ -25,20 +25,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import (
-    IID_CAP,
     BeliefDistribution,
     InformationStructure,
-    compose_distributions,
     iid_belief_distribution,
+    iid_chain,
     induced_belief_distribution,
+    merge_beliefs,
     uninformative_mass,
 )
 from .errors import (
-    CapExceeded,
     HorizonCapExceeded,
     InvariantViolation,
     TooManyIndifferenceNodes,
@@ -59,12 +59,12 @@ ACTION1 = "action1"
 ACTION0 = "action0"
 FOLLOW_SIGNAL = "follow-signal"
 
-# Each rule's action at a tie, given the tied agent's private belief.
-# Following the signal sends an exactly uninformative one to action 1.
+# The one action each rule allows at a tie, given the tied agent's private
+# belief.  Following the signal sends an exactly uninformative one to 1.
 _RULES = {
-    ACTION1: lambda private: 1,
-    ACTION0: lambda private: 0,
-    FOLLOW_SIGNAL: lambda private: 1 if private >= HALF else 0,
+    ACTION1: lambda private: (1,),
+    ACTION0: lambda private: (0,),
+    FOLLOW_SIGNAL: lambda private: (1,) if private >= HALF else (0,),
 }
 
 
@@ -98,12 +98,8 @@ class PayoffProfile:
     @functools.cached_property
     def benchmark(self) -> tuple:
         """Agent ``i``'s benchmark composes one more i.i.d. signal onto agent
-        ``i-1``'s, as :func:`iid_belief_distribution` does."""
-        if self.horizon > IID_CAP:
-            raise CapExceeded(f"{self.horizon} i.i.d. draws exceeds cap {IID_CAP}")
-        draws = itertools.repeat(self.signal, self.horizon)
-        dists = itertools.accumulate(draws, compose_distributions)
-        return tuple(map(_expected_payoff, dists))
+        ``i-1``'s: one :func:`~historyvalue.beliefs.iid_chain` of them."""
+        return tuple(map(_expected_payoff, iid_chain(self.signal, self.horizon)))
 
     def to_csv(self) -> str:
         """Export: columns i, V_i, Vbar_i, hist_value_i (exact + decimal)."""
@@ -141,10 +137,11 @@ def _advance(level, atoms):
 
     ``level`` is a sorted tuple of ``(public, like_high, like_low)``: each
     public belief with its probability of being reached in each state of
-    the world.  Returns the agent's ex-ante payoff and, per public node,
-    ``(like_high, like_low, strict1, strict0, ties)``: the summed
-    ``(w_high, w_low)`` of the signals that strictly prefer action 1 and
-    action 0, and the tied signals' ``(private, w_high, w_low)``.
+    the world.  A signal ``(private, w_high, w_low)`` at a node reaches the
+    pair ``(ph, pl) = (like_high * w_high, like_low * w_low)``.  Returns the
+    agent's ex-ante payoff and, per public node, ``(strict1, strict0,
+    ties)``: the summed pairs of the signals that strictly prefer action 1
+    and action 0, and the tied signals' ``(private, ph, pl)``.
     """
     payoff = Fraction(0)
     nodes = []
@@ -154,20 +151,18 @@ def _advance(level, atoms):
         for private, wh, wl in atoms:
             ph = lh * wh
             pl = ll * wl
-            if ph == 0 and pl == 0:
-                continue
             # The composed belief ph / (ph + pl) against 1/2, without dividing.
             if ph > pl:
-                payoff += (ph - pl) / 4
-                h1 += wh
-                l1 += wl
+                h1 += ph
+                l1 += pl
             elif ph < pl:
-                h0 += wh
-                l0 += wl
-            else:
+                h0 += ph
+                l0 += pl
+            elif ph:  # ph = pl = 0: a signal the node never sees
                 # a tie earns (ph - pl) / 4 = 0 whichever action is chosen
-                ties.append((private, wh, wl))
-        nodes.append((lh, ll, (h1, l1), (h0, l0), ties))
+                ties.append((private, ph, pl))
+        payoff += (h1 - l1) / 4  # each signal above 1/2 earns (ph - pl) / 4
+        nodes.append(((h1, l1), (h0, l0), ties))
     return payoff, nodes
 
 
@@ -175,28 +170,22 @@ def _children(nodes, actions):
     """The next level when the ties of ``nodes``, taken node by node in
     order, choose ``actions``; equal public beliefs merge."""
     actions = iter(actions)
-    nxt = {}
-    for lh, ll, strict1, strict0, ties in nodes:
+    pairs = []
+    for strict1, strict0, ties in nodes:
         sums = {1: list(strict1), 0: list(strict0)}
-        for _, wh, wl in ties:
+        for _, ph, pl in ties:
             side = sums[next(actions)]
-            side[0] += wh
-            side[1] += wl
-        for wh, wl in sums.values():
-            ch = lh * wh
-            cl = ll * wl
-            if ch == 0 and cl == 0:
-                continue
-            node = nxt.setdefault(ch / (ch + cl), [Fraction(0), Fraction(0)])
-            node[0] += ch
-            node[1] += cl
-    return tuple(sorted((q, ch, cl) for q, (ch, cl) in nxt.items()))
+            side[0] += ph
+            side[1] += pl
+        pairs += sums.values()
+    return tuple(sorted((q, ch, cl) for q, (ch, cl) in merge_beliefs(pairs).items()))
 
 
 def _check_level(level):
-    """Tree consistency: reach probabilities sum to one in each state."""
+    """``level``, checked: its reach probabilities sum to one in each state."""
     if sum(lh for _, lh, _ in level) != 1 or sum(ll for _, _, ll in level) != 1:
         raise InvariantViolation("public-belief level reach probabilities do not sum to one")
+    return level
 
 
 def _check_horizon(horizon: int, limit: int, limit_name: str):
@@ -206,6 +195,43 @@ def _check_horizon(horizon: int, limit: int, limit_name: str):
 
 
 _ROOT = ((HALF, Fraction(1), Fraction(1)),)
+
+
+def _walk(structure: InformationStructure, horizon: int, choices) -> PayoffProfile:
+    """The one depth loop: per-agent payoffs, lexicographically best over
+    the actions ``choices(private)`` allows each tied agent.
+
+    A tie earns zero, so agent ``d``'s payoff depends only on the level the
+    tie-breaks before depth ``d`` produced: the lexicographic maximum is a
+    running maximum over prefixes.  Each depth keeps the levels whose agent
+    reaches the best payoff, merges equal ones and expands them over their
+    tie-break assignments.  ``MAX_TIE_PROFILES`` bounds those assignments,
+    summed over the kept levels; past it :class:`TooManyIndifferenceNodes`
+    carries that sum as ``count``.
+    """
+    signal = induced_belief_distribution(structure)
+    frontier = {_ROOT}
+    values = []
+    for depth in range(horizon):
+        passes = [_advance(_check_level(level), signal.atoms) for level in frontier]
+        best = max(payoff for payoff, _ in passes)
+        values.append(best)
+        if depth == horizon - 1:
+            break
+        kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
+                for payoff, nodes in passes if payoff == best]
+        count = sum(math.prod(map(len, options)) for _, options in kept)
+        if count > MAX_TIE_PROFILES:
+            raise TooManyIndifferenceNodes(
+                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
+                count=count,
+            )
+        frontier = {
+            _children(nodes, actions)
+            for nodes, options in kept
+            for actions in itertools.product(*options)
+        }
+    return PayoffProfile(signal, tuple(values))
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
@@ -220,16 +246,7 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     # a dict rule is unhashable, so test the type before the membership
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
-    act = _RULES[rule]
-    signal = induced_belief_distribution(structure)
-    level = _ROOT
-    values = []
-    for _ in range(horizon):
-        _check_level(level)
-        payoff, nodes = _advance(level, signal.atoms)
-        level = _children(nodes, (act(x) for *_, ties in nodes for x, _, _ in ties))
-        values.append(payoff)
-    return PayoffProfile(signal, tuple(values))
+    return _walk(structure, horizon, _RULES[rule])
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -237,45 +254,11 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
 
     The maximum is over every deterministic assignment of actions to
     reachable indifference points, in lexicographic order of the payoff
-    vector (earlier agents first).  At a tie the agent's payoff term
-    ``(ph - pl)/4`` is zero, so agent ``d``'s payoff depends only on the
-    public level that the tie-breaks before depth ``d`` produced, never
-    on its own.  The lexicographic maximum is therefore a running
-    maximum over prefixes: at each depth only the levels whose agent
-    reaches the best payoff are kept, equal levels are merged, and only
-    the kept levels are expanded over their tie-break assignments.
-
-    ``MAX_TIE_PROFILES`` bounds the assignments tried at one depth, summed
-    over the kept levels; past it :class:`TooManyIndifferenceNodes`
-    carries that sum as ``count``.
+    vector (earlier agents first): :func:`_walk` with both actions
+    allowed at every tie.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
-    signal = induced_belief_distribution(structure)
-    frontier = {_ROOT}
-    values = []
-    for depth in range(horizon):
-        passes = []
-        for level in frontier:
-            _check_level(level)
-            passes.append(_advance(level, signal.atoms))
-        best = max(payoff for payoff, _ in passes)
-        values.append(best)
-        if depth == horizon - 1:
-            break
-        kept = [(nodes, sum(len(ties) for *_, ties in nodes))
-                for payoff, nodes in passes if payoff == best]
-        count = sum(2**n for _, n in kept)
-        if count > MAX_TIE_PROFILES:
-            raise TooManyIndifferenceNodes(
-                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
-                count=count,
-            )
-        frontier = {
-            _children(nodes, actions)
-            for nodes, n in kept
-            for actions in itertools.product((1, 0), repeat=n)
-        }
-    return PayoffProfile(signal, tuple(values))
+    return _walk(structure, horizon, lambda private: (1, 0))
 
 
 @dataclass(frozen=True)

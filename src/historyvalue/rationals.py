@@ -6,8 +6,8 @@ round-trip bit-exactly; decimals are rendered alongside for humans.
 
 Each parameter range is checked by one function here: the open unit
 interval (discount factor, welfare weight), the closed one (uninformative
-mass, beliefs), positive rationals (tolerance) and integers with a floor
-(horizon, stickiness, agent index, counts).
+mass, beliefs), positive rationals (tolerance), any rational (likelihoods)
+and integers with a floor (horizon, stickiness, agent index, counts).
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def parse_rational(text) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+
+
+def rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction, else :class:`ValidationError`; a bool is not one."""
+    if not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except _NOT_RATIONAL:
+            pass
+    raise ValidationError(f"{name} is not a rational: {value!r}")
 
 
 def open_unit(value, name: str) -> Fraction:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from historyvalue import (
+    BeliefDistribution,
     compose_beliefs,
     iid_belief_distribution,
     induced_belief_distribution,
@@ -56,6 +57,26 @@ class TestValidate:
     def test_empty(self):
         with pytest.raises(EmptyAlphabet):
             validate_structure({})
+
+    @pytest.mark.parametrize(
+        "build, table",
+        [
+            (validate_structure, {"a": (float("nan"), 1)}),
+            (validate_structure, {"a": ("x", 1)}),
+            (validate_structure, {"a": (None, 1)}),
+            (validate_structure, {"a": (float("inf"), 1)}),
+            (validate_structure, {"a": 5}),
+            (validate_structure, {"a": (HALF,)}),
+            (validate_structure, {"a": (1, 1, 1)}),
+            (validate_structure, {"a": (True, True)}),
+            (BeliefDistribution.from_weights, {HALF: (1, -1)}),
+        ],
+        ids=repr,
+    )
+    def test_malformed_input_is_validation_error(self, build, table):
+        with pytest.raises(ValidationError) as err:
+            build(table)
+        assert not isinstance(err.value, NegativeLikelihood)
 
 
 class TestPosterior:

@@ -27,7 +27,7 @@ from historyvalue.errors import (
     TooManyIndifferenceNodes,
     ValidationError,
 )
-from historyvalue import learning
+from historyvalue import beliefs, learning
 from historyvalue.learning import _check_level, truncation_horizon
 
 HALF = F(1, 2)
@@ -230,6 +230,28 @@ class TestBestEquilibrium:
         with pytest.raises(HorizonCapExceeded):
             best_equilibrium_payoffs(sym_binary(), 9)
 
+    @pytest.mark.parametrize("rule", [ACTION1, ACTION0, FOLLOW_SIGNAL])
+    def test_at_least_every_fixed_rule(self, rule):
+        # a fixed rule is one of the tie-break tables the search ranges over
+        cases = [(s, 6) for s in CORPUS] + [(fixture(), learning.LEX_CAP)]
+        for structure, horizon in cases:
+            best = best_equilibrium_payoffs(structure, horizon).with_history
+            assert best >= simulate_equilibrium(structure, horizon, rule).with_history, structure
+
+
+class TestOneWalk:
+    def test_tree_steps_called_only_from_walk(self):
+        # the fixed rules and the search share one depth loop
+        tree = ast.parse(pathlib.Path(learning.__file__).read_text())
+        callers = {"_advance": set(), "_children": set()}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id in callers):
+                        callers[node.func.id].add(fn.name)
+        assert callers == {"_advance": {"_walk"}, "_children": {"_walk"}}
+
 
 class TestPrefixPruning:
     @pytest.mark.parametrize("horizon", [4, 6])
@@ -375,13 +397,13 @@ class TestLevelInvariant:
 class TestPayoffProfile:
     def test_benchmark_composed_on_first_read_only(self, monkeypatch):
         calls = []
-        compose = learning.compose_distributions
+        compose = beliefs.compose_distributions
 
         def counting(a, b):
             calls.append(1)
             return compose(a, b)
 
-        monkeypatch.setattr(learning, "compose_distributions", counting)
+        monkeypatch.setattr(beliefs, "compose_distributions", counting)
         p = best_equilibrium_payoffs(fixture(), 5)
         p.with_history, p.single, p.history_value
         assert calls == []

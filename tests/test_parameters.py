@@ -7,6 +7,7 @@ a ``ValidationError`` (exit 3 in the CLI), never a bare ``ValueError``,
 ``OverflowError``, ``TypeError`` or ``ZeroDivisionError``.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from historyvalue import (
     optimal_eps_social,
     optimal_eps_weighted,
     optimal_eps_weighted_sticky,
+    random_structure,
     simulate_equilibrium,
     social_value,
     sticky_price_path,
@@ -176,6 +178,8 @@ class TestIntegerParameters:
         "corpus_count": lambda n: corpus(7, n),
         "corpus_max_signals": lambda n: corpus(7, 3, n),
         "corpus_max_denominator": lambda n: corpus(7, 3, 4, n),
+        "random_structure_max_signals": lambda n: random_structure(random.Random(7), n),
+        "random_structure_max_denominator": lambda n: random_structure(random.Random(7), 3, n),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -191,6 +195,19 @@ class TestIntegerParameters:
     def test_agent_value_is_exact(self):
         assert ternary_value_i(HALF, 3) == F(3, 32)
         assert type(ternary_value_i(HALF, 3)) is F
+
+    @pytest.mark.parametrize("name", [
+        "corpus_max_signals", "corpus_max_denominator",
+        "random_structure_max_signals", "random_structure_max_denominator",
+    ])
+    def test_size_below_one(self, name):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            self.CALLS[name](0)
+
+    def test_corpus_checks_sizes_at_count_zero(self):
+        for sizes in [(0, 12), (4, 0)]:
+            with pytest.raises(ValidationError, match="must be >= 1"):
+                corpus(7, 0, *sizes)
 
     @pytest.mark.parametrize("name", ["ternary_value_i", "optimal_eps_agent"])
     def test_agent_index_below_one(self, name):
