@@ -130,12 +130,14 @@ class BeliefDistribution:
 
     @classmethod
     def from_weights(cls, weights) -> "BeliefDistribution":
-        """Build from ``{belief: (w_high, w_low)}``, dropping null atoms."""
+        """Build from ``{belief: (w_high, w_low)}`` with weights >= 0, dropping null atoms."""
         atoms = []
         for belief, (wh, wl) in weights.items():
             if wh == 0 and wl == 0:
                 continue
             belief = Fraction(belief)
+            if wh < 0 or wl < 0:
+                raise ValidationError(f"atom {belief} has a negative weight ({wh}, {wl})")
             if belief * (wh + wl) != wh:  # belief = wh / (wh + wl), even if wh + wl = 0
                 raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
             atoms.append((belief, wh, wl))

@@ -215,7 +215,7 @@ def run_market(cfg: dict, args) -> dict:
 def run_verify(cfg: dict, args) -> dict:
     params = _common(cfg, args)
     corpus_cfg = _section(cfg, "corpus")
-    count = _int(corpus_cfg.get("count", 100), "corpus.count")
+    count = int_at_least(_int(corpus_cfg.get("count", 100), "corpus.count"), 1, "corpus.count")
     max_signals = _int(corpus_cfg.get("max_signals", 4), "corpus.max_signals")
     max_den = _int(corpus_cfg.get("max_denominator", 12), "corpus.max_denominator")
     structures = design.corpus(params["seed"], count, max_signals, max_den)
@@ -261,7 +261,7 @@ def run_sweep(cfg: dict, args):
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
                 seller, buyer = market.ternary_sticky_surpluses(eps_w_frac, d, t)
-                social = a * buyer + (1 - a) * seller
+                social = market.ternary_weighted_surplus_sticky(eps_w_frac, d, a, t)
                 rows.append(
                     f"{format_decimal(d)},{format_decimal(a)},{t},"
                     f"{format_decimal(eps_b)},{format_decimal(eps_s)},{format_decimal(eps_w)},"

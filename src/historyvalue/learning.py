@@ -293,6 +293,18 @@ def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
     return depth
 
 
+def truncated_payoffs(structure: InformationStructure, delta: Fraction, tolerance: Fraction) -> tuple:
+    """Best equilibrium payoffs of the first ``N = truncation_horizon(delta,
+    tolerance)`` agents, and ``d^N / 4``, the tail of a series of terms in [0, 1/4]."""
+    depth = truncation_horizon(delta, tolerance)
+    return best_equilibrium_payoffs(structure, depth), QUARTER * delta**depth
+
+
+def discounted(terms, delta: Fraction) -> Fraction:
+    """``(1-d) * sum d^(i-1) * term_i``, the discounted average of ``terms``."""
+    return (1 - delta) * sum(delta**i * x for i, x in enumerate(terms))
+
+
 def ternary_social_value(eps, delta) -> Fraction:
     """Discounted aggregate history gain of the ternary structure with
     uninformative mass ``eps``: d*e*(1-e) / (4*(1-d*e))."""
@@ -306,8 +318,7 @@ def social_value(structure: InformationStructure, delta: Fraction, tolerance) ->
 
     Structures whose beliefs live on {0, 1/2, 1} admit an exact closed
     form, :func:`ternary_social_value`, and return error bound 0.  Otherwise
-    the series is truncated at a depth whose tail bound ``d^N / 4`` (each
-    per-agent gain lies in [0, 1/4]) is below ``tolerance``.
+    the series is truncated by :func:`truncated_payoffs`.
     """
     delta = open_unit(delta, DISCOUNT)
     tolerance = positive(tolerance, "tolerance")
@@ -316,9 +327,5 @@ def social_value(structure: InformationStructure, delta: Fraction, tolerance) ->
     if eps is not None:
         return BoundedValue(ternary_social_value(eps, delta), Fraction(0))
 
-    depth = truncation_horizon(delta, tolerance)
-    profile = best_equilibrium_payoffs(structure, depth)
-    partial = (1 - delta) * sum(
-        delta**i * g for i, g in enumerate(profile.history_value)
-    )
-    return BoundedValue(partial, QUARTER * delta**depth)
+    profile, tail = truncated_payoffs(structure, delta, tolerance)
+    return BoundedValue(discounted(profile.history_value, delta), tail)

@@ -18,14 +18,8 @@ from fractions import Fraction
 from .beliefs import InformationStructure, uninformative_mass
 from .design import argmax_unit_interval, optimal_eps_social
 from .errors import ValidationError
-from .learning import (
-    BoundedValue,
-    best_equilibrium_payoffs,
-    single_signal_payoff,
-    social_value,
-    truncation_horizon,
-)
-from .rationals import QUARTER, format_decimal, format_rational
+from .learning import BoundedValue, best_equilibrium_payoffs, discounted, truncated_payoffs
+from .rationals import format_decimal, format_rational
 from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit, positive
 
 
@@ -114,13 +108,10 @@ def _report(alpha, seller, buyer, regime: str) -> SurplusReport:
 
 
 def surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
-    """Dynamic-regime surpluses: seller gets the aggregate history gain,
-    each buyer keeps the signal-only payoff."""
+    """Dynamic-regime surpluses: :func:`sticky_surpluses` at ``t = 1``."""
     if params.stickiness != 1:
         raise ValidationError("use sticky_surpluses for stickiness > 1")
-    seller = social_value(structure, params.delta, tolerance)
-    buyer = BoundedValue(single_signal_payoff(structure), Fraction(0))
-    return _report(params.alpha, seller, buyer, "dynamic")
+    return sticky_surpluses(structure, params, tolerance)
 
 
 def _ternary_sticky(eps, delta, t: int) -> tuple:
@@ -180,16 +171,14 @@ def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
 
 
 def sticky_surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
-    """Sticky-regime surpluses, exact for ternary structures.
+    """Surpluses when the price resets every ``t`` buyers; ``t = 1`` is dynamic.
 
-    For other structures both series are truncated with a certified tail
-    bound: every term is in [0, 1/4], so stopping after ``N`` buyers
-    leaves at most ``d^N / 4`` on the table for each series.
+    Exact for ternary structures.  Otherwise each series is truncated with
+    the tail of :func:`~historyvalue.learning.truncated_payoffs`; at ``t = 1``
+    each buyer keeps the signal-only payoff, exactly.
     """
     tolerance = positive(tolerance, "tolerance")
     t = params.stickiness
-    if t == 1:
-        return surpluses(structure, params, tolerance)
     d = Fraction(params.delta)
 
     eps = uninformative_mass(structure)
@@ -197,17 +186,14 @@ def sticky_surpluses(structure: InformationStructure, params: MarketParams, tole
         seller, buyer = (BoundedValue(v, Fraction(0)) for v in ternary_sticky_surpluses(eps, d, t))
         return _report(params.alpha, seller, buyer, _regime(t))
 
-    # General structure: truncate both discounted series.
-    horizon = truncation_horizon(d, tolerance)
-    profile = best_equilibrium_payoffs(structure, horizon)
-    gains = profile.history_value
-    prices = _block_prices(gains, t)
-    tail = QUARTER * d**horizon
-    seller_sum = (1 - d) * sum(d**i * p for i, p in enumerate(prices))
-    buyer_sum = (1 - d) * sum(
-        d**i * (profile.single + gains[i] - prices[i]) for i in range(horizon)
-    )
-    seller, buyer = BoundedValue(seller_sum, tail), BoundedValue(buyer_sum, tail)
+    profile, tail = truncated_payoffs(structure, d, tolerance)
+    prices = _block_prices(profile.history_value, t)
+    seller = BoundedValue(discounted(prices, d), tail)
+    if t == 1:
+        buyer = BoundedValue(profile.single, Fraction(0))
+    else:
+        rents = (v - p for v, p in zip(profile.with_history, prices))
+        buyer = BoundedValue(discounted(rents, d), tail)
     return _report(params.alpha, seller, buyer, _regime(t))
 
 

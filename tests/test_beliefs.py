@@ -70,6 +70,7 @@ class TestValidate:
             (validate_structure, {"a": (1, 1, 1)}),
             (validate_structure, {"a": (True, True)}),
             (BeliefDistribution.from_weights, {HALF: (1, -1)}),
+            (BeliefDistribution.from_weights, {2: (2, -1), -1: (-1, 2)}),
         ],
         ids=repr,
     )

@@ -152,6 +152,8 @@ class TestErrorCodes:
             ("value", {"ternary_eps": "1/2", "delta": True}, EXIT_PARSE),
             ("value", {"structure": {"signals": [{"id": "s", "pH": True, "pL": 1}]}},
              EXIT_PARSE),
+            # a dominance check over no structures would pass vacuously
+            ("verify", {"corpus": {"count": 0}}, EXIT_VALIDATION),
         ],
     )
     def test_bad_field_exits_cleanly(self, tmp_path, capsys, command, payload, expected):

@@ -1,4 +1,5 @@
-"""The demos run end to end, and the package's star import binds no module."""
+"""The demos run end to end and print their recorded output, and the
+package's star import binds no module."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -20,7 +22,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()
 
 
 def test_star_import_binds_no_module():

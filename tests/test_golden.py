@@ -1,0 +1,80 @@
+"""``hv`` stdout on fixed configs matches recorded files byte for byte.
+
+The cases cover the market surplus paths (dynamic and sticky, on a
+non-ternary and a ternary structure) and ``hv value`` where it relaxes
+the tolerance to the cap.  The demos' stdout is recorded in the same
+directory and compared by ``tests/test_demos.py``.
+
+Re-record every file with ``PYTHONPATH=src python tests/test_golden.py``;
+do so only for an intended change of output.
+"""
+
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from historyvalue.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+FIXTURE = {
+    "signals": [
+        {"id": "a", "pH": "1/2", "pL": "1/6"},
+        {"id": "b", "pH": "1/3", "pL": "1/3"},
+        {"id": "c", "pH": "1/6", "pL": "1/2"},
+    ]
+}
+FIXTURE_MARKET = {"structure": FIXTURE, "delta": "1/4", "tolerance": "1/1000"}
+
+#: Golden file stem -> (``hv`` subcommand, config).
+CASES = {
+    "market_fixture_t1": ("market", {**FIXTURE_MARKET, "stickiness": 1}),
+    "market_fixture_t3": ("market", {**FIXTURE_MARKET, "stickiness": 3}),
+    "market_ternary_t1": ("market", {"ternary_eps": "1/3", "stickiness": 1}),
+    "value_fixture_relaxed": ("value", {"structure": FIXTURE}),
+}
+
+
+def hv_stdout(command: str, config: dict) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path)])
+    assert code == EXIT_OK
+    return out.getvalue()
+
+
+def demo_stdout(demo: Path) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, check=True
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    command, config = CASES[name]
+    assert hv_stdout(command, config) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_value_case_relaxes():
+    # the fixture at the default tolerance is past the lexicographic cap
+    golden = json.loads((GOLDEN / "value_fixture_relaxed.json").read_text())
+    assert golden["tolerance_relaxed"] is True
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (command, config) in CASES.items():
+        (GOLDEN / f"{name}.json").write_text(hv_stdout(command, config))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        (GOLDEN / f"{demo.stem}.txt").write_text(demo_stdout(demo))

@@ -252,6 +252,19 @@ class TestOneWalk:
                         callers[node.func.id].add(fn.name)
         assert callers == {"_advance": {"_walk"}, "_children": {"_walk"}}
 
+    def test_truncation_horizon_called_only_from_truncated_payoffs(self):
+        # the depth and the tail d^N / 4 of every truncated series are
+        # chosen in one place
+        callers = set()
+        for path in pathlib.Path(learning.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call) and "truncation_horizon" in (
+                                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                            callers.add((path.name, fn.name))
+        assert callers == {("learning.py", "truncated_payoffs")}
+
 
 class TestPrefixPruning:
     @pytest.mark.parametrize("horizon", [4, 6])

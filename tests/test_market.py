@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -28,7 +30,17 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
     validate_structure,
 )
+from historyvalue.beliefs import uninformative_mass
+from historyvalue.design import corpus
 from historyvalue.errors import DegenerateParameter, ValidationError
+from historyvalue.learning import (
+    BoundedValue,
+    best_equilibrium_payoffs,
+    single_signal_payoff,
+    truncation_horizon,
+)
+from historyvalue.market import SurplusReport
+from historyvalue.rationals import positive
 
 HALF = F(1, 2)
 
@@ -375,3 +387,87 @@ class TestDynamicIsStickyAtOne:
             expected = a * (1 - e) / 4 + (1 - a) * ternary_social_value(e, d)
             assert ternary_weighted_surplus(e, d, a) == expected
             assert ternary_weighted_surplus_sticky(e, d, a, 1) == expected
+
+
+# Frozen copy of the two surplus paths as they were when dynamic pricing
+# had its own path (``social_value`` plus the signal-only payoff) and the
+# sticky path wrote its own truncated series; the oracle for the one path.
+def oracle_report(alpha, seller, buyer, regime):
+    a = F(alpha)
+    social = BoundedValue(a * buyer.value + (1 - a) * seller.value,
+                          a * buyer.error_bound + (1 - a) * seller.error_bound)
+    return SurplusReport(seller=seller, buyer=buyer, social=social, regime=regime)
+
+
+def oracle_social_value(structure, delta, tolerance):
+    eps = uninformative_mass(structure)
+    if eps is not None:
+        return BoundedValue(ternary_social_value(eps, delta), F(0))
+    depth = truncation_horizon(delta, tolerance)
+    profile = best_equilibrium_payoffs(structure, depth)
+    partial = (1 - delta) * sum(delta**i * g for i, g in enumerate(profile.history_value))
+    return BoundedValue(partial, F(1, 4) * delta**depth)
+
+
+def oracle_surpluses(structure, params, tolerance):
+    if params.stickiness != 1:
+        raise ValidationError("use sticky_surpluses for stickiness > 1")
+    seller = oracle_social_value(structure, F(params.delta), positive(tolerance, "tolerance"))
+    buyer = BoundedValue(single_signal_payoff(structure), F(0))
+    return oracle_report(params.alpha, seller, buyer, "dynamic")
+
+
+def oracle_sticky_surpluses(structure, params, tolerance):
+    tolerance = positive(tolerance, "tolerance")
+    t = params.stickiness
+    if t == 1:
+        return oracle_surpluses(structure, params, tolerance)
+    d = F(params.delta)
+    regime = f"sticky({t})"
+    eps = uninformative_mass(structure)
+    if eps is not None:
+        seller, buyer = (BoundedValue(v, F(0)) for v in ternary_sticky_surpluses(eps, d, t))
+        return oracle_report(params.alpha, seller, buyer, regime)
+    horizon = truncation_horizon(d, tolerance)
+    profile = best_equilibrium_payoffs(structure, horizon)
+    gains = profile.history_value
+    prices = tuple(gains[(i // t) * t] for i in range(len(gains)))
+    tail = F(1, 4) * d**horizon
+    seller_sum = (1 - d) * sum(d**i * p for i, p in enumerate(prices))
+    buyer_sum = (1 - d) * sum(
+        d**i * (profile.single + gains[i] - prices[i]) for i in range(horizon)
+    )
+    return oracle_report(params.alpha, BoundedValue(seller_sum, tail),
+                         BoundedValue(buyer_sum, tail), regime)
+
+
+def outcome(fn, *args):
+    """``fn``'s report, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestOneSurplusPath:
+    STRUCTURES = [*corpus(7, 30), ternary_structure(F(1, 3))]
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [F(1, 4), F(2, 3)])
+    def test_matches_frozen_paths(self, t, delta):
+        params, tol = MarketParams(delta, F(1, 3), t), F(1, 100)
+        for structure in self.STRUCTURES:
+            for new, old in ((surpluses, oracle_surpluses),
+                             (sticky_surpluses, oracle_sticky_surpluses)):
+                got = outcome(new, structure, params, tol)
+                assert got == outcome(old, structure, params, tol), structure
+                assert isinstance(got, SurplusReport) or new is surpluses
+
+    def test_market_has_no_second_surplus_path(self):
+        # dynamic surpluses come from the sticky path, and the truncated
+        # series from learning.truncated_payoffs
+        tree = ast.parse(pathlib.Path(market.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert not imported & {"social_value", "single_signal_payoff",
+                                "truncation_horizon", "QUARTER"}
