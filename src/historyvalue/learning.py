@@ -16,16 +16,30 @@ Computed quantities, all exact rationals:
 * ``simulate_equilibrium`` -- per-agent payoffs under a fixed tie rule,
   one of ``ACTION1``, ``ACTION0`` and ``FOLLOW_SIGNAL``;
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
-  all deterministic per-node tie-break tables;
+  all deterministic per-node tie-break tables, from a process-wide memo
+  of one search per signal distribution (see below);
 * ``social_value`` -- discounted aggregate of the per-agent history gains,
   in closed form (``ternary_social_value``) on the ternary family.
+
+Agent ``d``'s best payoff depends only on the depths before ``d``, so
+the search at a horizon is a prefix of the search at any longer one.
+``best_equilibrium_payoffs`` therefore keeps, per induced
+:class:`~historyvalue.beliefs.BeliefDistribution` (all that the search
+depends on: equal structures parsed separately, and structures that
+differ only in their labels, share one entry), the depths searched so far
+and the paused walk.  A horizon within an entry is served as a prefix,
+a longer one resumes the walk.  The memo keeps the ``SEARCH_MEMO_SIZE``
+most recently used entries; it is shared by the whole process, guarded
+by one lock, and has no setting.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +67,8 @@ HORIZON_CAP = 12
 LEX_CAP = 8
 #: Bound on tie-break assignments tried at one depth of that search.
 MAX_TIE_PROFILES = 20000
+#: Signal distributions whose search ``best_equilibrium_payoffs`` keeps.
+SEARCH_MEMO_SIZE = 64
 
 # Fixed tie-break rules.
 ACTION1 = "action1"
@@ -197,7 +213,7 @@ def _check_horizon(horizon: int, limit: int, limit_name: str):
 _ROOT = ((HALF, Fraction(1), Fraction(1)),)
 
 
-def _walk(structure: InformationStructure, horizon: int, choices) -> PayoffProfile:
+def _walk(signal: BeliefDistribution, choices):
     """The one depth loop: per-agent payoffs, lexicographically best over
     the actions ``choices(private)`` allows each tied agent.
 
@@ -205,33 +221,53 @@ def _walk(structure: InformationStructure, horizon: int, choices) -> PayoffProfi
     tie-breaks before depth ``d`` produced: the lexicographic maximum is a
     running maximum over prefixes.  Each depth keeps the levels whose agent
     reaches the best payoff, merges equal ones and expands them over their
-    tie-break assignments.  ``MAX_TIE_PROFILES`` bounds those assignments,
-    summed over the kept levels; past it :class:`TooManyIndifferenceNodes`
-    carries that sum as ``count``.
+    tie-break assignments.  Yields, for depth after depth without end, the
+    best payoff and the number of assignments that expanding the depth
+    tries, summed over the kept levels; the expansion runs only when the
+    next depth is asked for.
     """
-    signal = induced_belief_distribution(structure)
     frontier = {_ROOT}
-    values = []
-    for depth in range(horizon):
+    while True:
         passes = [_advance(_check_level(level), signal.atoms) for level in frontier]
         best = max(payoff for payoff, _ in passes)
-        values.append(best)
-        if depth == horizon - 1:
-            break
         kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
                 for payoff, nodes in passes if payoff == best]
-        count = sum(math.prod(map(len, options)) for _, options in kept)
-        if count > MAX_TIE_PROFILES:
-            raise TooManyIndifferenceNodes(
-                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
-                count=count,
-            )
+        yield best, sum(math.prod(map(len, options)) for _, options in kept)
         frontier = {
             _children(nodes, actions)
             for nodes, options in kept
             for actions in itertools.product(*options)
         }
-    return PayoffProfile(signal, tuple(values))
+
+
+def _check_ties(depth: int, count: int):
+    """Past ``MAX_TIE_PROFILES`` assignments at ``depth``, raise
+    :class:`TooManyIndifferenceNodes` carrying ``count``."""
+    if count > MAX_TIE_PROFILES:
+        raise TooManyIndifferenceNodes(
+            f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
+            count=count,
+        )
+
+
+class _Search:
+    """One :func:`_walk` and the ``(best, count)`` of the depths taken from it."""
+
+    def __init__(self, signal: BeliefDistribution, choices):
+        self.signal = signal
+        self.depths = []
+        self._walk = _walk(signal, choices)
+
+    def profile(self, horizon: int) -> PayoffProfile:
+        """The first ``horizon`` depths, taking more from the walk as needed.
+        Each depth but the last is checked against the current
+        ``MAX_TIE_PROFILES`` before it is expanded or served again."""
+        for depth in range(horizon):
+            if depth == len(self.depths):
+                self.depths.append(next(self._walk))
+            if depth < horizon - 1:
+                _check_ties(depth, self.depths[depth][1])
+        return PayoffProfile(self.signal, tuple(best for best, _ in self.depths[:horizon]))
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
@@ -246,7 +282,12 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     # a dict rule is unhashable, so test the type before the membership
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
-    return _walk(structure, horizon, _RULES[rule])
+    return _Search(induced_belief_distribution(structure), _RULES[rule]).profile(horizon)
+
+
+# Signal distribution -> its _Search, least recently used first.
+_SEARCHES = collections.OrderedDict()
+_SEARCHES_LOCK = threading.Lock()
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -256,9 +297,28 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     reachable indifference points, in lexicographic order of the payoff
     vector (earlier agents first): :func:`_walk` with both actions
     allowed at every tie.
+
+    The search is drawn from a process-wide memo keyed by the structure's
+    induced belief distribution, which holds the ``SEARCH_MEMO_SIZE``
+    most recently used entries; the bound is a constant, with no setting.
+    A horizon already searched is a prefix of the stored depths, a longer
+    one resumes the stored walk.  ``MAX_TIE_PROFILES`` is checked on every
+    call, as a fresh search would check it, and a walk that fails is dropped.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
-    return _walk(structure, horizon, lambda private: (1, 0))
+    signal = induced_belief_distribution(structure)
+    with _SEARCHES_LOCK:
+        search = _SEARCHES.pop(signal, None) or _Search(signal, lambda private: (1, 0))
+        _SEARCHES[signal] = search
+        while len(_SEARCHES) > SEARCH_MEMO_SIZE:
+            _SEARCHES.popitem(last=False)
+        try:
+            return search.profile(horizon)
+        except TooManyIndifferenceNodes:
+            raise  # a cap check ahead of the walk: the walk is intact
+        except BaseException:
+            del _SEARCHES[signal]  # the walk ended with the error
+            raise
 
 
 @dataclass(frozen=True)

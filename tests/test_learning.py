@@ -1,7 +1,10 @@
 import ast
+import collections
 import dataclasses
 import itertools
 import pathlib
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +21,7 @@ from historyvalue import (
     ternary_structure,
     validate_structure,
 )
-from historyvalue.beliefs import induced_belief_distribution
+from historyvalue.beliefs import induced_belief_distribution, structure_from_json
 from historyvalue.design import corpus, split_to_ternary
 from historyvalue.errors import (
     HistoryValueError,
@@ -311,6 +314,155 @@ class TestPrefixPruning:
             best_equilibrium_payoffs(fixture(), 4)
         assert err.value.count == count == 4
         assert "depth 1" in str(err.value)
+
+    def test_cap_checked_when_memo_serves_a_prefix(self, monkeypatch):
+        best_equilibrium_payoffs(fixture(), learning.LEX_CAP)
+        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+        with pytest.raises(TooManyIndifferenceNodes) as fresh:
+            new_search(fixture()).profile(4)
+        with pytest.raises(TooManyIndifferenceNodes) as served:
+            best_equilibrium_payoffs(fixture(), 4)
+        assert served.value.count == fresh.value.count == 4
+        assert str(served.value) == str(fresh.value)
+        # at horizon 2 only depth 0 (2 assignments) is expanded
+        assert best_equilibrium_payoffs(fixture(), 2).with_history == fresh_search(fixture(), 2)
+
+
+def new_search(structure):
+    """A search with both actions at every tie, outside the memo."""
+    return learning._Search(induced_belief_distribution(structure), lambda private: (1, 0))
+
+
+def fresh_search(structure, horizon):
+    """The first ``horizon`` best payoffs of a new walk, outside the memo."""
+    walk = new_search(structure)._walk
+    return tuple(best for best, _ in itertools.islice(walk, horizon))
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty memo for one test; the suite's shared memo comes back after."""
+    monkeypatch.setattr(learning, "_SEARCHES", collections.OrderedDict())
+    return learning._SEARCHES
+
+
+class TestSearchMemo:
+    @pytest.mark.parametrize("order", [1, -1], ids=["short-then-long", "long-then-short"])
+    def test_matches_fresh_search(self, empty_memo, order):
+        for structure in CORPUS:
+            expected = fresh_search(structure, learning.LEX_CAP)
+            for horizon in range(learning.LEX_CAP + 1)[::order]:
+                got = best_equilibrium_payoffs(structure, horizon).with_history
+                assert got == expected[:horizon], (structure, horizon)
+
+    def test_stays_within_bound(self):
+        bound = learning.SEARCH_MEMO_SIZE
+        structures = [ternary_structure(F(1, 10007 + k)) for k in range(bound + 3)]
+        for structure in structures:
+            best_equilibrium_payoffs(structure, 2)
+            assert len(learning._SEARCHES) <= bound
+        keys = [induced_belief_distribution(s) for s in structures]
+        assert all(k not in learning._SEARCHES for k in keys[:3])
+        assert all(k in learning._SEARCHES for k in keys[3:])
+
+    def test_equal_and_relabelled_structures_share_an_entry(self, monkeypatch):
+        text = ('{"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"}, '
+                '{"id": "b", "pH": "1/3", "pL": "1/3"}, {"id": "c", "pH": "1/6", "pL": "1/2"}]}')
+        relabelled = validate_structure(
+            {"z": (F(1, 6), F(1, 2)), "x": (F(2, 4), F(1, 6)), "y": (F(1, 3), F(1, 3))}
+        )
+        first = best_equilibrium_payoffs(structure_from_json(text), 5)
+        entry = learning._SEARCHES[first.signal]
+        size = len(learning._SEARCHES)
+
+        def no_walk(*_args):
+            raise AssertionError("the memo should serve this search")
+
+        monkeypatch.setattr(learning, "_advance", no_walk)
+        for structure in (structure_from_json(text), relabelled):
+            profile = best_equilibrium_payoffs(structure, 5)
+            assert profile.with_history == first.with_history
+            assert learning._SEARCHES[profile.signal] is entry
+        assert len(learning._SEARCHES) == size
+
+    def test_fixed_rule_never_served_to_search(self):
+        # action 1 at every tie is not the lexicographic best here
+        structure = validate_structure({"s0": (F(0), F(1, 4)), "s1": (F(1, 6), F(1, 4)),
+                                        "s2": (F(1, 2), F(1, 2)), "s3": (F(1, 3), F(0))})
+        signal = induced_belief_distribution(structure)
+        before = learning._SEARCHES.get(signal)
+        rule = simulate_equilibrium(structure, 4, ACTION1).with_history
+        assert learning._SEARCHES.get(signal) is before
+        best = best_equilibrium_payoffs(structure, 4).with_history
+        assert best == fresh_search(structure, 4) != rule
+        # and the search is never served to the fixed rule
+        assert simulate_equilibrium(structure, 4, ACTION1).with_history == rule
+        assert rule == frozen_simulate(structure, 4, ACTION1)
+
+    def test_failed_walk_leaves_no_entry(self, empty_memo, monkeypatch):
+        # every level past the root fails its check, on every walk
+        def failing(level):
+            if level != learning._ROOT:
+                raise InvariantViolation("injected")
+            return level
+
+        best_equilibrium_payoffs(fixture(), 1)
+        monkeypatch.setattr(learning, "_check_level", failing)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="injected"):
+                best_equilibrium_payoffs(fixture(), 3)
+            assert induced_belief_distribution(fixture()) not in empty_memo
+
+    def test_walk_failing_once_is_recomputed(self, empty_memo, monkeypatch):
+        check = learning._check_level
+        failures = []
+
+        def fails_once(level):
+            if level != learning._ROOT and not failures:
+                failures.append(level)
+                raise InvariantViolation("injected")
+            return check(level)
+
+        best_equilibrium_payoffs(fixture(), 1)
+        monkeypatch.setattr(learning, "_check_level", fails_once)
+        with pytest.raises(InvariantViolation, match="injected"):
+            best_equilibrium_payoffs(fixture(), 3)
+        got = best_equilibrium_payoffs(fixture(), 6).with_history
+        assert got == fresh_search(fixture(), 6) and len(failures) == 1
+
+    def test_concurrent_callers(self, empty_memo):
+        # 4 threads (more than this suite's 2-core host) switching often,
+        # each extending and serving the same entries in its own order
+        structures = [fixture(), sym_binary(), *CORPUS[:4]]
+        expected = {s: fresh_search(s, learning.LEX_CAP) for s in structures}
+        cases = [(s, h) for s in structures for h in (7, 2, learning.LEX_CAP, 4, 1, 5)]
+        start = threading.Barrier(4, timeout=60)
+        results, errors = [], []
+
+        def run(offset):
+            try:
+                start.wait()
+                for structure, horizon in cases[offset:] + cases[:offset]:
+                    got = best_equilibrium_payoffs(structure, horizon).with_history
+                    results.append((structure, horizon, got))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k * 5,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 4 * len(cases)
+        for structure, horizon, got in results:
+            assert got == expected[structure][:horizon]
 
 
 class TestSocialValue:
