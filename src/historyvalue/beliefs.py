@@ -10,8 +10,10 @@ Every operation here is pure and introduces no rounding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +63,12 @@ class InformationStructure:
 
     def items(self):
         return zip(self.signals, self.like_high, self.like_low)
+
+    @functools.cached_property
+    def belief_distribution(self) -> "BeliefDistribution":
+        """The induced distribution of the posterior, computed once per
+        structure: see :func:`induced_belief_distribution`."""
+        return _merged_distribution(*integer_weights(zip(self.like_high, self.like_low)))
 
 
 def validate_structure(table) -> InformationStructure:
@@ -164,36 +172,56 @@ class BeliefDistribution:
         return sum(((wh + wl) / 2) * b for b, wh, wl in self.atoms)
 
 
+def integer_weights(pairs) -> tuple:
+    """``(D, [(D * w_high, D * w_low), ...])``: the rational pairs as
+    integers over ``D``, the lcm of their denominators."""
+    pairs = tuple(pairs)
+    scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
+    return scale, [tuple(w.numerator * (scale // w.denominator) for w in pair) for pair in pairs]
+
+
 def merge_beliefs(pairs) -> dict:
-    """``{belief: (w_high, w_low)}`` from ``(w_high, w_low)`` pairs: the
-    pairs that give the same belief ``w_high / (w_high + w_low)`` are
-    summed, and null pairs, reached in neither state, are dropped."""
+    """``{(h, l): (w_high, w_low)}`` from integer ``(w_high, w_low)`` pairs:
+    the pairs that give the same belief ``w_high / (w_high + w_low)``, that
+    is the same reduced pair ``(h, l)``, are summed, and null pairs,
+    reached in neither state, are dropped."""
     merged = {}
     for wh, wl in pairs:
         if wh or wl:
-            belief = wh / (wh + wl)
-            h, l = merged.get(belief, (0, 0))
-            merged[belief] = (h + wh, l + wl)
+            g = math.gcd(wh, wl)
+            key = (wh // g, wl // g)
+            h, l = merged.get(key, (0, 0))
+            merged[key] = (h + wh, l + wl)
     return merged
+
+
+def _merged_distribution(scale: int, pairs) -> BeliefDistribution:
+    """The distribution of ``(w_high, w_low)`` pairs, integers over ``scale``,
+    with equal beliefs merged."""
+    return BeliefDistribution.from_weights({
+        Fraction(h, h + l): (Fraction(wh, scale), Fraction(wl, scale))
+        for (h, l), (wh, wl) in merge_beliefs(pairs).items()
+    })
 
 
 def induced_belief_distribution(structure: InformationStructure) -> BeliefDistribution:
     """Distribution of the posterior after one signal, uniform prior.
 
     Signals inducing the same posterior are merged into a single atom;
-    the signal labels carry no further payoff-relevant content.
+    the signal labels carry no further payoff-relevant content.  Each
+    structure computes it once and keeps it.
     """
-    return BeliefDistribution.from_weights(
-        merge_beliefs(zip(structure.like_high, structure.like_low))
-    )
+    return structure.belief_distribution
 
 
 def compose_distributions(a: BeliefDistribution, b: BeliefDistribution) -> BeliefDistribution:
     """Distribution of the combined belief from two independent draws; jointly
     impossible pairs (conclusive-low with conclusive-high) drop out."""
-    return BeliefDistribution.from_weights(merge_beliefs(
-        (wha * whb, wla * wlb) for _ba, wha, wla in a.atoms for _bb, whb, wlb in b.atoms
-    ))
+    da, wa = integer_weights((wh, wl) for _b, wh, wl in a.atoms)
+    db, wb = integer_weights((wh, wl) for _b, wh, wl in b.atoms)
+    return _merged_distribution(
+        da * db, ((wha * whb, wla * wlb) for wha, wla in wa for whb, wlb in wb)
+    )
 
 
 def iid_chain(base: BeliefDistribution, n: int):

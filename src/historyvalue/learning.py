@@ -31,6 +31,12 @@ and the paused walk.  A horizon within an entry is served as a prefix,
 a longer one resumes the walk.  The memo keeps the ``SEARCH_MEMO_SIZE``
 most recently used entries; it is shared by the whole process, guarded
 by one lock, and has no setting.
+
+The tree itself is computed in integers.  With ``D`` the lcm of the
+denominators of the signal's weights, every reach weight at depth ``d``
+is an integer over ``D^d``: ties are decided by exact integer equality,
+equal public beliefs merge under their reduced integer ratio, and each
+depth builds one ``Fraction``, its best payoff, at the boundary.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .beliefs import (
     iid_belief_distribution,
     iid_chain,
     induced_belief_distribution,
+    integer_weights,
     merge_beliefs,
     uninformative_mass,
 )
@@ -149,20 +156,22 @@ def full_observation_payoff(structure: InformationStructure, i: int) -> Fraction
 
 
 def _advance(level, atoms):
-    """Play one generation up to its ties.
+    """Play one generation up to its ties, in integers.
 
-    ``level`` is a sorted tuple of ``(public, like_high, like_low)``: each
-    public belief with its probability of being reached in each state of
-    the world.  A signal ``(private, w_high, w_low)`` at a node reaches the
-    pair ``(ph, pl) = (like_high * w_high, like_low * w_low)``.  Returns the
-    agent's ex-ante payoff and, per public node, ``(strict1, strict0,
-    ties)``: the summed pairs of the signals that strictly prefer action 1
-    and action 0, and the tied signals' ``(private, ph, pl)``.
+    At depth ``d``, ``level`` is a sorted tuple of ``(like_high, like_low)``:
+    each public node's probability of being reached in each state of the
+    world, as integers over ``D^d``.  A signal ``(private, w_high, w_low)``,
+    its weights integers over ``D``, reaches the pair ``(ph, pl) =
+    (like_high * w_high, like_low * w_low)`` over ``D^(d+1)``.  Returns the
+    agent's ex-ante payoff times ``4 * D^(d+1)`` and, per public node,
+    ``(strict1, strict0, ties)``: the summed pairs of the signals that
+    strictly prefer action 1 and action 0, and the tied signals'
+    ``(private, ph, pl)``.
     """
-    payoff = Fraction(0)
+    payoff = 0
     nodes = []
-    for _, lh, ll in level:
-        h1 = l1 = h0 = l0 = Fraction(0)
+    for lh, ll in level:
+        h1 = l1 = h0 = l0 = 0
         ties = []
         for private, wh, wl in atoms:
             ph = lh * wh
@@ -177,7 +186,7 @@ def _advance(level, atoms):
             elif ph:  # ph = pl = 0: a signal the node never sees
                 # a tie earns (ph - pl) / 4 = 0 whichever action is chosen
                 ties.append((private, ph, pl))
-        payoff += (h1 - l1) / 4  # each signal above 1/2 earns (ph - pl) / 4
+        payoff += h1 - l1  # each signal above 1/2 earns (ph - pl) / 4
         nodes.append(((h1, l1), (h0, l0), ties))
     return payoff, nodes
 
@@ -194,12 +203,13 @@ def _children(nodes, actions):
             side[0] += ph
             side[1] += pl
         pairs += sums.values()
-    return tuple(sorted((q, ch, cl) for q, (ch, cl) in merge_beliefs(pairs).items()))
+    return tuple(sorted(merge_beliefs(pairs).values()))
 
 
-def _check_level(level):
-    """``level``, checked: its reach probabilities sum to one in each state."""
-    if sum(lh for _, lh, _ in level) != 1 or sum(ll for _, _, ll in level) != 1:
+def _check_level(level, total: int):
+    """``level``, checked: its reach weights sum to ``total``, the depth's
+    ``D^d``, in each state."""
+    if sum(lh for lh, _ in level) != total or sum(ll for _, ll in level) != total:
         raise InvariantViolation("public-belief level reach probabilities do not sum to one")
     return level
 
@@ -210,7 +220,7 @@ def _check_horizon(horizon: int, limit: int, limit_name: str):
         raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
 
 
-_ROOT = ((HALF, Fraction(1), Fraction(1)),)
+_ROOT = ((1, 1),)
 
 
 def _walk(signal: BeliefDistribution, choices):
@@ -224,15 +234,23 @@ def _walk(signal: BeliefDistribution, choices):
     tie-break assignments.  Yields, for depth after depth without end, the
     best payoff and the number of assignments that expanding the depth
     tries, summed over the kept levels; the expansion runs only when the
-    next depth is asked for.
+    next depth is asked for, and only the kept levels stay alive until then.
+
+    The signal's weights are scaled once to integers over ``D``, the lcm of
+    their denominators, so the levels at depth ``d`` are integers over
+    ``D^d`` and the best payoff is the one ``Fraction`` built per depth.
     """
-    frontier = {_ROOT}
+    scale, weights = integer_weights((wh, wl) for _, wh, wl in signal.atoms)
+    atoms = [(private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights)]
+    frontier, total = {_ROOT}, 1
     while True:
-        passes = [_advance(_check_level(level), signal.atoms) for level in frontier]
+        passes = [_advance(_check_level(level, total), atoms) for level in frontier]
         best = max(payoff for payoff, _ in passes)
         kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
                 for payoff, nodes in passes if payoff == best]
-        yield best, sum(math.prod(map(len, options)) for _, options in kept)
+        del frontier, passes
+        total *= scale
+        yield Fraction(best, 4 * total), sum(math.prod(map(len, options)) for _, options in kept)
         frontier = {
             _children(nodes, actions)
             for nodes, options in kept

@@ -23,6 +23,7 @@ from historyvalue import (
     validate_structure,
     verify_dominance,
 )
+from historyvalue.beliefs import BeliefDistribution
 from historyvalue.errors import NonFiniteEvaluation, ValidationError
 
 HALF = F(1, 2)
@@ -187,6 +188,20 @@ class TestDominance:
         assert not report.two_sided
         assert report.base_values == report.split_values
         assert report.verdict
+
+    def test_induced_distribution_once_per_structure(self, monkeypatch):
+        # the search, the two-sided test and the ternary check all read the
+        # base's and the split's distributions, built once each
+        calls = []
+        from_weights = BeliefDistribution.from_weights.__func__
+
+        def counting(cls, weights):
+            calls.append(weights)
+            return from_weights(cls, weights)
+
+        monkeypatch.setattr(BeliefDistribution, "from_weights", classmethod(counting))
+        verify_dominance(sym_binary(), 3)
+        assert len(calls) == 2
 
     def test_report_serialization(self):
         report = verify_dominance(sym_binary(), 3)

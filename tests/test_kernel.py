@@ -1,0 +1,223 @@
+"""The integer kernel of the public-belief tree against a frozen copy of the
+``Fraction`` engine it replaced, and guards on the kernel's arithmetic."""
+
+import ast
+import gc
+import itertools
+import math
+import pathlib
+from fractions import Fraction as F
+
+import pytest
+
+from historyvalue import (
+    ACTION0,
+    ACTION1,
+    FOLLOW_SIGNAL,
+    best_equilibrium_payoffs,
+    simulate_equilibrium,
+    validate_structure,
+)
+from historyvalue import beliefs, learning
+from historyvalue.beliefs import induced_belief_distribution
+from historyvalue.design import corpus, split_to_ternary
+
+HALF = F(1, 2)
+BOTH = lambda private: (1, 0)  # noqa: E731  (the search: either action at a tie)
+
+
+# The oracle: the tree engine as it was before the integer kernel, frozen
+# apart from the library.  Levels are sorted tuples of ``(public,
+# like_high, like_low)`` in reduced ``Fraction``s, and equal public beliefs
+# merge under a ``Fraction`` key.
+def fraction_merge_beliefs(pairs):
+    merged = {}
+    for wh, wl in pairs:
+        if wh or wl:
+            belief = wh / (wh + wl)
+            h, l = merged.get(belief, (0, 0))
+            merged[belief] = (h + wh, l + wl)
+    return merged
+
+
+def fraction_advance(level, atoms):
+    payoff = F(0)
+    nodes = []
+    for _, lh, ll in level:
+        h1 = l1 = h0 = l0 = F(0)
+        ties = []
+        for private, wh, wl in atoms:
+            ph = lh * wh
+            pl = ll * wl
+            if ph > pl:
+                h1 += ph
+                l1 += pl
+            elif ph < pl:
+                h0 += ph
+                l0 += pl
+            elif ph:
+                ties.append((private, ph, pl))
+        payoff += (h1 - l1) / 4
+        nodes.append(((h1, l1), (h0, l0), ties))
+    return payoff, nodes
+
+
+def fraction_children(nodes, actions):
+    actions = iter(actions)
+    pairs = []
+    for strict1, strict0, ties in nodes:
+        sums = {1: list(strict1), 0: list(strict0)}
+        for _, ph, pl in ties:
+            side = sums[next(actions)]
+            side[0] += ph
+            side[1] += pl
+        pairs += sums.values()
+    return tuple(sorted((q, ch, cl) for q, (ch, cl) in fraction_merge_beliefs(pairs).items()))
+
+
+def fraction_walk(signal, choices):
+    """Yields ``(best payoff, assignments tried)`` per depth, as the kernel's walk."""
+    frontier = {((HALF, F(1), F(1)),)}
+    while True:
+        for level in frontier:
+            assert sum(lh for _, lh, _ in level) == 1 and sum(ll for _, _, ll in level) == 1
+        passes = [fraction_advance(level, signal.atoms) for level in frontier]
+        best = max(payoff for payoff, _ in passes)
+        kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
+                for payoff, nodes in passes if payoff == best]
+        yield best, sum(math.prod(map(len, options)) for _, options in kept)
+        frontier = {
+            fraction_children(nodes, actions)
+            for nodes, options in kept
+            for actions in itertools.product(*options)
+        }
+
+
+def oracle(structure, horizon, choices=BOTH):
+    """The first ``horizon`` depths of the oracle's walk: ``(best, count)`` pairs."""
+    walk = fraction_walk(induced_belief_distribution(structure), choices)
+    return list(itertools.islice(walk, horizon))
+
+
+RULES = {rule: learning._RULES[rule] for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL)}
+
+
+def mirror(p, q):
+    m = 1 - p - q
+    return validate_structure({"a": (p, q), "b": (m, m), "c": (q, p)})
+
+
+def mirror_structures():
+    """``{a:(p,q), b:(m,m), c:(q,p)}`` with ``m = 1/3``, ``p > q > 0`` and both
+    denominators at most 12: the fixture ``(1/2, 1/6)`` and four others."""
+    pairs = {(F(n, d), F(2, 3) - F(n, d)) for d in range(1, 13) for n in range(1, d)}
+    return [mirror(p, q) for p, q in sorted(pairs)
+            if 0 < q < p and q.denominator <= 12]
+
+
+def assert_matches_oracle(structure, horizon):
+    """The search and the three fixed rules equal the oracle at every
+    horizon up to ``horizon``."""
+    expected = [best for best, _ in oracle(structure, horizon)]
+    for h in range(horizon + 1):
+        assert best_equilibrium_payoffs(structure, h).with_history == tuple(expected[:h])
+    for rule, choices in RULES.items():
+        expected = [best for best, _ in oracle(structure, horizon, choices)]
+        for h in range(horizon + 1):
+            got = simulate_equilibrium(structure, h, rule).with_history
+            assert got == tuple(expected[:h]), (structure, rule, h)
+
+
+class TestKernelMatchesFractionEngine:
+    def test_corpus_and_splits(self, empty_memo):
+        for base in corpus(7, 60):
+            for structure in (base, split_to_ternary(base)):
+                assert_matches_oracle(structure, learning.LEX_CAP)
+
+    def test_mirror_structures_to_depth_14(self, empty_memo, monkeypatch):
+        structures = mirror_structures()
+        assert len(structures) == 5
+        assert mirror(HALF, F(1, 6)) in structures
+        monkeypatch.setattr(learning, "LEX_CAP", 14)
+        for structure in structures:
+            expected = tuple(best for best, _ in oracle(structure, 14))
+            assert best_equilibrium_payoffs(structure, 14).with_history == expected
+
+    def test_ties_at_non_root_nodes(self, empty_memo):
+        # the composed belief is exactly 1/2 below the root: agent 2 holding
+        # the 1/3 signal after action 1, and deeper
+        structure = validate_structure({"s1": (F(2, 3), F(1, 3)), "s2": (F(1, 3), F(2, 3))})
+        counts = [count for _, count in oracle(structure, learning.LEX_CAP)]
+        assert counts[0] == 1 and max(counts[1:]) > 1
+        assert_matches_oracle(structure, learning.LEX_CAP)
+
+    @pytest.mark.parametrize("table", [
+        {"s0": (F(0), F(1, 4)), "s1": (F(1, 6), F(1, 4)), "s2": (HALF, HALF), "s3": (F(1, 3), F(0))},
+        {"s1": (F(1), F(0)), "s2": (F(0), F(1))},
+    ], ids=["conclusive-both-sides", "full-information"])
+    def test_conclusive_signals(self, empty_memo, table):
+        # zero reach weights: a conclusive signal zeroes one state's weight
+        structure = validate_structure(table)
+        assert any(0 in (wh, wl) for _, wh, wl in induced_belief_distribution(structure).atoms)
+        assert_matches_oracle(structure, learning.LEX_CAP)
+
+
+def reachable(roots):
+    """The ids of the containers reachable from ``roots``."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple, set, frozenset, dict)) and id(obj) not in seen:
+            seen.add(id(obj))
+            stack += gc.get_referents(obj)
+    return seen
+
+
+def test_paused_walk_holds_only_the_kept_levels(monkeypatch):
+    made = []
+    advance = learning._advance
+
+    def recording(level, atoms):
+        made.append(advance(level, atoms))
+        return made[-1]
+
+    monkeypatch.setattr(learning, "_advance", recording)
+    walk = learning._walk(induced_belief_distribution(mirror(HALF, F(1, 6))), BOTH)
+    dropped = 0
+    for _ in range(7):
+        made.clear()
+        next(walk)
+        held = reachable(walk.gi_frame.f_locals.values())
+        best = max(payoff for payoff, _ in made)
+        for payoff, nodes in made:
+            assert (id(nodes) in held) == (payoff == best)
+            dropped += payoff != best
+    assert dropped > 0  # some depth has levels that are not kept
+
+
+def kernel_functions():
+    """``(module, function)`` nodes of the tree's integer kernel."""
+    for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level"}),
+                          (beliefs, {"merge_beliefs", "integer_weights"})):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]
+        assert {fn.name for fn in found} == names
+        yield from found
+
+
+def float_sources(fn) -> list:
+    """Line numbers in ``fn`` of a true division or a ``float(...)`` call."""
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"]
+
+
+def test_no_float_in_the_kernel():
+    # an int / int would silently bring a float into the exact core
+    for fn in kernel_functions():
+        assert float_sources(fn) == [], fn.name
+
+
+def test_float_scan_flags_division_and_float():
+    source = "def f(a, b):\n    c = a // b\n    c /= 2\n    return float(a) + a / b\n"
+    assert sorted(float_sources(ast.parse(source).body[0])) == [3, 4, 4]
