@@ -95,7 +95,15 @@ def _grid(sweep: dict, key: str, default: list) -> list:
     value = sweep.get(key, default)
     if not isinstance(value, list):
         raise ParseError(f"sweep.{key} must be a JSON list")
+    if not value:
+        raise ParseError(f"sweep.{key} must not be empty")
     return value
+
+
+def _increasing(by_delta: dict) -> bool:
+    """Whether the values strictly increase over the distinct deltas in order."""
+    values = [by_delta[d] for d in sorted(by_delta)]
+    return all(x < y for x, y in zip(values, values[1:]))
 
 
 def _common(cfg: dict, args) -> dict:
@@ -267,11 +275,9 @@ def run_sweep(cfg: dict, args):
                     f"{format_decimal(eps_b)},{format_decimal(eps_s)},{format_decimal(eps_w)},"
                     f"{format_decimal(seller)},{format_decimal(buyer)},{format_decimal(social)}"
                 )
-                seller_track.setdefault((a, t), []).append(eps_s)
+                seller_track.setdefault((a, t), {})[d] = eps_s
     # Monotonicity summaries as trailing comments (plot tools skip '#').
-    increasing = all(
-        all(x < y for x, y in zip(v, v[1:])) for v in seller_track.values()
-    )
+    increasing = all(_increasing(v) for v in seller_track.values())
     rows.append(f"# eps_star_seller strictly increasing in delta: {increasing}")
     return "\n".join(rows) + "\n"
 

@@ -25,7 +25,7 @@ from .beliefs import (
 from .errors import NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
 from .learning import best_equilibrium_payoffs, ternary_social_value  # noqa: F401
-from .rationals import HALF, format_decimal, format_rational
+from .rationals import HALF, best_approximation, format_decimal, format_rational
 from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
@@ -172,6 +172,7 @@ def max_social_value(delta) -> float:
 
 _LIMIT = 10**40  # denominator cap for interior probe points
 _GRID = 64  # coarse-scan intervals before golden-section refinement
+_INVPHI = (Fraction(math.sqrt(5.0) - 1.0) / 2).as_integer_ratio()  # 1/phi as (num, den)
 
 
 @dataclass(frozen=True)
@@ -184,52 +185,97 @@ class SearchResult:
         return float(self.argmax)
 
 
+def golden_section(f, tol: Fraction, lo: tuple, hi: tuple) -> tuple:
+    """Golden-section search in integers: ``(argmax, flat)`` on ``[lo, hi]``.
+
+    ``f(n, m)`` returns the objective at ``n/m`` as an integer pair
+    ``(num, den)`` with ``den > 0``; ``lo`` and ``hi`` are such pairs too.
+    Each probe point is ``lo + (1 - 1/phi)*(hi - lo)`` or ``lo + (hi -
+    lo)/phi``, formed as one unreduced quotient and rounded by
+    :func:`~historyvalue.rationals.best_approximation` to a denominator of
+    at most ``_LIMIT``.  Every comparison is cross-multiplied.  ``flat``
+    says that every probe gave the same value.
+    """
+    tn, td = tol.numerator, tol.denominator
+    g, big = _INVPHI
+    ln, ld = lo
+    hn, hd = hi
+    first = None
+    flat = True
+    while True:
+        width = hn * ld - ln * hd
+        den = ld * hd
+        if width * td <= tn * den:
+            break
+        base = ln * hd * big
+        den *= big
+        cn, cd = best_approximation(base + (big - g) * width, den, _LIMIT)
+        dn, dd = best_approximation(base + g * width, den, _LIMIT)
+        if not (ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd):
+            break  # interval too narrow for the denominator cap
+        (yc, ycd), (yd, ydd) = f(cn, cd), f(dn, dd)
+        if first is None:
+            first = yc, ycd
+        flat = flat and yc * first[1] == first[0] * ycd and yd * first[1] == first[0] * ydd
+        if yc * ydd > yd * ycd:
+            hn, hd = dn, dd
+        else:
+            ln, ld = cn, cd
+    return Fraction(ln * hd + hn * ld, 2 * ld * hd), flat
+
+
+def unit_search(f, tolerance) -> tuple:
+    """``(argmax, flat)`` of the integer objective ``f`` (as for
+    :func:`golden_section`) on [0, 1]: a scan of ``_GRID + 1`` points, then
+    golden section between the best point's neighbours.  The first of
+    equal best points wins, as with ``max``."""
+    values = [f(k, _GRID) for k in range(_GRID + 1)]
+    best = 0
+    for k, (n, m) in enumerate(values):
+        if n * values[best][1] > values[best][0] * m:
+            best = k
+    lo = (max(best - 1, 0), _GRID)
+    hi = (min(best + 1, _GRID), _GRID)
+    argmax, flat = golden_section(f, positive(tolerance, "tolerance"), lo, hi)
+    n0, m0 = values[0]
+    return argmax, flat and all(n * m0 == n0 * m for n, m in values)
+
+
+def _finite(f, x):
+    """``f(x)``, or :class:`NonFiniteEvaluation` for a NaN or infinite float."""
+    y = f(x)
+    if isinstance(y, float) and not math.isfinite(y):
+        raise NonFiniteEvaluation(f"objective not finite at {float(x)}")
+    return y
+
+
+def _exact(f):
+    """``f`` over rationals as an integer objective; a finite float converts
+    exactly, so comparisons are those of the values themselves."""
+    return lambda n, m: _finite(f, Fraction(n, m)).as_integer_ratio()
+
+
 def maximize_concave(f, tolerance, lo=0, hi=1) -> SearchResult:
     """Golden-section search for the argmax of a unimodal ``f`` on [lo, hi].
 
-    Probe points are exact rationals, so when ``f`` returns exact values
-    the bracket shrinks without any floating-point noise; the returned
-    point is within ``tolerance`` of the true argmax for unimodal ``f``.
+    The search runs in integers (:func:`golden_section`) on the probe
+    points that ``Fraction.limit_denominator(10**40)`` gives, so when ``f``
+    returns exact values the bracket shrinks without any floating-point
+    noise; the returned point is within ``tolerance`` of the true argmax
+    for unimodal ``f``.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
     tol = positive(tolerance, "tolerance")
-    invphi = Fraction(math.sqrt(5.0) - 1.0) / 2
-
-    def ev(x):
-        y = f(x)
-        if isinstance(y, float) and not math.isfinite(y):
-            raise NonFiniteEvaluation(f"objective not finite at {float(x)}")
-        return y
-
-    seen_min = seen_max = None
-    while hi - lo > tol:
-        h = hi - lo
-        c = (lo + (1 - invphi) * h).limit_denominator(_LIMIT)
-        d = (lo + invphi * h).limit_denominator(_LIMIT)
-        if not lo < c < d < hi:  # interval too narrow for the denominator cap
-            break
-        yc, yd = ev(c), ev(d)
-        for y in (yc, yd):
-            seen_min = y if seen_min is None else min(seen_min, y)
-            seen_max = y if seen_max is None else max(seen_max, y)
-        if yc > yd:
-            hi = d
-        else:
-            lo = c
-    mid = (lo + hi) / 2
-    return SearchResult(argmax=mid, value=ev(mid), flat=seen_min == seen_max)
+    argmax, flat = golden_section(_exact(f), tol, lo.as_integer_ratio(), hi.as_integer_ratio())
+    return SearchResult(argmax=argmax, value=_finite(f, argmax), flat=flat)
 
 
 def argmax_unit_interval(f, tolerance) -> SearchResult:
-    """Coarse grid scan followed by golden-section refinement on [0, 1]."""
-    values = [f(Fraction(k, _GRID)) for k in range(_GRID + 1)]
-    best = max(range(_GRID + 1), key=lambda k: values[k])
-    lo = Fraction(max(best - 1, 0), _GRID)
-    hi = Fraction(min(best + 1, _GRID), _GRID)
-    result = maximize_concave(f, tolerance, lo, hi)
-    flat = result.flat and len(set(values)) == 1
-    return SearchResult(argmax=result.argmax, value=result.value, flat=flat)
+    """Coarse grid scan followed by golden-section refinement on [0, 1]
+    (:func:`unit_search` on ``f`` over rationals)."""
+    argmax, flat = unit_search(_exact(f), tolerance)
+    return SearchResult(argmax=argmax, value=_finite(f, argmax), flat=flat)
 
 
 # -- dominance verification ----------------------------------------------------

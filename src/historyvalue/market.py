@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beliefs import InformationStructure, uninformative_mass
-from .design import argmax_unit_interval, optimal_eps_social
+from .design import optimal_eps_social, unit_search
 from .errors import ValidationError
 from .learning import BoundedValue, best_equilibrium_payoffs, discounted, truncated_payoffs
 from .rationals import format_decimal, format_rational
@@ -114,10 +114,12 @@ def surpluses(structure: InformationStructure, params: MarketParams, tolerance) 
     return sticky_surpluses(structure, params, tolerance)
 
 
-def _ternary_sticky(eps, delta, t: int) -> tuple:
-    """Integer parts of the ternary sticky closed forms, inputs checked.
+def _sticky_kernel(delta, t: int):
+    """Integer parts of the ternary sticky closed forms at ``delta`` and ``t``,
+    both checked here once.
 
-    With ``e = n/m`` and ``d = p/q`` in lowest terms, returns
+    Returns ``parts(n, m)``: with ``e = n/m`` (``0 <= n <= m``, ``m > 0``,
+    not necessarily reduced) and ``d = p/q`` in lowest terms, it gives
     ``(wn, wd, sn, sd)`` with payoff-with-history ``W = wn / (4*wd)`` and
     seller surplus ``S = sn / (4*sd)``, where
 
@@ -125,19 +127,27 @@ def _ternary_sticky(eps, delta, t: int) -> tuple:
         sd = m*(q^t*m^t - p^t*n^t),   sn = p^t * n * (m^t - n^t).
 
     ``0 <= n <= m`` and ``0 < p < q`` make both denominators positive.
-    The wrappers build each Fraction once from these integers, which is
-    exact and avoids a gcd per intermediate Fraction operation.
+    Callers build each Fraction once from these integers, which is exact
+    and avoids a gcd per intermediate Fraction operation.
     """
-    e = closed_unit(eps, "eps")
     d = open_unit(delta, DISCOUNT)
     int_at_least(t, 1, "stickiness")
-    n, m = e.numerator, e.denominator
     p, q = d.numerator, d.denominator
-    wd = q * m - p * n
-    pt = p**t
-    mt = m**t
-    nt = n**t
-    return wd - (q - p) * n, wd, pt * n * (mt - nt), m * (q**t * mt - pt * nt)
+    pt, qt, qp = p**t, q**t, q - p
+
+    def parts(n, m):
+        wd = q * m - p * n
+        mt = m**t
+        nt = n**t
+        return wd - qp * n, wd, pt * n * (mt - nt), m * (qt * mt - pt * nt)
+
+    return parts
+
+
+def _ternary_sticky(eps, delta, t: int) -> tuple:
+    """``(wn, wd, sn, sd)`` of :func:`_sticky_kernel` at ``eps``, all inputs checked."""
+    e = closed_unit(eps, "eps")
+    return _sticky_kernel(delta, t)(e.numerator, e.denominator)
 
 
 def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
@@ -244,18 +254,33 @@ def ternary_weighted_surplus(eps, delta, alpha) -> Fraction:
     return ternary_weighted_surplus_sticky(eps, delta, alpha, 1)
 
 
-def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
-    """Exact weighted surplus on the ternary family, sticky regime:
-    ``alpha*buyer + (1-alpha)*seller = alpha*W + (1-2*alpha)*S``.
+def weighted_objective(delta, alpha, t: int):
+    """The weighted sticky surplus on the ternary family as an integer
+    objective for :func:`~historyvalue.design.golden_section`, with
+    ``delta``, ``t`` and ``alpha`` checked here once.
 
-    With ``alpha = r/s`` and the kernel's ``W = wn/(4*wd)``,
-    ``S = sn/(4*sd)`` this is
-    ``(r*wn*sd + (s-2*r)*sn*wd) / (4*s*wd*sd)``.
+    ``alpha*buyer + (1-alpha)*seller = alpha*W + (1-2*alpha)*S``; with
+    ``alpha = r/s`` and the kernel's ``W = wn/(4*wd)``, ``S = sn/(4*sd)``,
+    ``objective(n, m)`` returns it at ``e = n/m`` as the unreduced pair
+    ``(r*wn*sd + (s-2*r)*sn*wd, 4*s*wd*sd)``.
     """
-    wn, wd, sn, sd = _ternary_sticky(eps, delta, t)
+    parts = _sticky_kernel(delta, t)
     a = open_unit(alpha, WEIGHT)
     r, s = a.numerator, a.denominator
-    return Fraction(r * wn * sd + (s - 2 * r) * sn * wd, 4 * s * wd * sd)
+    s2r, s4 = s - 2 * r, 4 * s
+
+    def objective(n, m):
+        wn, wd, sn, sd = parts(n, m)
+        return r * wn * sd + s2r * sn * wd, s4 * wd * sd
+
+    return objective
+
+
+def ternary_weighted_surplus_sticky(eps, delta, alpha, t: int) -> Fraction:
+    """Exact weighted surplus on the ternary family, sticky regime:
+    ``alpha*buyer + (1-alpha)*seller`` (see :func:`weighted_objective`)."""
+    e = closed_unit(eps, "eps")
+    return Fraction(*weighted_objective(delta, alpha, t)(e.numerator, e.denominator))
 
 
 def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**9)):
@@ -264,14 +289,12 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
     At ``t == 1`` this is :func:`optimal_eps_weighted`.  Otherwise it is
     exactly 0 for ``alpha >= 1/2``, and located numerically (no closed
     form is provided) with the returned point within ``tolerance`` of the
-    argmax.
+    argmax: the grid scan and golden section of
+    :func:`~historyvalue.design.unit_search` on :func:`weighted_objective`.
     """
     MarketParams(delta, alpha, t)  # checks delta, alpha and t before either shortcut
     if t == 1:
         return optimal_eps_weighted(delta, alpha)
     if Fraction(alpha) >= Fraction(1, 2):
         return Fraction(0)
-    result = argmax_unit_interval(
-        lambda e: ternary_weighted_surplus_sticky(e, delta, alpha, t), tolerance
-    )
-    return result.argmax
+    return unit_search(weighted_objective(delta, alpha, t), tolerance)[0]

@@ -8,10 +8,12 @@ Each parameter range is checked by one function here: the open unit
 interval (discount factor, welfare weight), the closed one (uninformative
 mass, beliefs), positive rationals (tolerance), any rational (likelihoods)
 and integers with a floor (horizon, stickiness, agent index, counts).
+:func:`best_approximation` is ``Fraction.limit_denominator`` on integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DegenerateParameter, ParseError, ValidationError
@@ -93,6 +95,36 @@ def int_at_least(value, least: int, name: str) -> int:
     if value < least:
         raise ValidationError(f"{name} must be >= {least}: {value}")
     return value
+
+
+def best_approximation(n: int, d: int, cap: int) -> tuple:
+    """``(p, q)``, the integers of ``Fraction(n, d).limit_denominator(cap)``.
+
+    ``d > 0``; ``n`` may be negative and ``n/d`` unreduced.  Runs the
+    stdlib's continued-fraction loop and picks between its two candidates
+    with the stdlib's integer test ``2*r*(q0 + k*q1) <= den`` (``r`` the
+    loop's last remainder), which decides ties as the ``Fraction``
+    comparison does.  Builds no ``Fraction``.
+    """
+    if cap < 1:
+        raise ValueError("cap should be at least 1")
+    g = math.gcd(n, d)
+    n, den = n // g, d // g
+    if den <= cap:
+        return n, den
+    d = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (cap - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def format_rational(q: Fraction) -> str:

@@ -8,6 +8,7 @@ from historyvalue.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _increasing,
     main,
 )
 
@@ -187,6 +188,14 @@ class TestErrorCodes:
         assert code == EXIT_PARSE and out == ""
         assert f"sweep.{key} must be a JSON list" in err
 
+    @pytest.mark.parametrize("key", ["delta_grid", "alpha_grid", "t_grid"])
+    def test_sweep_grid_must_not_be_empty(self, tmp_path, capsys, key):
+        # a sweep over no rows would print a vacuous monotonicity line
+        cfg = write_config(tmp_path, {"sweep": {key: []}})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_PARSE and out == ""
+        assert f"sweep.{key} must not be empty" in err
+
     @pytest.mark.parametrize("horizon", [3, "3"])
     def test_integer_field_accepts_int_and_integer_string(self, tmp_path, capsys, horizon):
         cfg = write_config(tmp_path, {"ternary_eps": "1/2", "horizon": horizon})
@@ -257,6 +266,27 @@ class TestSweep:
         assert lines[-1] == "# eps_star_seller strictly increasing in delta: True"
         sellers = [float(line.split(",")[4]) for line in lines[1:-1]]
         assert sellers == sorted(sellers)
+
+    @pytest.mark.parametrize("grid", [["3/4", "1/4"], ["1/4", "1/4"], ["1/2", "1/4", "2/4"]])
+    def test_monotonicity_judged_over_sorted_distinct_deltas(self, tmp_path, capsys, grid):
+        cfg = write_config(
+            tmp_path, {"sweep": {"delta_grid": grid, "alpha_grid": ["1/4"], "t_grid": [1, 2]}}
+        )
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert lines[-1] == "# eps_star_seller strictly increasing in delta: True"
+        # rows keep the config's order
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [(F(r[0]), int(r[2])) for r in rows] == [
+            (F(d), t) for d in grid for t in (1, 2)
+        ]
+
+    def test_increasing_sorts_deltas(self):
+        assert _increasing({F(3, 4): 0.8, F(1, 4): 0.6})
+        assert _increasing({F(1, 4): 0.6})
+        assert not _increasing({F(3, 4): 0.6, F(1, 4): 0.8})
+        assert not _increasing({F(1, 4): 0.6, F(1, 2): 0.6})
 
     def test_weighted_threshold(self, tmp_path, capsys):
         cfg = write_config(

@@ -1,8 +1,9 @@
 """``hv`` stdout on fixed configs matches recorded files byte for byte.
 
 The cases cover the market surplus paths (dynamic and sticky, on a
-non-ternary and a ternary structure) and ``hv value`` where it relaxes
-the tolerance to the cap.  The demos' stdout is recorded in the same
+non-ternary and a ternary structure), ``hv value`` where it relaxes
+the tolerance to the cap, and ``hv sweep`` (CSV) at the default and a
+tight tolerance.  The demos' stdout is recorded in the same
 directory and compared by ``tests/test_demos.py``.
 
 Re-record every file with ``PYTHONPATH=src python tests/test_golden.py``;
@@ -39,7 +40,23 @@ CASES = {
     "market_fixture_t3": ("market", {**FIXTURE_MARKET, "stickiness": 3}),
     "market_ternary_t1": ("market", {"ternary_eps": "1/3", "stickiness": 1}),
     "value_fixture_relaxed": ("value", {"structure": FIXTURE}),
+    "sweep_grid": ("sweep", {"sweep": {
+        "delta_grid": ["1/12", "1/3", "1/2", "3/4", "11/12"],
+        "alpha_grid": ["1/5", "5/12", "3/5"],
+        "t_grid": [1, 2, 3, 5, 8],
+    }}),
+    "sweep_tight_tolerance": ("sweep", {"tolerance": "1/1000000000000", "sweep": {
+        "delta_grid": ["1/12", "1/2", "11/12"],
+        "alpha_grid": ["1/4", "9/20"],
+        "t_grid": [2, 5, 8],
+    }}),
 }
+
+
+def golden_path(name: str) -> Path:
+    """Recorded stdout of one case: CSV for ``hv sweep``, JSON otherwise."""
+    suffix = ".csv" if CASES[name][0] == "sweep" else ".json"
+    return GOLDEN / f"{name}{suffix}"
 
 
 def hv_stdout(command: str, config: dict) -> str:
@@ -63,18 +80,18 @@ def demo_stdout(demo: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     command, config = CASES[name]
-    assert hv_stdout(command, config) == (GOLDEN / f"{name}.json").read_text()
+    assert hv_stdout(command, config) == golden_path(name).read_text()
 
 
 def test_value_case_relaxes():
     # the fixture at the default tolerance is past the lexicographic cap
-    golden = json.loads((GOLDEN / "value_fixture_relaxed.json").read_text())
+    golden = json.loads(golden_path("value_fixture_relaxed").read_text())
     assert golden["tolerance_relaxed"] is True
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (command, config) in CASES.items():
-        (GOLDEN / f"{name}.json").write_text(hv_stdout(command, config))
+        golden_path(name).write_text(hv_stdout(command, config))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (GOLDEN / f"{demo.stem}.txt").write_text(demo_stdout(demo))

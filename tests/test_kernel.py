@@ -1,5 +1,6 @@
 """The integer kernel of the public-belief tree against a frozen copy of the
-``Fraction`` engine it replaced, and guards on the kernel's arithmetic."""
+``Fraction`` engine it replaced, and guards on the arithmetic of the integer
+kernels: the tree's, the golden-section search's and the market objective's."""
 
 import ast
 import gc
@@ -18,7 +19,7 @@ from historyvalue import (
     simulate_equilibrium,
     validate_structure,
 )
-from historyvalue import beliefs, learning
+from historyvalue import beliefs, design, learning, market, rationals
 from historyvalue.beliefs import induced_belief_distribution
 from historyvalue.design import corpus, split_to_ternary
 
@@ -196,9 +197,13 @@ def test_paused_walk_holds_only_the_kept_levels(monkeypatch):
 
 
 def kernel_functions():
-    """``(module, function)`` nodes of the tree's integer kernel."""
+    """Function nodes of the integer kernels: the tree, the golden-section
+    search and the market's weighted objective."""
     for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level"}),
-                          (beliefs, {"merge_beliefs", "integer_weights"})):
+                          (beliefs, {"merge_beliefs", "integer_weights"}),
+                          (rationals, {"best_approximation"}),
+                          (design, {"golden_section", "unit_search"}),
+                          (market, {"_sticky_kernel", "weighted_objective"})):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]
         assert {fn.name for fn in found} == names

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from frozen_search import frozen_argmax_unit_interval
 from historyvalue import cli, market
 from historyvalue import (
     MarketParams,
@@ -320,7 +321,17 @@ class TestIntegerKernel:
             assert cli.main(["sweep", "--config", str(config)]) == cli.EXIT_OK
             return capsys.readouterr().out
 
+        def frozen_optimal_weighted(d, a, t, tolerance):
+            # the search as it was, on the oracle objective (t = 1 and alpha >= 1/2
+            # are the library's shortcuts, which need no search)
+            if t == 1 or a >= F(1, 2):
+                return optimal_eps_weighted_sticky(d, a, t, tolerance)
+            return frozen_argmax_unit_interval(
+                lambda e: oracle_weighted(e, d, a, t), tolerance
+            ).argmax
+
         kernel = sweep()
+        monkeypatch.setattr(market, "optimal_eps_weighted_sticky", frozen_optimal_weighted)
         monkeypatch.setattr(market, "ternary_weighted_surplus_sticky", oracle_weighted)
         monkeypatch.setattr(
             market, "ternary_sticky_surpluses",

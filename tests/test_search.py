@@ -1,0 +1,176 @@
+"""The integer golden-section search against a frozen copy of the ``Fraction``
+search it replaced (``frozen_search.py``), ``best_approximation`` against
+``Fraction.limit_denominator``, and the search's unimodality assumption on
+the benchmark's sweep inputs."""
+
+import importlib.util
+import math
+import pathlib
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from frozen_search import frozen_argmax_unit_interval, frozen_maximize_concave
+from historyvalue import (
+    argmax_unit_interval,
+    maximize_concave,
+    optimal_eps_weighted_sticky,
+    ternary_social_value,
+    ternary_sticky_seller_surplus,
+    ternary_value_i,
+    ternary_weighted_surplus_sticky,
+)
+from historyvalue.errors import NonFiniteEvaluation
+from historyvalue.market import weighted_objective
+from historyvalue.rationals import best_approximation
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+HALF = F(1, 2)
+TOLERANCES = [F(1, 10**3), F(1, 10**9), F(1, 10**12)]
+
+
+class TestWeightedOptimum:
+    POINTS = [(F(i, 12), F(j, 12), t) for i in range(1, 12) for j in range(1, 6)
+              for t in (2, 3, 5, 8)]
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    def test_matches_frozen_search(self, tol):
+        for d, a, t in self.POINTS:
+            expected = frozen_argmax_unit_interval(
+                lambda e: ternary_weighted_surplus_sticky(e, d, a, t), tol
+            ).argmax
+            got = optimal_eps_weighted_sticky(d, a, t, tol)
+            assert type(got) is F and got == expected, (d, a, t)
+
+
+OBJECTIVES = {
+    **{f"value_i{i}": (lambda i: lambda e: ternary_value_i(e, i))(i) for i in (2, 3, 5, 8)},
+    **{f"social_{d}": (lambda d: lambda e: ternary_social_value(e, d))(d)
+       for d in (F(1, 12), HALF, F(11, 12))},
+    **{f"seller_t{t}": (lambda t: lambda e: ternary_sticky_seller_surplus(e, F(3, 4), t))(t)
+       for t in (2, 5)},
+    "constant": lambda e: F(1, 7),
+    "constant_int": lambda e: 3,
+    "float": lambda e: math.sin(3 * float(e)) - float(e) ** 2,
+    "float_plateau": lambda e: -abs(float(e) - 0.3) if e > HALF else 0.0,
+}
+
+
+def same_result(got, expected):
+    assert got == expected
+    assert type(got.argmax) is F and type(got.value) is type(expected.value)
+
+
+class TestAdapters:
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("tol", [F(1, 10**3), F(1, 10**10)], ids=str)
+    def test_argmax_unit_interval(self, name, tol):
+        f = OBJECTIVES[name]
+        same_result(argmax_unit_interval(f, tol), frozen_argmax_unit_interval(f, tol))
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("bracket", [(0, 1), (F(1, 5), F(9, 10)), (F(2, 64), F(4, 64))],
+                             ids=str)
+    def test_maximize_concave(self, name, bracket):
+        f = OBJECTIVES[name]
+        tol = F(1, 10**9)
+        same_result(maximize_concave(f, tol, *bracket), frozen_maximize_concave(f, tol, *bracket))
+
+    def test_flat_flags(self):
+        assert maximize_concave(OBJECTIVES["constant"], F(1, 10**6)).flat
+        assert argmax_unit_interval(OBJECTIVES["constant_int"], F(1, 10**6)).flat
+        assert not argmax_unit_interval(OBJECTIVES["float_plateau"], F(1, 10**6)).flat
+
+    def test_bracket_within_tolerance(self):
+        # no probe at all: the midpoint of the bracket, flat vacuously
+        result = maximize_concave(OBJECTIVES["value_i2"], F(1))
+        assert result == frozen_maximize_concave(OBJECTIVES["value_i2"], F(1))
+        assert result.argmax == HALF and result.flat
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(NonFiniteEvaluation):
+            maximize_concave(lambda e: bad, F(1, 100))
+        with pytest.raises(NonFiniteEvaluation):
+            argmax_unit_interval(lambda e: bad, F(1, 100))
+
+
+CAPS = st.sampled_from([1, 2, 10, 10**12, 10**40])
+
+
+def limited(n, d, cap):
+    x = F(n, d).limit_denominator(cap)
+    return x.numerator, x.denominator
+
+
+class TestBestApproximation:
+    @given(n=st.integers(-(2**500), 2**500), d=st.integers(1, 2**500),
+           g=st.integers(1, 2**64), cap=CAPS)
+    @example(n=1, d=2, g=1, cap=1)  # the midpoint tie: 0/1 and 1/1 are equally far
+    @example(n=-1, d=2, g=1, cap=1)
+    @example(n=3, d=2, g=4, cap=1)
+    @example(n=1, d=4, g=3, cap=2)  # 0/1 and 1/2 tie at 1/4
+    @example(n=3, d=4, g=1, cap=2)  # 1/2 and 1/1 tie at 3/4
+    @settings(max_examples=400, deadline=None)
+    def test_matches_limit_denominator(self, n, d, g, cap):
+        assert best_approximation(n * g, d * g, cap) == limited(n, d, cap)
+
+    @given(n=st.integers(-(10**6), 10**6), d=st.integers(1, 10), g=st.integers(1, 2**200),
+           cap=st.sampled_from([10, 10**12, 10**40]))
+    def test_value_itself_when_denominator_fits(self, n, d, g, cap):
+        x = F(n, d)
+        assert best_approximation(n * g, d * g, cap) == (x.numerator, x.denominator)
+
+    def test_cap_below_one(self):
+        with pytest.raises(ValueError):
+            best_approximation(1, 3, 0)
+
+
+def price_sweep_points(seed: int = 0) -> list:
+    """The distinct ``(delta, alpha, t)`` with ``t >= 2`` and ``alpha < 1/2`` of
+    the benchmark's ``price-sweep`` inputs for ``seed``, from ``bench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("_price_sweep_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    points = set()
+    for k in range(workloads.CYCLE):
+        (command,) = workloads.price_sweep(seed, k)
+        grid = command.config["sweep"]
+        points.update((F(d), F(a), t) for d in grid["delta_grid"] for a in grid["alpha_grid"]
+                      for t in grid["t_grid"] if t >= 2 and F(a) < HALF)
+    return sorted(points)
+
+
+def rises_after_falling(values) -> bool:
+    """Whether integer-pair values ``(num, den)`` rise again after a fall."""
+    fallen = False
+    for (n0, m0), (n1, m1) in zip(values, values[1:]):
+        step = n1 * m0 - n0 * m1
+        if step < 0:
+            fallen = True
+        elif step > 0 and fallen:
+            return True
+    return False
+
+
+def test_rise_after_fall_detected():
+    assert rises_after_falling([(1, 1), (2, 1), (2, 1), (1, 1), (3, 2)])
+    assert not rises_after_falling([(1, 1), (4, 2), (3, 1), (3, 1), (1, 2)])
+
+
+def test_weighted_objective_unimodal_on_sweep_inputs():
+    # golden section is right only for unimodal objectives; check it exactly
+    points = price_sweep_points()
+    assert len(points) > 1000
+    grid = 256
+    bad = [(d, a, t) for d, a, t in points
+           if rises_after_falling([weighted_objective(d, a, t)(k, grid) for k in range(grid + 1)])]
+    assert bad == []
