@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -47,12 +47,15 @@ class InformationStructure:
 
     ``like_high[k]`` / ``like_low[k]`` are the probabilities of signal
     ``signals[k]`` in the high / low state.  Each column sums to one.
-    Construct via :func:`validate_structure`.
+    ``integer_likelihoods`` is ``(D, ((D * like_high[k], D * like_low[k]),
+    ...))``, the same columns as integers over ``D``, the lcm of their
+    denominators.  Construct via :func:`validate_structure`.
     """
 
     signals: tuple
     like_high: tuple
     like_low: tuple
+    integer_likelihoods: tuple = field(repr=False, compare=False)
 
     def likelihoods(self, signal):
         try:
@@ -68,7 +71,7 @@ class InformationStructure:
     def belief_distribution(self) -> "BeliefDistribution":
         """The induced distribution of the posterior, computed once per
         structure: see :func:`induced_belief_distribution`."""
-        return _merged_distribution(*integer_weights(zip(self.like_high, self.like_low)))
+        return _merged_distribution(*self.integer_likelihoods)
 
 
 def validate_structure(table) -> InformationStructure:
@@ -91,12 +94,14 @@ def validate_structure(table) -> InformationStructure:
         if ph < 0 or pl < 0:
             raise NegativeLikelihood(f"signal {s!r} has a negative likelihood")
         pairs.append((ph, pl))
-    like_high, like_low = zip(*pairs)
-    if sum(like_high) != 1 or sum(like_low) != 1:
+    scale, weights = integer_weights(pairs)
+    high, low = _column_sums(weights)
+    if high != scale or low != scale:
         raise NonStochastic(
-            f"columns sum to {sum(like_high)} (high) and {sum(like_low)} (low), expected 1"
+            f"columns sum to {Fraction(high, scale)} (high) and {Fraction(low, scale)} (low), "
+            "expected 1"
         )
-    return InformationStructure(signals, like_high, like_low)
+    return InformationStructure(signals, *zip(*pairs), (scale, weights))
 
 
 def posterior(prior, signal, structure: InformationStructure) -> Fraction:
@@ -124,7 +129,7 @@ def compose_beliefs(a, b) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeliefDistribution:
     """Distribution of a posterior belief, with per-state signal weights.
 
@@ -132,30 +137,48 @@ class BeliefDistribution:
     probability of landing on that belief in each state.  Both weight
     columns sum to one, and each atom satisfies
     ``belief = weight_high / (weight_high + weight_low)`` (uniform prior).
+
+    ``integer_form`` is ``(D, ((D * weight_high, D * weight_low), ...))``:
+    the weights as integers over ``D``, the lcm of their denominators, in
+    atom order.  It is canonical, so two distributions are equal, and hash
+    alike, exactly when their integer forms are equal; the hash is
+    computed once.  Construct via :meth:`from_weights`.
     """
 
     atoms: tuple  # sorted tuple of (belief, weight_high, weight_low)
+    integer_form: tuple = field(repr=False)
 
     @classmethod
     def from_weights(cls, weights) -> "BeliefDistribution":
-        """Build from ``{belief: (w_high, w_low)}`` with weights >= 0, dropping null atoms."""
+        """Build from ``{belief: (w_high, w_low)}`` with rational weights >= 0,
+        dropping null atoms; anything else is a :class:`ValidationError`."""
         atoms = []
         for belief, (wh, wl) in weights.items():
+            wh, wl = (rational(w, f"atom {belief} weight") for w in (wh, wl))
             if wh == 0 and wl == 0:
                 continue
-            belief = Fraction(belief)
+            belief = rational(belief, "atom belief")
             if wh < 0 or wl < 0:
                 raise ValidationError(f"atom {belief} has a negative weight ({wh}, {wl})")
             if belief * (wh + wl) != wh:  # belief = wh / (wh + wl), even if wh + wl = 0
                 raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
             atoms.append((belief, wh, wl))
-        dist = cls(tuple(sorted(atoms)))
-        dist._check()
-        return dist
+        atoms = tuple(sorted(atoms))
+        form = integer_weights((wh, wl) for _, wh, wl in atoms)
+        _check_columns(*form)
+        return cls(atoms, form)
 
-    def _check(self):
-        if sum(a[1] for a in self.atoms) != 1 or sum(a[2] for a in self.atoms) != 1:
-            raise ValidationError("belief-distribution weights do not sum to one")
+    def __eq__(self, other):
+        if not isinstance(other, BeliefDistribution):
+            return NotImplemented
+        return self.integer_form == other.integer_form
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.integer_form)
 
     def beliefs(self):
         return tuple(a[0] for a in self.atoms)
@@ -173,11 +196,25 @@ class BeliefDistribution:
 
 
 def integer_weights(pairs) -> tuple:
-    """``(D, [(D * w_high, D * w_low), ...])``: the rational pairs as
+    """``(D, ((D * w_high, D * w_low), ...))``: the rational pairs as
     integers over ``D``, the lcm of their denominators."""
     pairs = tuple(pairs)
     scale = math.lcm(*(w.denominator for pair in pairs for w in pair))
-    return scale, [tuple(w.numerator * (scale // w.denominator) for w in pair) for pair in pairs]
+    return scale, tuple(
+        tuple(w.numerator * (scale // w.denominator) for w in pair) for pair in pairs
+    )
+
+
+def _column_sums(pairs) -> tuple:
+    """The sums of the ``w_high`` and of the ``w_low`` column of ``pairs``."""
+    return sum(wh for wh, _ in pairs), sum(wl for _, wl in pairs)
+
+
+def _check_columns(scale: int, pairs):
+    """Raise :class:`ValidationError` unless both columns of the integer
+    pairs sum to ``scale``, that is the weights to one."""
+    if _column_sums(pairs) != (scale, scale):
+        raise ValidationError("belief-distribution weights do not sum to one")
 
 
 def merge_beliefs(pairs) -> dict:
@@ -196,12 +233,24 @@ def merge_beliefs(pairs) -> dict:
 
 
 def _merged_distribution(scale: int, pairs) -> BeliefDistribution:
-    """The distribution of ``(w_high, w_low)`` pairs, integers over ``scale``,
-    with equal beliefs merged."""
-    return BeliefDistribution.from_weights({
-        Fraction(h, h + l): (Fraction(wh, scale), Fraction(wl, scale))
-        for (h, l), (wh, wl) in merge_beliefs(pairs).items()
-    })
+    """The distribution of ``(w_high, w_low)`` pairs, integers ``>= 0`` over
+    ``scale``, with equal beliefs merged.
+
+    Built in integers: both merged columns must sum to ``scale`` (else
+    :class:`ValidationError`), and dividing them and ``scale`` by their gcd
+    gives the canonical integer form.  Each merged pair's belief is its
+    reduced ratio ``h / (h + l)``, so every atom is consistent by
+    construction.
+    """
+    merged = merge_beliefs(pairs)
+    _check_columns(scale, merged.values())
+    g = math.gcd(scale, *(w for pair in merged.values() for w in pair))
+    scale //= g
+    entries = sorted((Fraction(h, h + l), wh // g, wl // g) for (h, l), (wh, wl) in merged.items())
+    return BeliefDistribution(
+        tuple((belief, Fraction(wh, scale), Fraction(wl, scale)) for belief, wh, wl in entries),
+        (scale, tuple((wh, wl) for _, wh, wl in entries)),
+    )
 
 
 def induced_belief_distribution(structure: InformationStructure) -> BeliefDistribution:
@@ -217,8 +266,8 @@ def induced_belief_distribution(structure: InformationStructure) -> BeliefDistri
 def compose_distributions(a: BeliefDistribution, b: BeliefDistribution) -> BeliefDistribution:
     """Distribution of the combined belief from two independent draws; jointly
     impossible pairs (conclusive-low with conclusive-high) drop out."""
-    da, wa = integer_weights((wh, wl) for _b, wh, wl in a.atoms)
-    db, wb = integer_weights((wh, wl) for _b, wh, wl in b.atoms)
+    da, wa = a.integer_form
+    db, wb = b.integer_form
     return _merged_distribution(
         da * db, ((wha * whb, wla * wlb) for wha, wla in wa for whb, wlb in wb)
     )

@@ -27,16 +27,19 @@ the search at a horizon is a prefix of the search at any longer one.
 :class:`~historyvalue.beliefs.BeliefDistribution` (all that the search
 depends on: equal structures parsed separately, and structures that
 differ only in their labels, share one entry), the depths searched so far
-and the paused walk.  A horizon within an entry is served as a prefix,
-a longer one resumes the walk.  The memo keeps the ``SEARCH_MEMO_SIZE``
-most recently used entries; it is shared by the whole process, guarded
-by one lock, and has no setting.
+and the paused walk.  The key is compared and hashed on the
+distribution's integer form, its weights as integers over their common
+denominator, and its hash is computed once.  A horizon within an entry
+is served as a prefix, a longer one resumes the walk.  The memo keeps
+the ``SEARCH_MEMO_SIZE`` most recently used entries; it is shared by the
+whole process, guarded by one lock, and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
-denominators of the signal's weights, every reach weight at depth ``d``
-is an integer over ``D^d``: ties are decided by exact integer equality,
-equal public beliefs merge under their reduced integer ratio, and each
-depth builds one ``Fraction``, its best payoff, at the boundary.
+denominators of the signal's weights (the ``D`` of its integer form),
+every reach weight at depth ``d`` is an integer over ``D^d``: ties are
+decided by exact integer equality, equal public beliefs merge under
+their reduced integer ratio, and each depth builds one ``Fraction``, its
+best payoff, at the boundary.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .beliefs import (
     iid_belief_distribution,
     iid_chain,
     induced_belief_distribution,
-    integer_weights,
     merge_beliefs,
     uninformative_mass,
 )
@@ -137,8 +139,10 @@ class PayoffProfile:
 
 def _expected_payoff(dist) -> Fraction:
     """Payoff of acting on a belief drawn from ``dist``: each belief above
-    1/2 earns ``(b - 1/2) * (w_high + w_low) / 2 = (w_high - w_low) / 4``."""
-    return sum(((wh - wl) / 4 for b, wh, wl in dist.atoms if b > HALF), Fraction(0))
+    1/2 earns ``(b - 1/2) * (w_high + w_low) / 2 = (w_high - w_low) / 4``,
+    summed on the integer form, where ``b > 1/2`` is ``w_high > w_low``."""
+    scale, weights = dist.integer_form
+    return Fraction(sum(wh - wl for wh, wl in weights if wh > wl), 4 * scale)
 
 
 def single_signal_payoff(structure: InformationStructure) -> Fraction:
@@ -236,11 +240,12 @@ def _walk(signal: BeliefDistribution, choices):
     tries, summed over the kept levels; the expansion runs only when the
     next depth is asked for, and only the kept levels stay alive until then.
 
-    The signal's weights are scaled once to integers over ``D``, the lcm of
-    their denominators, so the levels at depth ``d`` are integers over
-    ``D^d`` and the best payoff is the one ``Fraction`` built per depth.
+    The signal's weights come from its integer form, integers over ``D``,
+    the lcm of their denominators, so the levels at depth ``d`` are
+    integers over ``D^d`` and the best payoff is the one ``Fraction`` built
+    per depth.
     """
-    scale, weights = integer_weights((wh, wl) for _, wh, wl in signal.atoms)
+    scale, weights = signal.integer_form
     atoms = [(private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights)]
     frontier, total = {_ROOT}, 1
     while True:

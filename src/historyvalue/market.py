@@ -224,12 +224,16 @@ def optimal_eps_seller_sticky(delta, t: int) -> float:
     """Seller-optimal uninformative mass with price resets every ``t`` periods.
 
     Root of a quadratic in ``e^t``; reduces to the dynamic formula at t=1.
+    Where ``4 * d^t`` is below the rounding of ``b^2`` (``d^t`` may even
+    underflow to 0), the difference ``b - sqrt(b^2 - 4 d^t)`` is 0 and the
+    root is its limit ``1/b`` to double precision.
     """
     d = float(open_unit(delta, DISCOUNT))
     int_at_least(t, 1, "stickiness")
     dt = d**t
     b = t + 1 - (t - 1) * dt
-    root = (b - math.sqrt(b * b - 4 * dt)) / (2 * dt)
+    gap = b - math.sqrt(b * b - 4 * dt)
+    root = gap / (2 * dt) if gap else 1 / b
     return root ** (1.0 / t)
 
 

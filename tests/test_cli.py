@@ -239,6 +239,19 @@ class TestMarket:
         assert payload["surpluses"]["seller"]["value"] == "1/40"
         assert [p["rational"] for p in payload["prices"]] == ["0/1", "0/1", "3/32", "3/32"]
 
+    def test_stickiness_where_delta_power_underflows(self, tmp_path, capsys):
+        # (1/2)^1100 underflows as a float; this exited 1 with a traceback
+        cfg = write_config(
+            tmp_path,
+            {"ternary_eps": "1/2", "delta": "1/2", "stickiness": 1100, "horizon": 2,
+             "tolerance": "1/1000"},
+        )
+        code, out, err = run(capsys, "market", "--config", cfg)
+        assert code == EXIT_OK and err == ""
+        assert float(json.loads(out)["optimal_eps"]["seller"]) == pytest.approx(
+            (1 / 1101) ** (1 / 1100), rel=1e-12
+        )
+
 
 class TestVerify:
     def test_corpus_passes(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from historyvalue import (
     validate_structure,
     verify_dominance,
 )
-from historyvalue.beliefs import BeliefDistribution
+from historyvalue import beliefs
 from historyvalue.errors import NonFiniteEvaluation, ValidationError
 
 HALF = F(1, 2)
@@ -193,13 +193,13 @@ class TestDominance:
         # the search, the two-sided test and the ternary check all read the
         # base's and the split's distributions, built once each
         calls = []
-        from_weights = BeliefDistribution.from_weights.__func__
+        build = beliefs._merged_distribution
 
-        def counting(cls, weights):
-            calls.append(weights)
-            return from_weights(cls, weights)
+        def counting(scale, pairs):
+            calls.append(scale)
+            return build(scale, pairs)
 
-        monkeypatch.setattr(BeliefDistribution, "from_weights", classmethod(counting))
+        monkeypatch.setattr(beliefs, "_merged_distribution", counting)
         verify_dominance(sym_binary(), 3)
         assert len(calls) == 2
 

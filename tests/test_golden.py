@@ -2,8 +2,9 @@
 
 The cases cover the market surplus paths (dynamic and sticky, on a
 non-ternary and a ternary structure), ``hv value`` where it relaxes
-the tolerance to the cap, and ``hv sweep`` (CSV) at the default and a
-tight tolerance.  The demos' stdout is recorded in the same
+the tolerance to the cap, ``hv sweep`` (CSV) at the default and a
+tight tolerance, and ``hv verify`` on the benchmark's 200-structure
+corpus at two seeds and at a shorter horizon.  The demos' stdout is recorded in the same
 directory and compared by ``tests/test_demos.py``.
 
 Re-record every file with ``PYTHONPATH=src python tests/test_golden.py``;
@@ -33,8 +34,9 @@ FIXTURE = {
     ]
 }
 FIXTURE_MARKET = {"structure": FIXTURE, "delta": "1/4", "tolerance": "1/1000"}
+CORPUS_VERIFY = {"horizon": 6, "corpus": {"count": 200, "max_signals": 4, "max_denominator": 12}}
 
-#: Golden file stem -> (``hv`` subcommand, config).
+#: Golden file stem -> (``hv`` subcommand, config[, extra arguments]).
 CASES = {
     "market_fixture_t1": ("market", {**FIXTURE_MARKET, "stickiness": 1}),
     "market_fixture_t3": ("market", {**FIXTURE_MARKET, "stickiness": 3}),
@@ -50,6 +52,9 @@ CASES = {
         "alpha_grid": ["1/4", "9/20"],
         "t_grid": [2, 5, 8],
     }}),
+    "verify_corpus_seed0": ("verify", CORPUS_VERIFY, ("--seed", "0")),
+    "verify_corpus_seed5": ("verify", CORPUS_VERIFY, ("--seed", "5")),
+    "verify_corpus_seed3_h4": ("verify", CORPUS_VERIFY, ("--seed", "3", "--horizon", "4")),
 }
 
 
@@ -59,13 +64,13 @@ def golden_path(name: str) -> Path:
     return GOLDEN / f"{name}{suffix}"
 
 
-def hv_stdout(command: str, config: dict) -> str:
+def hv_stdout(command: str, config: dict, args=()) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--config", str(path)])
+            code = main([command, "--config", str(path), *args])
     assert code == EXIT_OK
     return out.getvalue()
 
@@ -79,8 +84,7 @@ def demo_stdout(demo: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    command, config = CASES[name]
-    assert hv_stdout(command, config) == golden_path(name).read_text()
+    assert hv_stdout(*CASES[name]) == golden_path(name).read_text()
 
 
 def test_value_case_relaxes():
@@ -91,7 +95,7 @@ def test_value_case_relaxes():
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (command, config) in CASES.items():
-        golden_path(name).write_text(hv_stdout(command, config))
+    for name, case in CASES.items():
+        golden_path(name).write_text(hv_stdout(*case))
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (GOLDEN / f"{demo.stem}.txt").write_text(demo_stdout(demo))

@@ -197,10 +197,12 @@ def test_paused_walk_holds_only_the_kept_levels(monkeypatch):
 
 
 def kernel_functions():
-    """Function nodes of the integer kernels: the tree, the golden-section
-    search and the market's weighted objective."""
+    """Function nodes of the integer kernels: the tree, the builder of belief
+    distributions, the golden-section search and the market's weighted
+    objective."""
     for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level"}),
-                          (beliefs, {"merge_beliefs", "integer_weights"}),
+                          (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
+                                     "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
                           (design, {"golden_section", "unit_search"}),
                           (market, {"_sticky_kernel", "weighted_objective"})):

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import json
 import math
 import pathlib
@@ -206,6 +207,21 @@ class TestOptima:
 
     def test_seller_limit_patient(self):
         assert optimal_eps_seller(1 - 1e-6) > 0.998
+
+    @pytest.mark.parametrize("delta, t", [
+        (HALF, 60), (HALF, 1074), (HALF, 1075), (HALF, 5000), (F(1, 12), 320), (F(11, 12), 9000),
+    ])
+    def test_seller_sticky_where_the_difference_vanishes(self, delta, t):
+        # 4 d^t is below the rounding of b^2, or d^t underflows to 0: the
+        # smaller root 2 / (b + sqrt(b^2 - 4 d^t)) is 1/b to double precision
+        # (these printed 0 or raised ZeroDivisionError)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            dt = decimal.Decimal(delta.numerator) ** t / decimal.Decimal(delta.denominator) ** t
+            b = t + 1 - (t - 1) * dt
+            root = 2 / (b + (b * b - 4 * dt).sqrt())
+            expected = float(root ** (decimal.Decimal(1) / t))
+        assert optimal_eps_seller_sticky(delta, t) == pytest.approx(expected, rel=1e-13)
 
     def test_weighted_interior(self):
         assert optimal_eps_weighted(HALF, F(1, 4)) == pytest.approx(
