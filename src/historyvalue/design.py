@@ -11,6 +11,7 @@ probabilities that maximize individual and discounted aggregate gains.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -185,34 +186,57 @@ class SearchResult:
         return float(self.argmax)
 
 
+#: Brackets whose probe pairs :func:`_probes` keeps.  One search walks up to
+#: about 36 brackets, so a bound near that would evict a chain before the
+#: next search reuses it.
+PROBE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
+def _probes(ln: int, ld: int, hn: int, hd: int):
+    """The golden-section probe pair ``(cn, cd, dn, dd)`` of the bracket
+    ``[ln/ld, hn/hd]``, or ``None`` when the denominator cap leaves no
+    ``lo < c < d < hi``.
+
+    ``c = lo + (1 - 1/phi)*(hi - lo)`` and ``d = lo + (hi - lo)/phi``, each
+    formed as one unreduced quotient and rounded by
+    :func:`~historyvalue.rationals.best_approximation` to a denominator of
+    at most ``_LIMIT``.  The pair depends only on the bracket, ``_INVPHI``
+    and ``_LIMIT``, so the memo is exact; were either constant an input,
+    it would have to join the key.
+    """
+    g, big = _INVPHI
+    width = hn * ld - ln * hd
+    base = ln * hd * big
+    den = ld * hd * big
+    cn, cd = best_approximation(base + (big - g) * width, den, _LIMIT)
+    dn, dd = best_approximation(base + g * width, den, _LIMIT)
+    if ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd:
+        return cn, cd, dn, dd
+    return None  # interval too narrow for the denominator cap
+
+
 def golden_section(f, tol: Fraction, lo: tuple, hi: tuple) -> tuple:
     """Golden-section search in integers: ``(argmax, flat)`` on ``[lo, hi]``.
 
     ``f(n, m)`` returns the objective at ``n/m`` as an integer pair
     ``(num, den)`` with ``den > 0``; ``lo`` and ``hi`` are such pairs too.
-    Each probe point is ``lo + (1 - 1/phi)*(hi - lo)`` or ``lo + (hi -
-    lo)/phi``, formed as one unreduced quotient and rounded by
-    :func:`~historyvalue.rationals.best_approximation` to a denominator of
-    at most ``_LIMIT``.  Every comparison is cross-multiplied.  ``flat``
-    says that every probe gave the same value.
+    Each bracket's probe points come from :func:`_probes`, whose memo of
+    ``PROBE_MEMO_SIZE`` brackets lets searches that pass through the same
+    bracket (those that start in the same grid cell and fall the same way)
+    round its probes once per process.  Every comparison is
+    cross-multiplied.  ``flat`` says that every probe gave the same value.
     """
     tn, td = tol.numerator, tol.denominator
-    g, big = _INVPHI
     ln, ld = lo
     hn, hd = hi
     first = None
     flat = True
-    while True:
-        width = hn * ld - ln * hd
-        den = ld * hd
-        if width * td <= tn * den:
+    while (hn * ld - ln * hd) * td > tn * ld * hd:
+        probes = _probes(ln, ld, hn, hd)
+        if probes is None:
             break
-        base = ln * hd * big
-        den *= big
-        cn, cd = best_approximation(base + (big - g) * width, den, _LIMIT)
-        dn, dd = best_approximation(base + g * width, den, _LIMIT)
-        if not (ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd):
-            break  # interval too narrow for the denominator cap
+        cn, cd, dn, dd = probes
         (yc, ycd), (yd, ydd) = f(cn, cd), f(dn, dd)
         if first is None:
             first = yc, ycd

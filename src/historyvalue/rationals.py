@@ -101,30 +101,39 @@ def best_approximation(n: int, d: int, cap: int) -> tuple:
     """``(p, q)``, the integers of ``Fraction(n, d).limit_denominator(cap)``.
 
     ``d > 0``; ``n`` may be negative and ``n/d`` unreduced.  Runs the
-    stdlib's continued-fraction loop and picks between its two candidates
-    with the stdlib's integer test ``2*r*(q0 + k*q1) <= den`` (``r`` the
-    loop's last remainder), which decides ties as the ``Fraction``
-    comparison does.  Builds no ``Fraction``.
+    stdlib's continued-fraction expansion with one ``divmod`` per step and
+    picks between its two candidates with the stdlib's integer test
+    ``2*r*(q0 + k*q1) <= den`` (``r`` the last remainder), which decides
+    ties as the ``Fraction`` comparison does.  A common factor of ``n`` and
+    ``d`` changes neither the partial quotients nor that test, so only the
+    early return for ``d <= cap`` takes a gcd.  The loop tracks only the
+    denominators ``q``: after ``j`` steps the remainders are ``(-1)**j *
+    (q0*n - p0*d)`` and ``(-1)**j * (p1*d - q1*n)``, so each numerator is
+    recovered from them with one exact division.  A zero remainder means
+    the value itself fits the cap.  Builds no ``Fraction``.
     """
     if cap < 1:
         raise ValueError("cap should be at least 1")
-    g = math.gcd(n, d)
-    n, den = n // g, d // g
-    if den <= cap:
-        return n, den
-    d = den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
+    if d <= cap:
+        g = math.gcd(n, d)
+        return n // g, d // g
+    n0, den = n, d
+    q0, q1, s = 1, 0, 1  # s = (-1)**j after j accepted steps
+    try:
+        while True:
+            a, r = divmod(n, d)
+            q2 = q0 + a * q1
+            if q2 > cap:
+                break
+            q0, q1, s = q1, q2, -s
+            n, d = d, r
+    except ZeroDivisionError:  # d == 0: p1/q1 is n0/den in lowest terms
+        return q1 * n0 // den, q1
     k = (cap - q0) // q1
-    if 2 * d * (q0 + k * q1) <= den:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
+    q = q0 + k * q1
+    if 2 * d * q <= den:
+        return (q1 * n0 + s * d) // den, q1
+    return (q * n0 - s * (n - k * d)) // den, q
 
 
 def format_rational(q: Fraction) -> str:

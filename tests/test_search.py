@@ -1,7 +1,7 @@
 """The integer golden-section search against a frozen copy of the ``Fraction``
-search it replaced (``frozen_search.py``), ``best_approximation`` against
-``Fraction.limit_denominator``, and the search's unimodality assumption on
-the benchmark's sweep inputs."""
+search it replaced (``frozen_search.py``), with its probe memo cold and warm,
+``best_approximation`` against ``Fraction.limit_denominator``, and the
+search's unimodality assumption on the benchmark's sweep inputs."""
 
 import importlib.util
 import math
@@ -23,9 +23,12 @@ from historyvalue import (
     ternary_value_i,
     ternary_weighted_surplus_sticky,
 )
+from historyvalue.cli import main
+from historyvalue.design import PROBE_MEMO_SIZE, _probes
 from historyvalue.errors import NonFiniteEvaluation
 from historyvalue.market import weighted_objective
 from historyvalue.rationals import best_approximation
+from test_golden import CASES, golden_path, hv_stdout
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 HALF = F(1, 2)
@@ -38,12 +41,47 @@ class TestWeightedOptimum:
 
     @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
     def test_matches_frozen_search(self, tol):
+        # each search twice: with the probe memo cleared, then with every
+        # bracket of its own chain in the memo
         for d, a, t in self.POINTS:
             expected = frozen_argmax_unit_interval(
                 lambda e: ternary_weighted_surplus_sticky(e, d, a, t), tol
             ).argmax
-            got = optimal_eps_weighted_sticky(d, a, t, tol)
-            assert type(got) is F and got == expected, (d, a, t)
+            _probes.cache_clear()
+            cold = optimal_eps_weighted_sticky(d, a, t, tol)
+            warm = optimal_eps_weighted_sticky(d, a, t, tol)
+            assert type(cold) is F and cold == warm == expected, (d, a, t)
+
+
+class TestProbeMemo:
+    def test_sweep_twice_same_bytes(self):
+        _probes.cache_clear()
+        first = hv_stdout(*CASES["sweep_grid"])
+        assert hv_stdout(*CASES["sweep_grid"]) == first == golden_path("sweep_grid").read_text()
+
+    def test_bounded_after_seed0_sweep(self, tmp_path, capsys):
+        _probes.cache_clear()
+        workloads = bench_workloads()
+        for k in range(workloads.CYCLE):
+            (command,) = workloads.price_sweep(0, k)
+            config = tmp_path / f"sweep{k}.json"
+            config.write_text(command.config_text())
+            assert main([command.name, "--config", str(config), *command.args]) == 0
+        capsys.readouterr()
+        info = _probes.cache_info()
+        assert info.maxsize == PROBE_MEMO_SIZE and info.currsize <= PROBE_MEMO_SIZE
+        assert info.hits > 0
+
+    def test_searches_falling_from_zero_share_probes(self):
+        # the objective falls from e = 0 at both alphas, so both searches take
+        # the same all-left chain of brackets from [0, 1/64]
+        _probes.cache_clear()
+        optimal_eps_weighted_sticky(HALF, F(5, 12), 2)
+        first = _probes.cache_info()
+        optimal_eps_weighted_sticky(HALF, F(9, 20), 2)
+        second = _probes.cache_info()
+        assert first.hits == 0 and first.misses > 0
+        assert second.misses == first.misses and second.hits == first.misses
 
 
 OBJECTIVES = {
@@ -114,6 +152,13 @@ class TestBestApproximation:
     @example(n=3, d=2, g=4, cap=1)
     @example(n=1, d=4, g=3, cap=2)  # 0/1 and 1/2 tie at 1/4
     @example(n=3, d=4, g=1, cap=2)  # 1/2 and 1/1 tie at 3/4
+    @example(n=-314159, d=100000, g=1, cap=100)  # 3 steps, then -311/99
+    @example(n=-314159, d=100000, g=1, cap=1000)  # 5 steps, then -355/113
+    @example(n=314159, d=100000, g=1, cap=100)  # 2 steps, then 311/99
+    @example(n=314159, d=100000, g=1, cap=1000)  # 4 steps, then 355/113
+    @example(n=1, d=3, g=5, cap=10)  # 3 fits the cap, 15 does not
+    @example(n=-1, d=3, g=5, cap=10)
+    @example(n=22, d=7, g=3, cap=1)
     @settings(max_examples=400, deadline=None)
     def test_matches_limit_denominator(self, n, d, g, cap):
         assert best_approximation(n * g, d * g, cap) == limited(n, d, cap)
@@ -129,9 +174,8 @@ class TestBestApproximation:
             best_approximation(1, 3, 0)
 
 
-def price_sweep_points(seed: int = 0) -> list:
-    """The distinct ``(delta, alpha, t)`` with ``t >= 2`` and ``alpha < 1/2`` of
-    the benchmark's ``price-sweep`` inputs for ``seed``, from ``bench/workloads.py``."""
+def bench_workloads():
+    """``bench/workloads.py``, the benchmark's input generator, as a module."""
     spec = importlib.util.spec_from_file_location("_price_sweep_workloads",
                                                   ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -140,6 +184,13 @@ def price_sweep_points(seed: int = 0) -> list:
         spec.loader.exec_module(workloads)
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def price_sweep_points(seed: int = 0) -> list:
+    """The distinct ``(delta, alpha, t)`` with ``t >= 2`` and ``alpha < 1/2`` of
+    the benchmark's ``price-sweep`` inputs for ``seed``, from ``bench/workloads.py``."""
+    workloads = bench_workloads()
     points = set()
     for k in range(workloads.CYCLE):
         (command,) = workloads.price_sweep(seed, k)
