@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .learning import best_equilibrium_payoffs, social_value
-from .rationals import best_approximation, format_decimal, format_rational, parse_rational
+from .rationals import format_decimal, format_rational, parse_rational
 from .rationals import int_at_least, positive
 
 EXIT_OK = 0
@@ -263,16 +263,13 @@ def run_sweep(cfg: dict, args):
     seller_track = {}
     eps_b = market.optimal_eps_buyer()
     for d in deltas:
-        seller_eps = {}  # by t, on first use: the seller optimum does not depend on alpha
         for a in alphas:
             for t in ts:
-                if t not in seller_eps:
-                    seller_eps[t] = market.optimal_eps_seller_sticky(d, t)
-                eps_s = seller_eps[t]
+                eps_s = market.optimal_eps_seller_sticky(d, t)
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
-                eps_w_frac = Fraction(*best_approximation(*eps_w.as_integer_ratio(), 10**12))
+                eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
                 seller, buyer = market.ternary_sticky_surpluses(eps_w_frac, d, t)
-                social = a * buyer + (1 - a) * seller
+                social = market.ternary_weighted_surplus_sticky(eps_w_frac, d, a, t)
                 rows.append(
                     f"{format_decimal(d)},{format_decimal(a)},{t},"
                     f"{format_decimal(eps_b)},{format_decimal(eps_s)},{format_decimal(eps_w)},"
