@@ -129,7 +129,7 @@ def compose_beliefs(a, b) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BeliefDistribution:
     """Distribution of a posterior belief, with per-state signal weights.
 
@@ -140,12 +140,12 @@ class BeliefDistribution:
 
     ``integer_form`` is ``(D, ((D * weight_high, D * weight_low), ...))``:
     the weights as integers over ``D``, the lcm of their denominators, in
-    atom order.  It is canonical, so two distributions are equal, and hash
-    alike, exactly when their integer forms are equal; the hash is
-    computed once.  Construct via :meth:`from_weights`.
+    atom order.  It is canonical, so equality and the hash compare it
+    alone: two distributions are equal, and hash alike, exactly when their
+    integer forms are equal.  Construct via :meth:`from_weights`.
     """
 
-    atoms: tuple  # sorted tuple of (belief, weight_high, weight_low)
+    atoms: tuple = field(compare=False)  # sorted tuple of (belief, weight_high, weight_low)
     integer_form: tuple = field(repr=False)
 
     @classmethod
@@ -167,18 +167,6 @@ class BeliefDistribution:
         form = integer_weights((wh, wl) for _, wh, wl in atoms)
         _check_columns(*form)
         return cls(atoms, form)
-
-    def __eq__(self, other):
-        if not isinstance(other, BeliefDistribution):
-            return NotImplemented
-        return self.integer_form == other.integer_form
-
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(self.integer_form)
 
     def beliefs(self):
         return tuple(a[0] for a in self.atoms)

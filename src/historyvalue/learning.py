@@ -23,16 +23,17 @@ Computed quantities, all exact rationals:
 
 Agent ``d``'s best payoff depends only on the depths before ``d``, so
 the search at a horizon is a prefix of the search at any longer one.
-``best_equilibrium_payoffs`` therefore keeps, per induced
+``best_equilibrium_payoffs`` therefore draws it from :func:`_search`, a
+``functools.lru_cache`` of one :class:`_Search`, the depths searched so
+far and the paused walk, per induced
 :class:`~historyvalue.beliefs.BeliefDistribution` (all that the search
 depends on: equal structures parsed separately, and structures that
-differ only in their labels, share one entry), the depths searched so far
-and the paused walk.  The key is compared and hashed on the
-distribution's integer form, its weights as integers over their common
-denominator, and its hash is computed once.  A horizon within an entry
-is served as a prefix, a longer one resumes the walk.  The memo keeps
-the ``SEARCH_MEMO_SIZE`` most recently used entries; it is shared by the
-whole process, guarded by one lock, and has no setting.
+differ only in their labels, share one entry).  The key's generated
+equality and hash read only its integer form, its weights as integers
+over their common denominator.  A horizon within an entry is served as a
+prefix, a longer one resumes the walk, and a failed walk restarts.  The
+memo keeps the ``SEARCH_MEMO_SIZE`` most recently used entries; it is
+shared by the whole process, used under one lock, and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
@@ -44,7 +45,6 @@ best payoff, at the boundary.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -278,16 +278,23 @@ class _Search:
 
     def __init__(self, signal: BeliefDistribution, choices):
         self.signal = signal
+        self._choices = choices
         self.depths = []
         self._walk = _walk(signal, choices)
 
     def profile(self, horizon: int) -> PayoffProfile:
         """The first ``horizon`` depths, taking more from the walk as needed.
         Each depth but the last is checked against the current
-        ``MAX_TIE_PROFILES`` before it is expanded or served again."""
+        ``MAX_TIE_PROFILES`` before it is expanded or served again.  A walk
+        that raises is over, so a new one replaces it, from the root."""
         for depth in range(horizon):
             if depth == len(self.depths):
-                self.depths.append(next(self._walk))
+                try:
+                    self.depths.append(next(self._walk))
+                except BaseException:
+                    self.depths = []
+                    self._walk = _walk(self.signal, self._choices)
+                    raise
             if depth < horizon - 1:
                 _check_ties(depth, self.depths[depth][1])
         return PayoffProfile(self.signal, tuple(best for best, _ in self.depths[:horizon]))
@@ -308,9 +315,13 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     return _Search(induced_belief_distribution(structure), _RULES[rule]).profile(horizon)
 
 
-# Signal distribution -> its _Search, least recently used first.
-_SEARCHES = collections.OrderedDict()
-_SEARCHES_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
+def _search(signal: BeliefDistribution) -> _Search:
+    """The process-wide search with both actions at every tie, per signal."""
+    return _Search(signal, lambda private: (1, 0))
+
+
+_SEARCH_LOCK = threading.Lock()
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -321,27 +332,15 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     vector (earlier agents first): :func:`_walk` with both actions
     allowed at every tie.
 
-    The search is drawn from a process-wide memo keyed by the structure's
-    induced belief distribution, which holds the ``SEARCH_MEMO_SIZE``
-    most recently used entries; the bound is a constant, with no setting.
-    A horizon already searched is a prefix of the stored depths, a longer
-    one resumes the stored walk.  ``MAX_TIE_PROFILES`` is checked on every
-    call, as a fresh search would check it, and a walk that fails is dropped.
+    The search is drawn from :func:`_search`, the process-wide memo that the
+    module docstring describes.  ``MAX_TIE_PROFILES`` is checked on every
+    call, as a fresh search would check it, and a walk that fails is never
+    reused.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
     signal = induced_belief_distribution(structure)
-    with _SEARCHES_LOCK:
-        search = _SEARCHES.pop(signal, None) or _Search(signal, lambda private: (1, 0))
-        _SEARCHES[signal] = search
-        while len(_SEARCHES) > SEARCH_MEMO_SIZE:
-            _SEARCHES.popitem(last=False)
-        try:
-            return search.profile(horizon)
-        except TooManyIndifferenceNodes:
-            raise  # a cap check ahead of the walk: the walk is intact
-        except BaseException:
-            del _SEARCHES[signal]  # the walk ended with the error
-            raise
+    with _SEARCH_LOCK:
+        return _search(signal).profile(horizon)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
-import collections
-
 import pytest
 
 from historyvalue import learning
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """An empty memo for one test; the suite's shared memo comes back after."""
-    monkeypatch.setattr(learning, "_SEARCHES", collections.OrderedDict())
-    return learning._SEARCHES
+def empty_memo():
+    """The search memo, empty at the start of the test and emptied after it."""
+    learning._search.cache_clear()
+    yield learning._search
+    learning._search.cache_clear()

@@ -1,16 +1,21 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from historyvalue import design, learning
+from historyvalue.beliefs import structure_from_json
 from historyvalue.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
     _increasing,
     main,
 )
+from historyvalue.errors import InvariantViolation
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -81,6 +86,21 @@ class TestErrorCodes:
         path.write_text("{nope")
         code, _, err = run(capsys, "value", "--config", str(path))
         assert code == EXIT_PARSE and "parse" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code, out, err = run(capsys, "value", "--config", str(tmp_path / "missing.json"))
+        assert code == EXIT_PARSE and out == "" and "cannot read config" in err
+
+    def test_invariant_violation_is_internal_error(self, tmp_path, capsys, empty_memo, monkeypatch):
+        def failing(level, total):
+            raise InvariantViolation("injected")
+
+        monkeypatch.setattr(learning, "_check_level", failing)
+        cfg = write_config(tmp_path, {"structure": {"signals": [
+            {"id": "s1", "pH": "2/3", "pL": "1/3"}, {"id": "s2", "pH": "1/3", "pL": "2/3"}]}})
+        code, out, err = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal error: injected\n"
 
     def test_missing_structure_source(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"delta": "1/2"})
@@ -263,6 +283,29 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["all_pass"] is True
         assert len(payload["results"]) == 20
+
+    def test_failure_entries(self, tmp_path, capsys, monkeypatch):
+        # a report whose split loses the signal-only payoff fails
+        real = design.verify_dominance
+        reports = []
+
+        def failing(structure, horizon):
+            report = real(structure, horizon)
+            reports.append(dataclasses.replace(report, single_split=report.single_base + 1))
+            return reports[-1]
+
+        monkeypatch.setattr(design, "verify_dominance", failing)
+        cfg = write_config(tmp_path, {"corpus": {"count": 3}, "horizon": 3, "seed": 9})
+        code, out, _ = run(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["all_pass"] is False
+        assert [r["pass"] for r in payload["results"]] == [False] * 3
+        structures = design.corpus(9, 3)
+        assert [f["index"] for f in payload["failures"]] == [0, 1, 2]
+        for entry, structure, report in zip(payload["failures"], structures, reports):
+            assert structure_from_json(json.dumps(entry["structure"])) == structure
+            assert entry["dominance"] == report.to_json_dict()
 
 
 class TestSweep:

@@ -89,6 +89,16 @@ class TestEquivalence:
         assert report.equivalent and report.condition == "low-side"
         assert report.values_match
 
+    @pytest.mark.parametrize("table, condition", [
+        ({"x": (F(1), HALF), "y": (F(0), HALF)}, "high-side"),
+        ({"x": (HALF, F(1)), "y": (HALF, F(0))}, "low-side"),
+    ])
+    def test_one_sided_matches_its_split(self, table, condition):
+        structure = validate_structure(table)
+        report = check_equivalence(structure, split_to_ternary(structure))
+        assert report.equivalent and report.condition == condition
+        assert report.values_match
+
     def test_different_eps_not_equivalent(self):
         report = check_equivalence(ternary_structure(F(1, 3)), ternary_structure(F(1, 2)))
         assert not report.equivalent

@@ -172,8 +172,11 @@ class TestEqualityAndHash:
         assert induced_belief_distribution(second) is not signal
         assert induced_belief_distribution(second) == signal
         a = best_equilibrium_payoffs(first, 4)
+        entry = empty_memo(signal)
         b = best_equilibrium_payoffs(second, 4)
-        assert list(empty_memo) == [signal]
+        info = empty_memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert empty_memo(induced_belief_distribution(second)) is entry
         assert b.signal is signal and b.with_history == a.with_history
 
 

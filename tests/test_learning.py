@@ -244,12 +244,28 @@ class TestBestEquilibrium:
     def test_equals_a_fixed_rule_on_seeded_corpora(self):
         # An observation, not a property the engine relies on: on these
         # corpora the lexicographic best is always one of the fixed rules.
+        # It is false in general; see test_beats_every_fixed_rule.
         for seed in (100, 101, 102):
             for structure in corpus(seed, 200, 4, 6):
                 best = best_equilibrium_payoffs(structure, 7).with_history
                 rules = [simulate_equilibrium(structure, 7, rule).with_history
                          for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL)]
                 assert best in rules, structure
+
+    def test_beats_every_fixed_rule(self):
+        # corpus(202, 2000, 6, 12)[589], beliefs {2/7, 1/2, 4/5}: no fixed
+        # rule reaches the lexicographic best
+        structure = validate_structure({"s0": (F(2, 7), F(5, 7)), "s1": (F(4, 7), F(1, 7)),
+                                        "s2": (F(1, 7), F(1, 7)), "s3": (F(0), F(0))})
+        for horizon in (4, 5, 6):
+            best = best_equilibrium_payoffs(structure, horizon).with_history
+            assert best == exhaustive_best(structure, horizon)
+        assert best[1] == F(27, 196) and best[3] == F(1539, 9604)
+        rules = {rule: simulate_equilibrium(structure, 6, rule).with_history
+                 for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL)}
+        assert rules[ACTION1][1] == rules[FOLLOW_SIGNAL][1] == F(6, 49)
+        assert rules[ACTION0][:3] == best[:3] and rules[ACTION0][3] == F(1431, 9604)
+        assert all(best[3] > payoffs[3] for payoffs in rules.values())
 
 
 class TestOneWalk:
@@ -334,6 +350,9 @@ class TestPrefixPruning:
             best_equilibrium_payoffs(fixture(), 4)
         assert served.value.count == fresh.value.count == 4
         assert str(served.value) == str(fresh.value)
+        # the cap is checked ahead of the walk, which stays intact
+        signal = induced_belief_distribution(fixture())
+        assert len(learning._search(signal).depths) == learning.LEX_CAP
         # at horizon 2 only depth 0 (2 assignments) is expanded
         assert best_equilibrium_payoffs(fixture(), 2).with_history == fresh_search(fixture(), 2)
 
@@ -358,25 +377,31 @@ class TestSearchMemo:
                 got = best_equilibrium_payoffs(structure, horizon).with_history
                 assert got == expected[:horizon], (structure, horizon)
 
-    def test_stays_within_bound(self):
+    def test_stays_within_bound(self, empty_memo):
         bound = learning.SEARCH_MEMO_SIZE
         structures = [ternary_structure(F(1, 10007 + k)) for k in range(bound + 3)]
-        for structure in structures:
-            best_equilibrium_payoffs(structure, 2)
-            assert len(learning._SEARCHES) <= bound
         keys = [induced_belief_distribution(s) for s in structures]
-        assert all(k not in learning._SEARCHES for k in keys[:3])
-        assert all(k in learning._SEARCHES for k in keys[3:])
+        entries = []
+        for structure, key in zip(structures, keys):
+            best_equilibrium_payoffs(structure, 2)
+            entries.append(empty_memo(key))
+            assert empty_memo.cache_info().currsize <= bound
+        info = empty_memo.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 3)
+        # the last ``bound`` entries are served; the first three were evicted
+        assert all(empty_memo(k) is e for k, e in zip(keys[3:], entries[3:]))
+        assert empty_memo.cache_info().misses == bound + 3
+        assert all(empty_memo(k) is not e for k, e in zip(keys[:3], entries[:3]))
 
-    def test_equal_and_relabelled_structures_share_an_entry(self, monkeypatch):
+    def test_equal_and_relabelled_structures_share_an_entry(self, empty_memo, monkeypatch):
         text = ('{"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"}, '
                 '{"id": "b", "pH": "1/3", "pL": "1/3"}, {"id": "c", "pH": "1/6", "pL": "1/2"}]}')
         relabelled = validate_structure(
             {"z": (F(1, 6), F(1, 2)), "x": (F(2, 4), F(1, 6)), "y": (F(1, 3), F(1, 3))}
         )
         first = best_equilibrium_payoffs(structure_from_json(text), 5)
-        entry = learning._SEARCHES[first.signal]
-        size = len(learning._SEARCHES)
+        entry = empty_memo(first.signal)
+        info = empty_memo.cache_info()
 
         def no_walk(*_args):
             raise AssertionError("the memo should serve this search")
@@ -385,24 +410,26 @@ class TestSearchMemo:
         for structure in (structure_from_json(text), relabelled):
             profile = best_equilibrium_payoffs(structure, 5)
             assert profile.with_history == first.with_history
-            assert learning._SEARCHES[profile.signal] is entry
-        assert len(learning._SEARCHES) == size
+            assert empty_memo(profile.signal) is entry
+        after = empty_memo.cache_info()
+        assert (after.misses, after.currsize) == (info.misses, info.currsize) == (1, 1)
 
     def test_fixed_rule_never_served_to_search(self):
         # action 1 at every tie is not the lexicographic best here
         structure = validate_structure({"s0": (F(0), F(1, 4)), "s1": (F(1, 6), F(1, 4)),
                                         "s2": (F(1, 2), F(1, 2)), "s3": (F(1, 3), F(0))})
-        signal = induced_belief_distribution(structure)
-        before = learning._SEARCHES.get(signal)
+        before = learning._search.cache_info()
         rule = simulate_equilibrium(structure, 4, ACTION1).with_history
-        assert learning._SEARCHES.get(signal) is before
+        assert learning._search.cache_info() == before
         best = best_equilibrium_payoffs(structure, 4).with_history
         assert best == fresh_search(structure, 4) != rule
         # and the search is never served to the fixed rule
+        info = learning._search.cache_info()
         assert simulate_equilibrium(structure, 4, ACTION1).with_history == rule
+        assert learning._search.cache_info() == info
         assert rule == frozen_simulate(structure, 4, ACTION1)
 
-    def test_failed_walk_leaves_no_entry(self, empty_memo, monkeypatch):
+    def test_failed_walk_is_not_reused(self, empty_memo, monkeypatch):
         # every level past the root fails its check, on every walk
         def failing(level, total):
             if level != learning._ROOT:
@@ -410,11 +437,15 @@ class TestSearchMemo:
             return level
 
         best_equilibrium_payoffs(fixture(), 1)
+        entry = empty_memo(induced_belief_distribution(fixture()))
         monkeypatch.setattr(learning, "_check_level", failing)
         for _ in range(2):
             with pytest.raises(InvariantViolation, match="injected"):
                 best_equilibrium_payoffs(fixture(), 3)
-            assert induced_belief_distribution(fixture()) not in empty_memo
+            assert entry.depths == []
+        monkeypatch.undo()
+        assert best_equilibrium_payoffs(fixture(), 3).with_history == fresh_search(fixture(), 3)
+        assert empty_memo(induced_belief_distribution(fixture())) is entry
 
     def test_walk_failing_once_is_recomputed(self, empty_memo, monkeypatch):
         check = learning._check_level
@@ -430,6 +461,7 @@ class TestSearchMemo:
         monkeypatch.setattr(learning, "_check_level", fails_once)
         with pytest.raises(InvariantViolation, match="injected"):
             best_equilibrium_payoffs(fixture(), 3)
+        assert empty_memo(induced_belief_distribution(fixture())).depths == []
         got = best_equilibrium_payoffs(fixture(), 6).with_history
         assert got == fresh_search(fixture(), 6) and len(failures) == 1
 
