@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -41,8 +41,8 @@ def as_belief(value) -> Fraction:
     return closed_unit(value, "belief")
 
 
-@dataclass(frozen=True)
-class InformationStructure:
+class InformationStructure(namedtuple("InformationStructure",
+                                      "signals like_high like_low integer_likelihoods")):
     """Finite signal alphabet with per-state exact likelihoods.
 
     ``like_high[k]`` / ``like_low[k]`` are the probabilities of signal
@@ -51,11 +51,6 @@ class InformationStructure:
     ...))``, the same columns as integers over ``D``, the lcm of their
     denominators.  Construct via :func:`validate_structure`.
     """
-
-    signals: tuple
-    like_high: tuple
-    like_low: tuple
-    integer_likelihoods: tuple = field(repr=False, compare=False)
 
     def likelihoods(self, signal):
         try:
@@ -129,24 +124,32 @@ def compose_beliefs(a, b) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
-class BeliefDistribution:
+class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form")):
     """Distribution of a posterior belief, with per-state signal weights.
 
-    ``atoms`` maps each belief to ``(weight_high, weight_low)``: the
-    probability of landing on that belief in each state.  Both weight
+    ``atoms`` is a sorted tuple of ``(belief, weight_high, weight_low)``:
+    the probability of landing on each belief in each state.  Both weight
     columns sum to one, and each atom satisfies
     ``belief = weight_high / (weight_high + weight_low)`` (uniform prior).
 
     ``integer_form`` is ``(D, ((D * weight_high, D * weight_low), ...))``:
     the weights as integers over ``D``, the lcm of their denominators, in
-    atom order.  It is canonical, so equality and the hash compare it
-    alone: two distributions are equal, and hash alike, exactly when their
-    integer forms are equal.  Construct via :meth:`from_weights`.
+    atom order.  It is canonical, so equality and the hash read it alone:
+    two distributions are equal, and hash alike, exactly when their integer
+    forms are equal, and a distribution never equals a plain tuple.
+    Construct via :meth:`from_weights`.
     """
 
-    atoms: tuple = field(compare=False)  # sorted tuple of (belief, weight_high, weight_low)
-    integer_form: tuple = field(repr=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, BeliefDistribution) and self.integer_form == other.integer_form
+
+    def __ne__(self, other):  # tuple's own != would compare the atoms too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.integer_form)
 
     @classmethod
     def from_weights(cls, weights) -> "BeliefDistribution":
@@ -302,13 +305,20 @@ def structure_to_json(structure: InformationStructure) -> str:
 
 def structure_from_json(text: str) -> InformationStructure:
     try:
-        payload = json.loads(text)
+        return structure_from_payload(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad structure file: {exc}") from exc
+
+
+def structure_from_payload(payload) -> InformationStructure:
+    """The structure of a structure file's parsed JSON value."""
+    try:
         entries = payload["signals"]
         table = {
             e["id"]: (parse_rational(e["pH"]), parse_rational(e["pL"]))
             for e in entries
         }
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad structure file: {exc}") from exc
     if len(table) != len(entries):
         raise ParseError("duplicate signal id in structure file")

@@ -12,12 +12,13 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import design, market
-from .beliefs import structure_from_json, structure_to_json
+from .beliefs import structure_from_json, structure_from_payload, structure_to_json
 from .errors import (
     CapExceeded,
     HistoryValueError,
@@ -70,7 +71,7 @@ def _load_structure(cfg: dict):
                 return structure_from_json(fh.read())
         except OSError as exc:
             raise ParseError(f"cannot read structure file: {exc}") from exc
-    return structure_from_json(json.dumps(cfg["structure"]))
+    return structure_from_payload(cfg["structure"])
 
 
 def _int(value, name: str) -> int:
@@ -288,23 +289,29 @@ def _echo(cfg: dict, params: dict) -> dict:
     return echo
 
 
-def main(argv=None) -> int:
-    runners = {"value": run_value, "design": run_design, "market": run_market,
-               "verify": run_verify, "sweep": run_sweep}
+@functools.lru_cache(maxsize=1)
+def _parser(commands: tuple) -> argparse.ArgumentParser:
+    """The ``hv`` parser: built on first use, then reused, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hv",
         description="Value of history: exact social-learning payoffs, belief "
         "splitting, and monopoly pricing of the action record.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in runners:
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--tol", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    runners = {"value": run_value, "design": run_design, "market": run_market,
+               "verify": run_verify, "sweep": run_sweep}
+    args = _parser(tuple(runners)).parse_args(argv)
     try:
         cfg = _load_config(args.config)
         result = runners[args.command](cfg, args)

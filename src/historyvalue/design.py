@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .beliefs import (
@@ -23,13 +23,16 @@ from .beliefs import (
     uninformative_mass,
     validate_structure,
 )
-from .errors import NonFiniteEvaluation, ValidationError
+from .errors import CapExceeded, NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
 from .learning import best_equilibrium_payoffs, ternary_social_value  # noqa: F401
 from .rationals import HALF, best_approximation, format_decimal, format_rational
 from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
+
+#: Cap on the structures in one :func:`corpus`.
+CORPUS_CAP = 1000
 
 
 def ternary_structure(eps) -> InformationStructure:
@@ -58,16 +61,12 @@ def split_to_ternary(structure: InformationStructure) -> InformationStructure:
 # -- equivalence ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of the one-sided-support equivalence test plus cross-check."""
+class EquivalenceReport(namedtuple("EquivalenceReport", "equivalent condition single_a single_b "
+                                                        "history_values_a history_values_b")):
+    """Outcome of the one-sided-support equivalence test plus cross-check;
+    ``condition`` is "identical", "low-side", "high-side", or "none"."""
 
-    equivalent: bool
-    condition: str  # "identical", "low-side", "high-side", or "none"
-    single_a: Fraction
-    single_b: Fraction
-    history_values_a: tuple
-    history_values_b: tuple
+    __slots__ = ()
 
     @property
     def values_match(self) -> bool:
@@ -137,12 +136,11 @@ def ternary_value_i(eps, i: int) -> Fraction:
     return (e - e**i) / 4
 
 
-@dataclass(frozen=True)
-class AgentOptimum:
-    """Maximizing uninformative mass for one agent's history gain."""
+class AgentOptimum(namedtuple("AgentOptimum", "eps degenerate")):
+    """Maximizing uninformative mass for one agent's history gain;
+    ``degenerate`` for agent 1, who gains nothing from history at any eps."""
 
-    eps: float
-    degenerate: bool  # agent 1 gains nothing from history at any eps
+    __slots__ = ()
 
 
 def optimal_eps_agent(i: int) -> AgentOptimum:
@@ -176,11 +174,8 @@ _GRID = 64  # coarse-scan intervals before golden-section refinement
 _INVPHI = (Fraction(math.sqrt(5.0) - 1.0) / 2).as_integer_ratio()  # 1/phi as (num, den)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    argmax: Fraction
-    value: object
-    flat: bool
+class SearchResult(namedtuple("SearchResult", "argmax value flat")):
+    __slots__ = ()
 
     def __float__(self) -> float:
         return float(self.argmax)
@@ -305,16 +300,13 @@ def argmax_unit_interval(f, tolerance) -> SearchResult:
 # -- dominance verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Exact comparison of a structure against its ternary split."""
+class DominanceReport(namedtuple("DominanceReport", "eps single_base single_split "
+                                                    "base_values split_values two_sided")):
+    """Exact comparison of a structure against its ternary split of uninformative
+    mass ``eps``: per-agent history gains ``base_values`` and ``split_values``, and
+    ``two_sided`` when the original has beliefs strictly on both sides of 1/2."""
 
-    eps: Fraction  # uninformative mass of the split
-    single_base: Fraction
-    single_split: Fraction
-    base_values: tuple  # per-agent history gains of the original
-    split_values: tuple  # per-agent history gains of the split
-    two_sided: bool  # original has beliefs strictly on both sides of 1/2
+    __slots__ = ()
 
     @property
     def single_preserved(self) -> bool:
@@ -412,8 +404,10 @@ def random_structure(
 
 
 def corpus(seed: int, count: int, max_signals: int = 4, max_denominator: int = 12):
-    """Deterministic list of random structures for dominance sweeps."""
-    int_at_least(count, 0, "corpus count")
+    """Deterministic list of random structures for dominance sweeps, at
+    most ``CORPUS_CAP`` of them."""
+    if int_at_least(count, 0, "corpus count") > CORPUS_CAP:
+        raise CapExceeded(f"corpus count {count} exceeds cap {CORPUS_CAP}")
     int_at_least(max_signals, 1, "max_signals")
     int_at_least(max_denominator, 1, "max_denominator")
     rng = random.Random(seed)

@@ -28,8 +28,8 @@ the search at a horizon is a prefix of the search at any longer one.
 far and the paused walk, per induced
 :class:`~historyvalue.beliefs.BeliefDistribution` (all that the search
 depends on: equal structures parsed separately, and structures that
-differ only in their labels, share one entry).  The key's generated
-equality and hash read only its integer form, its weights as integers
+differ only in their labels, share one entry).  The key's class defines
+its equality and hash on its integer form alone, its weights as integers
 over their common denominator.  A horizon within an entry is served as a
 prefix, a longer one resumes the walk, and a failed walk restarts.  The
 memo keeps the ``SEARCH_MEMO_SIZE`` most recently used entries; it is
@@ -49,7 +49,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .beliefs import (
@@ -93,8 +93,7 @@ _RULES = {
 }
 
 
-@dataclass(frozen=True)
-class PayoffProfile:
+class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
     """Per-agent value accounting for one structure and horizon.
 
     ``signal`` is the belief distribution of one private signal and
@@ -104,9 +103,6 @@ class PayoffProfile:
     and ``benchmark[i-1]`` the payoff from observing ``i`` signals
     directly, composed the first time it is read.
     """
-
-    signal: BeliefDistribution
-    with_history: tuple
 
     @property
     def horizon(self) -> int:
@@ -343,12 +339,10 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
         return _search(signal).profile(horizon)
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(namedtuple("BoundedValue", "value error_bound")):
     """A value together with a certified absolute error bound (0 = exact)."""
 
-    value: Fraction
-    error_bound: Fraction
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:

@@ -12,37 +12,42 @@ willingness to pay, leaving later buyers in a block a rent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .beliefs import InformationStructure, uninformative_mass
 from .design import optimal_eps_social, unit_search
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .learning import BoundedValue, best_equilibrium_payoffs, discounted, truncated_payoffs
 from .rationals import format_decimal, format_rational
 from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit, positive
 
 
-@dataclass(frozen=True)
-class MarketParams:
-    """Discount factor, welfare weight on buyers, and price stickiness."""
-
-    delta: Fraction
-    alpha: Fraction
-    stickiness: int = 1
-
-    def __post_init__(self):
-        open_unit(self.delta, DISCOUNT)
-        open_unit(self.alpha, WEIGHT)
-        int_at_least(self.stickiness, 1, "stickiness")
+#: Cap on ``MarketParams.stickiness``: the exact closed forms raise integers to that power.
+STICKINESS_CAP = 1200
 
 
-@dataclass(frozen=True)
-class PriceSchedule:
-    """Posted price per buyer index, plus the pricing regime."""
+class MarketParams(namedtuple("MarketParams", "delta alpha stickiness")):
+    """Discount factor, welfare weight on buyers and price stickiness, checked when built."""
 
-    prices: tuple
-    regime: str  # "dynamic" or "sticky(t)"
+    __slots__ = ()
+
+    def __new__(cls, delta, alpha, stickiness=1):
+        open_unit(delta, DISCOUNT)
+        open_unit(alpha, WEIGHT)
+        if int_at_least(stickiness, 1, "stickiness") > STICKINESS_CAP:
+            raise CapExceeded(f"stickiness {stickiness} exceeds cap {STICKINESS_CAP}")
+        return super().__new__(cls, delta, alpha, stickiness)
+
+    @classmethod
+    def _make(cls, iterable):  # the base's skips __new__, and _replace calls _make
+        return cls(*iterable)
+
+
+class PriceSchedule(namedtuple("PriceSchedule", "prices regime")):
+    """Posted price per buyer index, and the regime: "dynamic" or "sticky(t)"."""
+
+    __slots__ = ()
 
     def to_csv(self) -> str:
         lines = ["i,price,price_dec"]
@@ -51,14 +56,10 @@ class PriceSchedule:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SurplusReport:
+class SurplusReport(namedtuple("SurplusReport", "seller buyer social regime")):
     """Seller, buyer, and weighted social surplus for one regime."""
 
-    seller: BoundedValue
-    buyer: BoundedValue
-    social: BoundedValue
-    regime: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         def entry(v: BoundedValue):
@@ -144,12 +145,6 @@ def _sticky_kernel(delta, t: int):
     return parts
 
 
-def _ternary_sticky(eps, delta, t: int) -> tuple:
-    """``(wn, wd, sn, sd)`` of :func:`_sticky_kernel` at ``eps``, all inputs checked."""
-    e = closed_unit(eps, "eps")
-    return _sticky_kernel(delta, t)(e.numerator, e.denominator)
-
-
 def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
     """Closed-form sticky seller surplus for the ternary family:
     (d^t / 4) * e * (1 - e^t) / (1 - d^t * e^t).
@@ -157,8 +152,7 @@ def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
     With ``e = n/m`` and ``d = p/q`` this is
     ``p^t*n*(m^t - n^t) / (4*m*(q^t*m^t - p^t*n^t))``.
     """
-    _, _, sn, sd = _ternary_sticky(eps, delta, t)
-    return Fraction(sn, 4 * sd)
+    return ternary_sticky_surpluses(eps, delta, t)[0]
 
 
 def ternary_sticky_surpluses(eps, delta, t: int) -> tuple:
@@ -169,7 +163,8 @@ def ternary_sticky_surpluses(eps, delta, t: int) -> tuple:
     ``W - S`` with ``W = 1/4 - (1-d)*e / (4*(1-d*e))``; with ``e = n/m``
     and ``d = p/q``, ``W = (q*m - p*n - (q-p)*n) / (4*(q*m - p*n))``.
     """
-    wn, wd, sn, sd = _ternary_sticky(eps, delta, t)
+    e = closed_unit(eps, "eps")
+    wn, wd, sn, sd = _sticky_kernel(delta, t)(e.numerator, e.denominator)
     return Fraction(sn, 4 * sd), Fraction(wn * sd - sn * wd, 4 * wd * sd)
 
 

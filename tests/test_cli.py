@@ -1,10 +1,9 @@
-import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from historyvalue import design, learning
+from historyvalue import cli, design, learning, market
 from historyvalue.beliefs import structure_from_json
 from historyvalue.cli import (
     EXIT_CAP,
@@ -291,7 +290,7 @@ class TestVerify:
 
         def failing(structure, horizon):
             report = real(structure, horizon)
-            reports.append(dataclasses.replace(report, single_split=report.single_base + 1))
+            reports.append(report._replace(single_split=report.single_base + 1))
             return reports[-1]
 
         monkeypatch.setattr(design, "verify_dominance", failing)
@@ -355,6 +354,69 @@ class TestSweep:
         rows = out.strip().splitlines()[1:-1]
         eps_w = [float(r.split(",")[5]) for r in rows]
         assert eps_w[0] == 0.0 and eps_w[1] > 0.0
+
+
+class TestCaps:
+    """Each cap on the work a config asks for: exit 4 just past it, 0 at it."""
+
+    def test_corpus_count(self, tmp_path, capsys):
+        cap = design.CORPUS_CAP
+        cfg = write_config(tmp_path, {"corpus": {"count": cap + 1}, "horizon": 1})
+        code, out, err = run(capsys, "verify", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == f"cap exceeded: corpus count {cap + 1} exceeds cap {cap}\n"
+        cfg = write_config(tmp_path, {"corpus": {"count": cap}, "horizon": 1})
+        code, out, _ = run(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK and len(json.loads(out)["results"]) == cap
+
+    def test_market_stickiness(self, tmp_path, capsys):
+        cap = market.STICKINESS_CAP
+        base = {"ternary_eps": "1/3", "delta": "1/2", "alpha": "1/2", "horizon": 2}
+        cfg = write_config(tmp_path, {**base, "stickiness": cap + 1})
+        code, out, err = run(capsys, "market", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == f"cap exceeded: stickiness {cap + 1} exceeds cap {cap}\n"
+        cfg = write_config(tmp_path, {**base, "stickiness": cap})
+        code, out, _ = run(capsys, "market", "--config", cfg)
+        assert code == EXIT_OK and json.loads(out)["regime"] == f"sticky({cap})"
+
+    def test_sweep_t_grid(self, tmp_path, capsys):
+        cap = market.STICKINESS_CAP
+        sweep = {"delta_grid": ["1/2"], "alpha_grid": ["1/2"]}
+        cfg = write_config(tmp_path, {"sweep": {**sweep, "t_grid": [1, cap + 1]}})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == f"cap exceeded: stickiness {cap + 1} exceeds cap {cap}\n"
+        cfg = write_config(tmp_path, {"sweep": {**sweep, "t_grid": [1, cap]}})
+        code, out, _ = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_OK and out.splitlines()[2].startswith(f"0.5,0.5,{cap},")
+
+
+class TestParser:
+    def test_built_once_and_reused(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        cfg = write_config(tmp_path, {"ternary_eps": "1/3", "horizon": 2})
+        outputs = [run(capsys, "value", "--config", cfg) for _ in range(2)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+        code, _, _ = run(capsys, "design", "--config", cfg, "--horizon", "3")
+        assert code == EXIT_OK
+        assert cli._parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "hv: error: the following arguments are required: command"),
+        (["value"], "hv value: error: the following arguments are required: --config"),
+        (["nope"], "hv: error: argument command: invalid choice: 'nope' "
+                   "(choose from 'value', 'design', 'market', 'verify', 'sweep')"),
+        (["value", "--config", "c.json", "--seed", "x"],
+         "hv value: error: argument --seed: invalid int value: 'x'"),
+    ])
+    def test_bad_arguments_exit_2_every_time(self, capsys, argv, message):
+        for _ in range(2):  # the kept parser answers a second call the same way
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("usage: hv") and err.endswith(message + "\n")
 
 
 class TestDeterminism:

@@ -9,11 +9,12 @@ no traceback.
 
 Numbers are kept small (integers in [-3, 9], floats in [-10, 10], and
 free text without digits) so that the configs that do run stay cheap:
-a well-formed ``corpus.count`` of 10**9 is valid and would run for a
-long time.  ``stickiness`` also draws from [10, 5000], where ``d^t``
-underflows as a float, and stays cheap there for every subcommand but
-``sweep``, whose ``t_grid`` keeps to small values: its search takes
-seconds per grid point at ``t`` in the thousands.
+a well-formed ``corpus.count`` may be as large as ``design.CORPUS_CAP``
+and would run for about a second.  ``stickiness`` also draws from
+[10, 5000], where ``d^t`` underflows as a float and a value past
+``market.STICKINESS_CAP`` exits 4; it stays cheap there for every
+subcommand but ``sweep``, whose ``t_grid`` keeps to small values: its
+search takes about a second per grid point at ``t`` near the cap.
 """
 
 import contextlib

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import itertools
 import pathlib
 import sys
@@ -620,8 +619,7 @@ class TestPayoffProfile:
             assert p.single == p.with_history[0], structure
 
     def test_fields_are_signal_and_payoffs(self):
-        names = [f.name for f in dataclasses.fields(learning.PayoffProfile)]
-        assert names == ["signal", "with_history"]
+        assert learning.PayoffProfile._fields == ("signal", "with_history")
 
 
 def test_no_assert_statements_in_library():

@@ -1,0 +1,176 @@
+"""The library's records are immutable namedtuples: fields that reject
+assignment, a ``Name(field=value, ...)`` repr, equality and hashing by
+value, ``MarketParams`` checked however it is built, and
+``BeliefDistribution`` compared by its integer form alone.  Importing the
+CLI loads neither ``dataclasses`` nor ``inspect``."""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from historyvalue import beliefs, design, learning, market
+from historyvalue.beliefs import BeliefDistribution, validate_structure
+from historyvalue.errors import CapExceeded, DegenerateParameter, ValidationError
+from historyvalue.learning import BoundedValue
+from historyvalue.market import MarketParams
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HALF = F(1, 2)
+
+RECORDS = {
+    beliefs.InformationStructure, beliefs.BeliefDistribution, learning.PayoffProfile,
+    learning.BoundedValue, design.EquivalenceReport, design.AgentOptimum,
+    design.SearchResult, design.DominanceReport, market.MarketParams,
+    market.PriceSchedule, market.SurplusReport,
+}
+#: The records whose cached properties live in an instance dict.
+WITH_DICT = {beliefs.InformationStructure, learning.PayoffProfile}
+
+
+def make_records() -> list:
+    """One record of each class, each built from scratch."""
+    structure = validate_structure({"a": (HALF, F(1, 6)), "b": (F(1, 3), F(1, 3)),
+                                    "c": (F(1, 6), HALF)})
+    params = MarketParams(HALF, F(1, 3), 2)
+    return [
+        structure,
+        beliefs.induced_belief_distribution(structure),
+        learning.best_equilibrium_payoffs(structure, 3),
+        BoundedValue(F(1, 3), F(0)),
+        design.check_equivalence(structure, design.split_to_ternary(structure), horizon=3),
+        design.optimal_eps_agent(3),
+        design.maximize_concave(lambda e: e * (1 - e), F(1, 1000)),
+        design.verify_dominance(structure, 3),
+        params,
+        market.sticky_price_path(structure, 2, 4),
+        market.sticky_surpluses(structure, params, F(1, 1000)),
+    ]
+
+
+@pytest.fixture(params=range(len(RECORDS)), ids=lambda k: sorted(c.__name__ for c in RECORDS)[k])
+def pair(request):
+    """Two equal records of one class, built separately."""
+    name = sorted(c.__name__ for c in RECORDS)[request.param]
+    first, second = ({type(r).__name__: r for r in make_records()}[name] for _ in range(2))
+    return first, second
+
+
+def test_one_record_per_class():
+    assert {type(r) for r in make_records()} == RECORDS
+
+
+def test_fields_reject_assignment(pair):
+    record, _ = pair
+    for name in record._fields:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
+
+
+def test_instance_dict_only_where_cached(pair):
+    record, _ = pair
+    assert hasattr(record, "__dict__") is (type(record) in WITH_DICT)
+    if type(record) not in WITH_DICT:
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_repr_names_the_fields(pair):
+    record, _ = pair
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
+    assert repr(record) == f"{type(record).__name__}({fields})"
+
+
+def test_equal_records_hash_alike(pair):
+    first, second = pair
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+
+
+def test_records_equal_tuples_of_their_values():
+    # all but BeliefDistribution, whose equality reads its integer form
+    assert BoundedValue(HALF, F(0)) == (HALF, F(0))
+    assert tuple(MarketParams(HALF, HALF)) == (HALF, HALF, 1)
+
+
+def test_replace_keeps_the_class(pair):
+    record, _ = pair
+    copy = record._replace()
+    assert type(copy) is type(record) and copy == record
+
+
+class TestMarketParams:
+    GOOD = (HALF, F(1, 3), 2)
+    BAD = [
+        ({"delta": F(0)}, DegenerateParameter, "delta"),
+        ({"delta": F(1)}, DegenerateParameter, "delta"),
+        ({"alpha": F(3, 2)}, DegenerateParameter, "alpha"),
+        ({"alpha": 0}, DegenerateParameter, "alpha"),
+        ({"stickiness": 0}, ValidationError, "stickiness"),
+        ({"stickiness": 1.5}, ValidationError, "stickiness"),
+        ({"stickiness": True}, ValidationError, "stickiness"),
+        ({"stickiness": market.STICKINESS_CAP + 1}, CapExceeded, "stickiness"),
+    ]
+    BUILDERS = {
+        "position": lambda v: MarketParams(*v.values()),
+        "keyword": lambda v: MarketParams(**v),
+        "replace": lambda v: MarketParams(*TestMarketParams.GOOD)._replace(**v),
+        "make": lambda v: MarketParams._make(v.values()),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("change, error, message", BAD)
+    def test_rejects_bad_values_however_built(self, build, change, error, message):
+        values = {**dict(zip(MarketParams._fields, self.GOOD)), **change}
+        with pytest.raises(error, match=message):
+            build(values)
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_good_values_however_built(self, build):
+        values = dict(zip(MarketParams._fields, self.GOOD))
+        assert build(values) == MarketParams(*self.GOOD)
+
+    def test_stickiness_defaults_to_one(self):
+        assert MarketParams(HALF, HALF).stickiness == 1
+        assert MarketParams(HALF, HALF, market.STICKINESS_CAP).stickiness == market.STICKINESS_CAP
+
+
+class TestBeliefDistribution:
+    FORM = (3, ((2, 1), (1, 2)))
+
+    def test_equality_and_hash_read_the_integer_form_alone(self):
+        # the atoms of neither record agree with its form, nor are they hashable
+        a = BeliefDistribution([["x"]], self.FORM)
+        b = BeliefDistribution((("y",),), (3, ((2, 1), (1, 2))))
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != BeliefDistribution([["x"]], (3, ((1, 2), (2, 1))))
+
+    def test_never_equal_to_a_tuple(self):
+        dist = beliefs.induced_belief_distribution(design.ternary_structure(F(1, 3)))
+        for other in (tuple(dist), (dist.atoms, dist.integer_form), dist.integer_form):
+            assert dist != other and other != dist
+            assert not dist == other and not other == dist
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import historyvalue.cli\n"
+        "added = sorted(set(sys.modules) - before)\n"
+        "print(json.dumps([added, historyvalue.cli._parser.cache_info().currsize]))\n"
+    )
+    env = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    added, parsers = json.loads(proc.stdout)
+    assert "historyvalue.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
+    assert parsers == 0  # the parser is built by the first main() call, not the import
