@@ -155,16 +155,36 @@ def optimal_eps_agent(i: int) -> AgentOptimum:
     return AgentOptimum(eps=(1.0 / i) ** (1.0 / (i - 1)), degenerate=False)
 
 
-def optimal_eps_social(delta) -> float:
-    """Uninformative mass maximizing the aggregate gain: (1 - sqrt(1-d))/d."""
+def optimal_eps_seller_sticky(delta, t: int) -> float:
+    """Seller-optimal uninformative mass with price resets every ``t`` periods.
+
+    Root of a quadratic in ``e^t``; reduces to the dynamic formula at t=1.
+    Where ``4 * d^t`` is below the rounding of ``b^2`` (``d^t`` may even
+    underflow to 0), the difference ``b - sqrt(b^2 - 4 d^t)`` is 0 and the
+    root is its limit ``1/b`` to double precision.
+    """
     d = float(open_unit(delta, DISCOUNT))
-    return (1.0 - math.sqrt(1.0 - d)) / d
+    int_at_least(t, 1, "stickiness")
+    dt = d**t
+    b = t + 1 - (t - 1) * dt
+    gap = b - math.sqrt(b * b - 4 * dt)
+    root = gap / (2 * dt) if gap else 1 / b
+    return root ** (1.0 / t)
+
+
+def optimal_eps_social(delta) -> float:
+    """Uninformative mass maximizing the aggregate gain, (1 - sqrt(1-d))/d:
+    the dynamic seller's optimum, :func:`optimal_eps_seller_sticky` at
+    ``t = 1``, whose limit where ``1 - d`` rounds to 1 is 1/2."""
+    return optimal_eps_seller_sticky(delta, 1)
 
 
 def max_social_value(delta) -> float:
-    """Aggregate gain at the maximizing mass: (1 - sqrt(1-d))^2 / (4*d)."""
+    """Aggregate gain at the maximizing mass: (1 - sqrt(1-d))^2 / (4*d).
+    Where ``1 - sqrt(1-d)`` rounds to 0 this is its limit ``d/16``."""
     d = float(open_unit(delta, DISCOUNT))
-    return (1.0 - math.sqrt(1.0 - d)) ** 2 / (4.0 * d)
+    gap = 1.0 - math.sqrt(1.0 - d)
+    return gap**2 / (4.0 * d) if gap else d / 16
 
 
 # -- numeric search ------------------------------------------------------------

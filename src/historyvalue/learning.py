@@ -18,8 +18,14 @@ Computed quantities, all exact rationals:
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
   all deterministic per-node tie-break tables, from a process-wide memo
   of one search per signal distribution (see below);
-* ``social_value`` -- discounted aggregate of the per-agent history gains,
-  in closed form (``ternary_social_value``) on the ternary family.
+* ``discounted_surpluses`` -- the one discounted series of the market for
+  history: the seller's and the buyers' surplus when the price resets
+  every ``t`` agents at the block leader's history gain, truncated with a
+  certified tail, or in closed form (``ternary_sticky_surpluses``, on the
+  integer kernel ``_sticky_kernel``) on the ternary family;
+* ``social_value`` -- discounted aggregate of the per-agent history gains:
+  under dynamic pricing the seller charges each agent their gain, so this
+  is the seller's surplus at ``t = 1`` (``ternary_social_value`` likewise).
 
 Agent ``d``'s best payoff depends only on the depths before ``d``, so
 the search at a horizon is a prefix of the search at any longer one.
@@ -381,27 +387,93 @@ def discounted(terms, delta: Fraction) -> Fraction:
     return (1 - delta) * sum(delta**i * x for i, x in enumerate(terms))
 
 
+def _block_prices(gains, t: int) -> tuple:
+    """Block ``k`` of ``t`` buyers is priced at buyer ``k*t + 1``'s gain."""
+    return tuple(gains[(i // t) * t] for i in range(len(gains)))
+
+
+def _sticky_kernel(delta, t: int):
+    """Integer parts of the ternary sticky closed forms at ``delta`` and ``t``,
+    both checked here once.
+
+    Returns ``parts(n, m)``: with ``e = n/m`` (``0 <= n <= m``, ``m > 0``,
+    not necessarily reduced) and ``d = p/q`` in lowest terms, it gives
+    ``(wn, wd, sn, sd)`` with payoff-with-history ``W = wn / (4*wd)`` and
+    seller surplus ``S = sn / (4*sd)``, where
+
+        wd = q*m - p*n,         wn = wd - (q-p)*n,
+        sd = m*(q^t*m^t - p^t*n^t),   sn = p^t * n * (m^t - n^t).
+
+    ``0 <= n <= m`` and ``0 < p < q`` make both denominators positive.
+    Callers build each Fraction once from these integers, which is exact
+    and avoids a gcd per intermediate Fraction operation.
+    """
+    d = open_unit(delta, DISCOUNT)
+    int_at_least(t, 1, "stickiness")
+    p, q = d.numerator, d.denominator
+    pt, qt, qp = p**t, q**t, q - p
+
+    def parts(n, m):
+        wd = q * m - p * n
+        mt = m**t
+        nt = n**t
+        return wd - qp * n, wd, pt * n * (mt - nt), m * (qt * mt - pt * nt)
+
+    return parts
+
+
+def ternary_sticky_surpluses(eps, delta, t: int) -> tuple:
+    """Closed-form sticky ``(seller, buyer)`` surplus for the ternary family,
+    from one evaluation of :func:`_sticky_kernel`.
+
+    Seller is ``(d^t / 4) * e * (1 - e^t) / (1 - d^t * e^t)``.  Buyer is
+    the discounted average of payoff-with-history minus price, ``W - S``
+    with ``W = 1/4 - (1-d)*e / (4*(1-d*e))``.
+    """
+    e = closed_unit(eps, "eps")
+    wn, wd, sn, sd = _sticky_kernel(delta, t)(e.numerator, e.denominator)
+    return Fraction(sn, 4 * sd), Fraction(wn * sd - sn * wd, 4 * wd * sd)
+
+
 def ternary_social_value(eps, delta) -> Fraction:
     """Discounted aggregate history gain of the ternary structure with
-    uninformative mass ``eps``: d*e*(1-e) / (4*(1-d*e))."""
-    e = closed_unit(eps, "eps")
+    uninformative mass ``eps``, d*e*(1-e) / (4*(1-d*e)): the dynamic
+    seller's surplus."""
+    return ternary_sticky_surpluses(eps, delta, 1)[0]
+
+
+def discounted_surpluses(structure: InformationStructure, delta, t: int, tolerance) -> tuple:
+    """Discounted ``(seller, buyer)`` surplus when the price resets every
+    ``t`` buyers, each a :class:`BoundedValue`; ``t = 1`` is dynamic pricing.
+
+    Exact for ternary structures (:func:`ternary_sticky_surpluses`).
+    Otherwise each series is truncated by :func:`truncated_payoffs`: the
+    seller sums the block prices, and the buyers their rents, the
+    payoff-with-history minus the price.  At ``t = 1`` the seller sums the
+    history gains and each buyer keeps the signal-only payoff, exactly.
+    """
     d = open_unit(delta, DISCOUNT)
-    return d * e * (1 - e) / (4 * (1 - d * e))
+    tolerance = positive(tolerance, "tolerance")
+    int_at_least(t, 1, "stickiness")
+    eps = uninformative_mass(structure)
+    if eps is not None:
+        return tuple(BoundedValue(v, Fraction(0)) for v in ternary_sticky_surpluses(eps, d, t))
+
+    profile, tail = truncated_payoffs(structure, d, tolerance)
+    prices = _block_prices(profile.history_value, t)
+    seller = BoundedValue(discounted(prices, d), tail)
+    if t == 1:
+        return seller, BoundedValue(profile.single, Fraction(0))
+    rents = (v - p for v, p in zip(profile.with_history, prices))
+    return seller, BoundedValue(discounted(rents, d), tail)
 
 
 def social_value(structure: InformationStructure, delta: Fraction, tolerance) -> BoundedValue:
-    """Discounted aggregate history gain, ``(1-d) * sum d^(i-1) * gain_i``.
+    """Discounted aggregate history gain, ``(1-d) * sum d^(i-1) * gain_i``:
+    the dynamic seller's surplus, ``discounted_surpluses`` at ``t = 1``.
 
     Structures whose beliefs live on {0, 1/2, 1} admit an exact closed
     form, :func:`ternary_social_value`, and return error bound 0.  Otherwise
     the series is truncated by :func:`truncated_payoffs`.
     """
-    delta = open_unit(delta, DISCOUNT)
-    tolerance = positive(tolerance, "tolerance")
-
-    eps = uninformative_mass(structure)
-    if eps is not None:
-        return BoundedValue(ternary_social_value(eps, delta), Fraction(0))
-
-    profile, tail = truncated_payoffs(structure, delta, tolerance)
-    return BoundedValue(discounted(profile.history_value, delta), tail)
+    return discounted_surpluses(structure, delta, 1, tolerance)[0]

@@ -7,6 +7,15 @@ fully: the seller's discounted surplus equals the aggregate history
 gain and each buyer keeps the signal-only payoff.  Under sticky pricing
 the price can only reset every ``t`` periods, at the block leader's
 willingness to pay, leaving later buyers in a block a rent.
+
+Because the dynamic seller's revenue is the value of history, each side
+of that identity is computed once, below this module: the discounted
+series and its tail (``learning.discounted_surpluses``), the ternary
+closed forms on their integer kernel (``learning.ternary_sticky_surpluses``
+and ``learning._sticky_kernel``) and the float seller root
+(``design.optimal_eps_seller_sticky``).  ``social_value``,
+``ternary_social_value`` and ``optimal_eps_social`` are those at ``t = 1``.
+This module prices and weighs them, and re-exports the moved names.
 """
 
 from __future__ import annotations
@@ -15,12 +24,14 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .beliefs import InformationStructure, uninformative_mass
-from .design import optimal_eps_social, unit_search
+from .beliefs import InformationStructure
+# optimal_eps_seller_sticky lives in design, next to optimal_eps_social; market re-exports it.
+from .design import optimal_eps_seller_sticky, optimal_eps_social, unit_search  # noqa: F401
 from .errors import CapExceeded, ValidationError
-from .learning import BoundedValue, best_equilibrium_payoffs, discounted, truncated_payoffs
+from .learning import BoundedValue, best_equilibrium_payoffs, discounted_surpluses
+from .learning import _block_prices, _sticky_kernel, ternary_sticky_surpluses
 from .rationals import format_decimal, format_rational
-from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit, positive
+from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit
 
 
 #: Cap on ``MarketParams.stickiness``: the exact closed forms raise integers to that power.
@@ -81,11 +92,6 @@ def _regime(t: int) -> str:
     return "dynamic" if t == 1 else f"sticky({t})"
 
 
-def _block_prices(gains, t: int) -> tuple:
-    """Block ``k`` of ``t`` buyers is priced at buyer ``k*t + 1``'s gain."""
-    return tuple(gains[(i // t) * t] for i in range(len(gains)))
-
-
 def dynamic_price_path(structure: InformationStructure, horizon: int) -> PriceSchedule:
     """Per-buyer prices under dynamic pricing: each buyer's history gain."""
     return sticky_price_path(structure, 1, horizon)
@@ -115,36 +121,6 @@ def surpluses(structure: InformationStructure, params: MarketParams, tolerance) 
     return sticky_surpluses(structure, params, tolerance)
 
 
-def _sticky_kernel(delta, t: int):
-    """Integer parts of the ternary sticky closed forms at ``delta`` and ``t``,
-    both checked here once.
-
-    Returns ``parts(n, m)``: with ``e = n/m`` (``0 <= n <= m``, ``m > 0``,
-    not necessarily reduced) and ``d = p/q`` in lowest terms, it gives
-    ``(wn, wd, sn, sd)`` with payoff-with-history ``W = wn / (4*wd)`` and
-    seller surplus ``S = sn / (4*sd)``, where
-
-        wd = q*m - p*n,         wn = wd - (q-p)*n,
-        sd = m*(q^t*m^t - p^t*n^t),   sn = p^t * n * (m^t - n^t).
-
-    ``0 <= n <= m`` and ``0 < p < q`` make both denominators positive.
-    Callers build each Fraction once from these integers, which is exact
-    and avoids a gcd per intermediate Fraction operation.
-    """
-    d = open_unit(delta, DISCOUNT)
-    int_at_least(t, 1, "stickiness")
-    p, q = d.numerator, d.denominator
-    pt, qt, qp = p**t, q**t, q - p
-
-    def parts(n, m):
-        wd = q * m - p * n
-        mt = m**t
-        nt = n**t
-        return wd - qp * n, wd, pt * n * (mt - nt), m * (qt * mt - pt * nt)
-
-    return parts
-
-
 def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
     """Closed-form sticky seller surplus for the ternary family:
     (d^t / 4) * e * (1 - e^t) / (1 - d^t * e^t).
@@ -155,50 +131,23 @@ def ternary_sticky_seller_surplus(eps, delta, t: int) -> Fraction:
     return ternary_sticky_surpluses(eps, delta, t)[0]
 
 
-def ternary_sticky_surpluses(eps, delta, t: int) -> tuple:
-    """Closed-form sticky ``(seller, buyer)`` surplus for the ternary family,
-    from one evaluation.
-
-    Buyer is the discounted average of payoff-with-history minus price,
-    ``W - S`` with ``W = 1/4 - (1-d)*e / (4*(1-d*e))``; with ``e = n/m``
-    and ``d = p/q``, ``W = (q*m - p*n - (q-p)*n) / (4*(q*m - p*n))``.
-    """
-    e = closed_unit(eps, "eps")
-    wn, wd, sn, sd = _sticky_kernel(delta, t)(e.numerator, e.denominator)
-    return Fraction(sn, 4 * sd), Fraction(wn * sd - sn * wd, 4 * wd * sd)
-
-
 def ternary_sticky_buyer_surplus(eps, delta, t: int) -> Fraction:
     """Closed-form sticky buyer surplus for the ternary family:
     ``1/4 - (1-d)*e / (4*(1-d*e)) - seller`` (see
-    :func:`ternary_sticky_surpluses` for the integer form)."""
+    :func:`~historyvalue.learning._sticky_kernel` for the integer form)."""
     return ternary_sticky_surpluses(eps, delta, t)[1]
 
 
 def sticky_surpluses(structure: InformationStructure, params: MarketParams, tolerance) -> SurplusReport:
     """Surpluses when the price resets every ``t`` buyers; ``t = 1`` is dynamic.
 
-    Exact for ternary structures.  Otherwise each series is truncated with
-    the tail of :func:`~historyvalue.learning.truncated_payoffs`; at ``t = 1``
-    each buyer keeps the signal-only payoff, exactly.
+    The seller's and the buyers' surplus are
+    :func:`~historyvalue.learning.discounted_surpluses`, exact for ternary
+    structures and otherwise truncated with a certified tail; at ``t = 1``
+    the seller's is the social value of history.
     """
-    tolerance = positive(tolerance, "tolerance")
     t = params.stickiness
-    d = Fraction(params.delta)
-
-    eps = uninformative_mass(structure)
-    if eps is not None:
-        seller, buyer = (BoundedValue(v, Fraction(0)) for v in ternary_sticky_surpluses(eps, d, t))
-        return _report(params.alpha, seller, buyer, _regime(t))
-
-    profile, tail = truncated_payoffs(structure, d, tolerance)
-    prices = _block_prices(profile.history_value, t)
-    seller = BoundedValue(discounted(prices, d), tail)
-    if t == 1:
-        buyer = BoundedValue(profile.single, Fraction(0))
-    else:
-        rents = (v - p for v, p in zip(profile.with_history, prices))
-        buyer = BoundedValue(discounted(rents, d), tail)
+    seller, buyer = discounted_surpluses(structure, params.delta, t, tolerance)
     return _report(params.alpha, seller, buyer, _regime(t))
 
 
@@ -213,23 +162,6 @@ def optimal_eps_seller(delta) -> float:
 def optimal_eps_buyer() -> Fraction:
     """Buyers are best served by full information: mass 0, exactly."""
     return Fraction(0)
-
-
-def optimal_eps_seller_sticky(delta, t: int) -> float:
-    """Seller-optimal uninformative mass with price resets every ``t`` periods.
-
-    Root of a quadratic in ``e^t``; reduces to the dynamic formula at t=1.
-    Where ``4 * d^t`` is below the rounding of ``b^2`` (``d^t`` may even
-    underflow to 0), the difference ``b - sqrt(b^2 - 4 d^t)`` is 0 and the
-    root is its limit ``1/b`` to double precision.
-    """
-    d = float(open_unit(delta, DISCOUNT))
-    int_at_least(t, 1, "stickiness")
-    dt = d**t
-    b = t + 1 - (t - 1) * dt
-    gap = b - math.sqrt(b * b - 4 * dt)
-    root = gap / (2 * dt) if gap else 1 / b
-    return root ** (1.0 / t)
 
 
 def optimal_eps_weighted(delta, alpha) -> float:

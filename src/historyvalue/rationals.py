@@ -14,9 +14,10 @@ and integers with a floor (horizon, stickiness, agent index, counts).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import DegenerateParameter, ParseError, ValidationError
+from .errors import CapExceeded, DegenerateParameter, ParseError, ValidationError
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -137,9 +138,15 @@ def best_approximation(n: int, d: int, cap: int) -> tuple:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical ``num/den`` rendering (denominator always explicit)."""
+    """Canonical ``num/den`` rendering (denominator always explicit).
+
+    Past the interpreter's limit on the digits of an integer converted to
+    a string (4300 by default), raises :class:`CapExceeded` naming it."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+        raise CapExceeded(f"exact result exceeds {sys.get_int_max_str_digits()} digits") from exc
 
 
 def format_decimal(x) -> str:

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -244,6 +245,16 @@ class TestDesign:
         assert payload["dominance"]["verdict"] is True
         assert payload["dominance"]["eps"] == "2/3"
 
+    def test_social_optimum_where_one_minus_delta_rounds_to_one(self, tmp_path, capsys):
+        # 1 - sqrt(1 - d) is 0.0 in floats here; this printed "0" for both
+        cfg = write_config(tmp_path, {"ternary_eps": "1/3", "delta": f"1/{10**17}",
+                                      "horizon": 2})
+        code, out, _ = run(capsys, "design", "--config", cfg)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["social_optimal_eps"] == "0.5"
+        assert float(payload["max_social_value"]) == pytest.approx(1e-17 / 16, rel=1e-12)
+
 
 class TestMarket:
     def test_sticky_market(self, tmp_path, capsys):
@@ -379,6 +390,20 @@ class TestCaps:
         cfg = write_config(tmp_path, {**base, "stickiness": cap})
         code, out, _ = run(capsys, "market", "--config", cfg)
         assert code == EXIT_OK and json.loads(out)["regime"] == f"sticky({cap})"
+
+    def test_market_digits_of_an_exact_result(self, tmp_path, capsys):
+        # the surpluses' digits grow with t times the digits of delta; past
+        # the interpreter's int-to-str limit this exited 1 with a traceback
+        limit = sys.get_int_max_str_digits()
+        base = {"ternary_eps": "1/3", "stickiness": market.STICKINESS_CAP, "alpha": "1/4"}
+        cfg = write_config(tmp_path, {**base, "delta": "123457/1000000"})
+        code, out, err = run(capsys, "market", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err.startswith("cap exceeded: ") and f" {limit} digits" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        cfg = write_config(tmp_path, {**base, "delta": "999/1000"})
+        code, out, _ = run(capsys, "market", "--config", cfg)
+        assert code == EXIT_OK and json.loads(out)["regime"] == f"sticky({market.STICKINESS_CAP})"
 
     def test_sweep_t_grid(self, tmp_path, capsys):
         cap = market.STICKINESS_CAP

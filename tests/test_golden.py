@@ -2,7 +2,9 @@
 
 The cases cover the market surplus paths (dynamic and sticky, on a
 non-ternary and a ternary structure), ``hv value`` where it relaxes
-the tolerance to the cap, ``hv sweep`` (CSV) at the default and a
+the tolerance to the cap and on a ternary structure (the closed form),
+``hv design`` on the benchmark's tie-search fixture and on a ternary
+structure, ``hv sweep`` (CSV) at the default and a
 tight tolerance, and ``hv verify`` on the benchmark's 200-structure
 corpus at two seeds and at a shorter horizon.  The demos' stdout is recorded in the same
 directory and compared by ``tests/test_demos.py``.
@@ -34,6 +36,8 @@ FIXTURE = {
     ]
 }
 FIXTURE_MARKET = {"structure": FIXTURE, "delta": "1/4", "tolerance": "1/1000"}
+TIE_SEARCH = {"structure": FIXTURE, "delta": "1/4", "alpha": "1/3", "stickiness": 2,
+              "tolerance": "1/1000", "horizon": 7}
 CORPUS_VERIFY = {"horizon": 6, "corpus": {"count": 200, "max_signals": 4, "max_denominator": 12}}
 
 #: Golden file stem -> (``hv`` subcommand, config[, extra arguments]).
@@ -42,6 +46,9 @@ CASES = {
     "market_fixture_t3": ("market", {**FIXTURE_MARKET, "stickiness": 3}),
     "market_ternary_t1": ("market", {"ternary_eps": "1/3", "stickiness": 1}),
     "value_fixture_relaxed": ("value", {"structure": FIXTURE}),
+    "value_ternary": ("value", {"ternary_eps": "1/3"}),
+    "design_fixture_tie_search": ("design", TIE_SEARCH),
+    "design_ternary": ("design", {"ternary_eps": "1/3"}),
     "sweep_grid": ("sweep", {"sweep": {
         "delta_grid": ["1/12", "1/3", "1/2", "3/4", "11/12"],
         "alpha_grid": ["1/5", "5/12", "3/5"],

@@ -198,14 +198,15 @@ def test_paused_walk_holds_only_the_kept_levels(monkeypatch):
 
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
-    distributions, the golden-section search and the market's weighted
-    objective."""
-    for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level"}),
+    distributions, the golden-section search, the ternary sticky closed
+    forms and the market's weighted objective."""
+    for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level",
+                                     "_sticky_kernel"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
                           (design, {"_probes", "golden_section", "unit_search"}),
-                          (market, {"_sticky_kernel", "weighted_objective"})):
+                          (market, {"weighted_objective"})):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]
         assert {fn.name for fn in found} == names

@@ -32,6 +32,7 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
     validate_structure,
 )
+from historyvalue import optimal_eps_social, social_value
 from historyvalue.beliefs import uninformative_mass
 from historyvalue.design import corpus
 from historyvalue.errors import DegenerateParameter, ValidationError
@@ -414,6 +415,26 @@ class TestDynamicIsStickyAtOne:
             expected = a * (1 - e) / 4 + (1 - a) * ternary_social_value(e, d)
             assert ternary_weighted_surplus(e, d, a) == expected
             assert ternary_weighted_surplus_sticky(e, d, a, 1) == expected
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(2, 3)])
+    def test_social_value_is_dynamic_seller_surplus(self, delta):
+        # the seller extracts each buyer's history gain; at 2/3 the
+        # tolerance is past the cap and both raise the same error
+        params = MarketParams(delta, F(1, 3), 1)
+        for structure in [*corpus(7, 30), ternary_structure(F(1, 3))]:
+            try:
+                expected = social_value(structure, delta, F(1, 1000))
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    sticky_surpluses(structure, params, F(1, 1000))
+                assert str(got.value) == str(exc)
+            else:
+                assert sticky_surpluses(structure, params, F(1, 1000)).seller == expected
+
+    @pytest.mark.parametrize("delta", [F(k, 12) for k in range(1, 12)]
+                             + [F(1, 10**k) for k in range(1, 21)])
+    def test_social_optimum_is_dynamic_seller_optimum(self, delta):
+        assert optimal_eps_social(delta) == optimal_eps_seller_sticky(delta, 1)
 
 
 # Frozen copy of the two surplus paths as they were when dynamic pricing
