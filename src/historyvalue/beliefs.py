@@ -304,10 +304,13 @@ def structure_to_json(structure: InformationStructure) -> str:
 
 
 def structure_from_json(text: str) -> InformationStructure:
+    # ValueError covers a JSONDecodeError and an integer literal past
+    # Python's digit limit; a deep enough nesting raises RecursionError
     try:
-        return structure_from_payload(json.loads(text))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad structure file: {exc}") from exc
+    return structure_from_payload(payload)
 
 
 def structure_from_payload(payload) -> InformationStructure:

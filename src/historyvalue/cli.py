@@ -43,7 +43,9 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers a JSONDecodeError, an integer literal past Python's
+    # digit limit and bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config must be a JSON object")
@@ -68,9 +70,10 @@ def _load_structure(cfg: dict):
             raise ParseError(f"structure_file must be a string, got {path!r}")
         try:
             with open(path) as fh:
-                return structure_from_json(fh.read())
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read structure file: {exc}") from exc
+        return structure_from_json(text)
     return structure_from_payload(cfg["structure"])
 
 

@@ -17,7 +17,7 @@ Computed quantities, all exact rationals:
   one of ``ACTION1``, ``ACTION0`` and ``FOLLOW_SIGNAL``;
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
   all deterministic per-node tie-break tables, from a process-wide memo
-  of one search per signal distribution (see below);
+  of finished searches (see below);
 * ``discounted_surpluses`` -- the one discounted series of the market for
   history: the seller's and the buyers' surplus when the price resets
   every ``t`` agents at the block leader's history gain, truncated with a
@@ -27,19 +27,18 @@ Computed quantities, all exact rationals:
   under dynamic pricing the seller charges each agent their gain, so this
   is the seller's surplus at ``t = 1`` (``ternary_social_value`` likewise).
 
-Agent ``d``'s best payoff depends only on the depths before ``d``, so
-the search at a horizon is a prefix of the search at any longer one.
-``best_equilibrium_payoffs`` therefore draws it from :func:`_search`, a
-``functools.lru_cache`` of one :class:`_Search`, the depths searched so
-far and the paused walk, per induced
-:class:`~historyvalue.beliefs.BeliefDistribution` (all that the search
-depends on: equal structures parsed separately, and structures that
-differ only in their labels, share one entry).  The key's class defines
-its equality and hash on its integer form alone, its weights as integers
-over their common denominator.  A horizon within an entry is served as a
-prefix, a longer one resumes the walk, and a failed walk restarts.  The
-memo keeps the ``SEARCH_MEMO_SIZE`` most recently used entries; it is
-shared by the whole process, used under one lock, and has no setting.
+``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
+``functools.lru_cache`` of finished searches: an entry is the tuple of
+``(best, count)`` pairs of one search at one horizon, keyed by the
+induced :class:`~historyvalue.beliefs.BeliefDistribution` (all that the
+search depends on: equal structures parsed separately, and structures
+that differ only in their labels, share one entry) and the horizon.
+The key's class defines its equality and hash on its integer form alone,
+its weights as integers over their common denominator.  A call that
+raised stores nothing, and an entry is immutable, so callers on several
+threads share nothing they could change.  The memo keeps the
+``SEARCH_MEMO_SIZE`` most recently used entries; it is shared by the
+whole process and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
@@ -54,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from collections import namedtuple
 from fractions import Fraction
 
@@ -275,31 +273,17 @@ def _check_ties(depth: int, count: int):
         )
 
 
-class _Search:
-    """One :func:`_walk` and the ``(best, count)`` of the depths taken from it."""
-
-    def __init__(self, signal: BeliefDistribution, choices):
-        self.signal = signal
-        self._choices = choices
-        self.depths = []
-        self._walk = _walk(signal, choices)
-
-    def profile(self, horizon: int) -> PayoffProfile:
-        """The first ``horizon`` depths, taking more from the walk as needed.
-        Each depth but the last is checked against the current
-        ``MAX_TIE_PROFILES`` before it is expanded or served again.  A walk
-        that raises is over, so a new one replaces it, from the root."""
-        for depth in range(horizon):
-            if depth == len(self.depths):
-                try:
-                    self.depths.append(next(self._walk))
-                except BaseException:
-                    self.depths = []
-                    self._walk = _walk(self.signal, self._choices)
-                    raise
-            if depth < horizon - 1:
-                _check_ties(depth, self.depths[depth][1])
-        return PayoffProfile(self.signal, tuple(best for best, _ in self.depths[:horizon]))
+def _depths(signal: BeliefDistribution, choices, horizon: int) -> tuple:
+    """The first ``horizon`` ``(best, count)`` pairs of a new :func:`_walk`.
+    Each depth's count is checked against ``MAX_TIE_PROFILES`` before the
+    next depth is drawn, since drawing it expands the depth."""
+    walk = _walk(signal, choices)
+    depths = []
+    for depth in range(horizon):
+        if depths:
+            _check_ties(depth - 1, depths[-1][1])
+        depths.append(next(walk))
+    return tuple(depths)
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
@@ -314,16 +298,14 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     # a dict rule is unhashable, so test the type before the membership
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
-    return _Search(induced_belief_distribution(structure), _RULES[rule]).profile(horizon)
+    signal = induced_belief_distribution(structure)
+    return PayoffProfile(signal, tuple(best for best, _ in _depths(signal, _RULES[rule], horizon)))
 
 
 @functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
-def _search(signal: BeliefDistribution) -> _Search:
-    """The process-wide search with both actions at every tie, per signal."""
-    return _Search(signal, lambda private: (1, 0))
-
-
-_SEARCH_LOCK = threading.Lock()
+def _search(signal: BeliefDistribution, horizon: int) -> tuple:
+    """The process-wide memo of :func:`_depths` with both actions at every tie."""
+    return _depths(signal, lambda private: (1, 0), horizon)
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -334,15 +316,18 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     vector (earlier agents first): :func:`_walk` with both actions
     allowed at every tie.
 
-    The search is drawn from :func:`_search`, the process-wide memo that the
+    The result is drawn from :func:`_search`, the process-wide memo that the
     module docstring describes.  ``MAX_TIE_PROFILES`` is checked on every
-    call, as a fresh search would check it, and a walk that fails is never
-    reused.
+    call, against the counts of every depth but the last, whether the memo
+    serves the result or computes it, so a served call raises as a fresh
+    one would.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
     signal = induced_belief_distribution(structure)
-    with _SEARCH_LOCK:
-        return _search(signal).profile(horizon)
+    depths = _search(signal, horizon)
+    for depth, (_, count) in enumerate(depths[:-1]):
+        _check_ties(depth, count)
+    return PayoffProfile(signal, tuple(best for best, _ in depths))
 
 
 class BoundedValue(namedtuple("BoundedValue", "value error_bound")):

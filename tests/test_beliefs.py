@@ -183,3 +183,7 @@ class TestJsonRoundTrip:
             structure_from_json("{not json")
         with pytest.raises(ParseError):
             structure_from_json('{"wrong": []}')
+        # an integer past the 4300-digit limit and a nesting past the recursion limit
+        for text in ('{"signals": ' + "1" * 5000 + "}", "[" * 100000 + "]" * 100000):
+            with pytest.raises(ParseError):
+                structure_from_json(text)

@@ -18,6 +18,14 @@ from historyvalue.cli import (
 from historyvalue.errors import InvariantViolation
 
 
+#: File contents that ``json`` rejects with an error other than JSONDecodeError.
+MALFORMED_BYTES = {
+    "long-integer": b'{"horizon": ' + b"1" * 5000 + b"}",  # past the 4300-digit limit
+    "deep-array": b"[" * 100000 + b"]" * 100000,  # RecursionError
+    "byte-0xff": b"\xff{}",  # not UTF-8
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -86,6 +94,16 @@ class TestErrorCodes:
         path.write_text("{nope")
         code, _, err = run(capsys, "value", "--config", str(path))
         assert code == EXIT_PARSE and "parse" in err
+
+    @pytest.mark.parametrize("where", ["config", "structure_file"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BYTES))
+    def test_malformed_bytes(self, tmp_path, capsys, name, where):
+        path = tmp_path / "bad.json"
+        path.write_bytes(MALFORMED_BYTES[name])
+        if where == "structure_file":
+            path = write_config(tmp_path, {"structure_file": str(path)})
+        code, out, err = run(capsys, "value", "--config", str(path))
+        assert code == EXIT_PARSE and out == "" and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, out, err = run(capsys, "value", "--config", str(tmp_path / "missing.json"))

@@ -172,12 +172,14 @@ class TestEqualityAndHash:
         assert induced_belief_distribution(second) is not signal
         assert induced_belief_distribution(second) == signal
         a = best_equilibrium_payoffs(first, 4)
-        entry = empty_memo(signal)
+        entry = empty_memo(signal, 4)
         b = best_equilibrium_payoffs(second, 4)
         info = empty_memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-        assert empty_memo(induced_belief_distribution(second)) is entry
-        assert b.signal is signal and b.with_history == a.with_history
+        assert empty_memo(induced_belief_distribution(second), 4) is entry
+        # each profile carries its own structure's distribution
+        assert b.signal is induced_belief_distribution(second) == signal
+        assert b.with_history == a.with_history
 
 
 @pytest.mark.parametrize("table, sums", [

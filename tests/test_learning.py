@@ -1,5 +1,8 @@
 import ast
+import gc
+import inspect
 import itertools
+import json
 import pathlib
 import sys
 import threading
@@ -19,7 +22,8 @@ from historyvalue import (
     ternary_structure,
     validate_structure,
 )
-from historyvalue.beliefs import induced_belief_distribution, structure_from_json
+from historyvalue.beliefs import induced_belief_distribution, structure_from_json, structure_to_json
+from historyvalue.cli import EXIT_OK, main
 from historyvalue.design import corpus, split_to_ternary
 from historyvalue.errors import (
     HistoryValueError,
@@ -114,6 +118,35 @@ def frozen_simulate(structure, horizon, rule):
     return tuple(values)
 
 
+def raw_history_payoffs(structure, horizon, rule):
+    """Oracle: per-agent payoffs under a fixed rule, walking every raw action
+    history over the structure's own signals.  A history is kept as its
+    probability in each state; no public belief is formed or merged."""
+    signals = [(ph, pl) for _, ph, pl in structure.items()]
+    histories, values = [(F(1), F(1))], []
+    for _ in range(horizon):
+        payoff, longer = F(0), []
+        for hh, hl in histories:
+            reach = {1: [F(0), F(0)], 0: [F(0), F(0)]}
+            for ph, pl in signals:
+                high, low = hh * ph, hl * pl
+                if high == low == 0:
+                    continue
+                if high > low:
+                    action = 1
+                    payoff += (high - low) / 4
+                elif high < low:
+                    action = 0
+                else:
+                    action = FROZEN_RULES[rule](None, ph / (ph + pl))
+                reach[action][0] += ph
+                reach[action][1] += pl
+            longer += [(hh * ah, hl * al) for ah, al in reach.values()]
+        histories = longer
+        values.append(payoff)
+    return tuple(values)
+
+
 def exhaustive_best(structure, horizon):
     """Oracle: the lexicographic maximum over the payoff vectors of every
     tie-break table, enumerated to the leaves without pruning or merging
@@ -202,6 +235,12 @@ class TestSimulateEquilibrium:
         got = simulate_equilibrium(fixture(), horizon, rule).with_history
         assert got == frozen_simulate(fixture(), horizon, rule)
 
+    @pytest.mark.parametrize("rule", [ACTION1, ACTION0, FOLLOW_SIGNAL])
+    def test_matches_raw_history_oracle(self, rule):
+        for structure in [*CORPUS, fixture()]:
+            got = simulate_equilibrium(structure, 5, rule).with_history
+            assert got == raw_history_payoffs(structure, 5, rule), structure
+
 
 class TestBestEquilibrium:
     @pytest.mark.parametrize("eps", [F(1, 4), F(1, 2), F(5, 6)])
@@ -239,6 +278,11 @@ class TestBestEquilibrium:
             best = best_equilibrium_payoffs(structure, horizon).with_history
             assert best >= simulate_equilibrium(structure, horizon, rule).with_history, structure
 
+    def test_at_least_every_raw_history_rule(self):
+        for structure in [*CORPUS, fixture()]:
+            best = best_equilibrium_payoffs(structure, 5).with_history
+            for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL):
+                assert best >= raw_history_payoffs(structure, 5, rule), (structure, rule)
 
     def test_equals_a_fixed_rule_on_seeded_corpora(self):
         # An observation, not a property the engine relies on: on these
@@ -340,31 +384,52 @@ class TestPrefixPruning:
         assert err.value.count == count == 4
         assert "depth 1" in str(err.value)
 
-    def test_cap_checked_when_memo_serves_a_prefix(self, monkeypatch):
-        best_equilibrium_payoffs(fixture(), learning.LEX_CAP)
+    def test_cap_checked_before_the_depth_is_expanded(self, empty_memo, monkeypatch):
+        # depth 1's 4 assignments are counted when depth 1 is drawn, which
+        # expands only depth 0's 2; depth 1 is never expanded
+        children = learning._children
+        calls = []
+
+        def counting(nodes, actions):
+            calls.append(actions)
+            return children(nodes, actions)
+
+        monkeypatch.setattr(learning, "_children", counting)
         monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
-        with pytest.raises(TooManyIndifferenceNodes) as fresh:
-            new_search(fixture()).profile(4)
+        with pytest.raises(TooManyIndifferenceNodes) as err:
+            best_equilibrium_payoffs(fixture(), 4)
+        assert (err.value.count, len(calls)) == (4, 2)
+        assert "depth 1" in str(err.value)
+
+    def test_cap_checked_when_memo_serves_a_prefix(self, empty_memo, monkeypatch):
+        # the entry is stored under the default cap; served under a cap of 2,
+        # the stored counts of its depths before the last are checked again
+        best_equilibrium_payoffs(fixture(), 4)
+        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
         with pytest.raises(TooManyIndifferenceNodes) as served:
             best_equilibrium_payoffs(fixture(), 4)
+        assert empty_memo.cache_info()[:2] == (1, 1)  # served: one hit
+        empty_memo.cache_clear()
+        with pytest.raises(TooManyIndifferenceNodes) as fresh:
+            best_equilibrium_payoffs(fixture(), 4)
+        assert empty_memo.cache_info()[:2] == (0, 1)  # computed: one miss
         assert served.value.count == fresh.value.count == 4
         assert str(served.value) == str(fresh.value)
-        # the cap is checked ahead of the walk, which stays intact
-        signal = induced_belief_distribution(fixture())
-        assert len(learning._search(signal).depths) == learning.LEX_CAP
-        # at horizon 2 only depth 0 (2 assignments) is expanded
+        # at horizon 2 only depth 0 (2 assignments) is checked
         assert best_equilibrium_payoffs(fixture(), 2).with_history == fresh_search(fixture(), 2)
-
-
-def new_search(structure):
-    """A search with both actions at every tie, outside the memo."""
-    return learning._Search(induced_belief_distribution(structure), lambda private: (1, 0))
 
 
 def fresh_search(structure, horizon):
     """The first ``horizon`` best payoffs of a new walk, outside the memo."""
-    walk = new_search(structure)._walk
+    walk = learning._walk(induced_belief_distribution(structure), lambda private: (1, 0))
     return tuple(best for best, _ in itertools.islice(walk, horizon))
+
+
+def live_walks() -> list:
+    """The :func:`learning._walk` generators still alive after a collection."""
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if inspect.isgenerator(obj) and obj.gi_code is learning._walk.__code__]
 
 
 class TestSearchMemo:
@@ -383,14 +448,14 @@ class TestSearchMemo:
         entries = []
         for structure, key in zip(structures, keys):
             best_equilibrium_payoffs(structure, 2)
-            entries.append(empty_memo(key))
+            entries.append(empty_memo(key, 2))
             assert empty_memo.cache_info().currsize <= bound
         info = empty_memo.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 3)
         # the last ``bound`` entries are served; the first three were evicted
-        assert all(empty_memo(k) is e for k, e in zip(keys[3:], entries[3:]))
+        assert all(empty_memo(k, 2) is e for k, e in zip(keys[3:], entries[3:]))
         assert empty_memo.cache_info().misses == bound + 3
-        assert all(empty_memo(k) is not e for k, e in zip(keys[:3], entries[:3]))
+        assert all(empty_memo(k, 2) is not e for k, e in zip(keys[:3], entries[:3]))
 
     def test_equal_and_relabelled_structures_share_an_entry(self, empty_memo, monkeypatch):
         text = ('{"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"}, '
@@ -399,7 +464,7 @@ class TestSearchMemo:
             {"z": (F(1, 6), F(1, 2)), "x": (F(2, 4), F(1, 6)), "y": (F(1, 3), F(1, 3))}
         )
         first = best_equilibrium_payoffs(structure_from_json(text), 5)
-        entry = empty_memo(first.signal)
+        entry = empty_memo(first.signal, 5)
         info = empty_memo.cache_info()
 
         def no_walk(*_args):
@@ -409,7 +474,7 @@ class TestSearchMemo:
         for structure in (structure_from_json(text), relabelled):
             profile = best_equilibrium_payoffs(structure, 5)
             assert profile.with_history == first.with_history
-            assert empty_memo(profile.signal) is entry
+            assert empty_memo(profile.signal, 5) is entry
         after = empty_memo.cache_info()
         assert (after.misses, after.currsize) == (info.misses, info.currsize) == (1, 1)
 
@@ -436,15 +501,19 @@ class TestSearchMemo:
             return level
 
         best_equilibrium_payoffs(fixture(), 1)
-        entry = empty_memo(induced_belief_distribution(fixture()))
         monkeypatch.setattr(learning, "_check_level", failing)
-        for _ in range(2):
+        for misses in (2, 3):
             with pytest.raises(InvariantViolation, match="injected"):
                 best_equilibrium_payoffs(fixture(), 3)
-            assert entry.depths == []
+            # each failing call walks anew and stores nothing
+            info = empty_memo.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, misses, 1)
         monkeypatch.undo()
         assert best_equilibrium_payoffs(fixture(), 3).with_history == fresh_search(fixture(), 3)
-        assert empty_memo(induced_belief_distribution(fixture())) is entry
+        entry = empty_memo(induced_belief_distribution(fixture()), 3)
+        info = empty_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
+        assert tuple(best for best, _ in entry) == fresh_search(fixture(), 3)
 
     def test_walk_failing_once_is_recomputed(self, empty_memo, monkeypatch):
         check = learning._check_level
@@ -460,9 +529,25 @@ class TestSearchMemo:
         monkeypatch.setattr(learning, "_check_level", fails_once)
         with pytest.raises(InvariantViolation, match="injected"):
             best_equilibrium_payoffs(fixture(), 3)
-        assert empty_memo(induced_belief_distribution(fixture())).depths == []
-        got = best_equilibrium_payoffs(fixture(), 6).with_history
-        assert got == fresh_search(fixture(), 6) and len(failures) == 1
+        assert empty_memo.cache_info().currsize == 1  # the failure is not stored
+        got = best_equilibrium_payoffs(fixture(), 3).with_history
+        assert got == fresh_search(fixture(), 3) and len(failures) == 1
+        assert empty_memo.cache_info().currsize == 2
+
+    def test_no_walk_outlives_its_call(self, empty_memo, tmp_path, capsys, monkeypatch):
+        # an entry is a finished tuple: no paused walk stays behind, after
+        # ``hv design`` in-process or once a failed call's error is dropped
+        assert live_walks() == []
+        config = tmp_path / "design.json"
+        config.write_text(json.dumps({"horizon": 7, "structure": json.loads(structure_to_json(fixture()))}))
+        assert main(["design", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert empty_memo.cache_info().currsize > 0
+        assert live_walks() == []
+        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+        with pytest.raises(TooManyIndifferenceNodes):
+            best_equilibrium_payoffs(sym_binary(), 6)
+        assert live_walks() == []
 
     def test_concurrent_callers(self, empty_memo):
         # 4 threads (more than this suite's 2-core host) switching often,
