@@ -154,8 +154,10 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form"))
     @classmethod
     def from_weights(cls, weights) -> "BeliefDistribution":
         """Build from ``{belief: (w_high, w_low)}`` with rational weights >= 0,
-        dropping null atoms; anything else is a :class:`ValidationError`."""
-        atoms = []
+        dropping null atoms and summing the weights of keys that name one
+        belief (``"1/2"`` and ``"0.5"``); anything else is a
+        :class:`ValidationError`."""
+        sums = {}
         for belief, (wh, wl) in weights.items():
             wh, wl = (rational(w, f"atom {belief} weight") for w in (wh, wl))
             if wh == 0 and wl == 0:
@@ -165,8 +167,9 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form"))
                 raise ValidationError(f"atom {belief} has a negative weight ({wh}, {wl})")
             if belief * (wh + wl) != wh:  # belief = wh / (wh + wl), even if wh + wl = 0
                 raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
-            atoms.append((belief, wh, wl))
-        atoms = tuple(sorted(atoms))
+            old_h, old_l = sums.get(belief, (0, 0))
+            sums[belief] = (old_h + wh, old_l + wl)
+        atoms = tuple(sorted((belief, wh, wl) for belief, (wh, wl) in sums.items()))
         form = integer_weights((wh, wl) for _, wh, wl in atoms)
         _check_columns(*form)
         return cls(atoms, form)

@@ -139,20 +139,25 @@ def _bounded_entry(v) -> dict:
     }
 
 
+def _relaxed(series, tolerance):
+    """``series(tolerance)``, a truncated series certified to the config
+    tolerance, and whether the tolerance was relaxed.  Where ``LEX_CAP``
+    cannot reach it, the run stays useful: the series is reported at the
+    best tolerance the cap reaches, with one note on stderr."""
+    try:
+        return series(tolerance), False
+    except HorizonCapExceeded as exc:
+        print(f"note: {exc}; reporting at that tolerance", file=sys.stderr)
+        return series(exc.achievable_tolerance), True
+
+
 def run_value(cfg: dict, args) -> dict:
     params = _common(cfg, args)
     structure = _load_structure(cfg)
     profile = best_equilibrium_payoffs(structure, params["horizon"])
-    tolerance_relaxed = False
-    try:
-        aggregate = social_value(structure, params["delta"], params["tolerance"])
-    except HorizonCapExceeded as exc:
-        # keep the run useful: report at the best certified bound the
-        # horizon cap allows, and say so
-        if exc.achievable_tolerance is None:
-            raise
-        aggregate = social_value(structure, params["delta"], exc.achievable_tolerance)
-        tolerance_relaxed = True
+    aggregate, tolerance_relaxed = _relaxed(
+        functools.partial(social_value, structure, params["delta"]), params["tolerance"]
+    )
     return {
         "command": "value",
         "config": _echo(cfg, params),
@@ -203,7 +208,10 @@ def run_market(cfg: dict, args) -> dict:
     mp = market.MarketParams(params["delta"], params["alpha"], params["stickiness"])
     t = params["stickiness"]
     path = market.sticky_price_path(structure, t, params["horizon"])
-    report = market.sticky_surpluses(structure, mp, params["tolerance"])
+    # no stdout key says the tolerance was relaxed: each error_bound shows it
+    report, _ = _relaxed(
+        functools.partial(market.sticky_surpluses, structure, mp), params["tolerance"]
+    )
     return {
         "command": "market",
         "config": _echo(cfg, params),

@@ -29,16 +29,18 @@ Computed quantities, all exact rationals:
 
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
 ``functools.lru_cache`` of finished searches: an entry is the tuple of
-``(best, count)`` pairs of one search at one horizon, keyed by the
+best payoffs of one search at one horizon, keyed by the
 induced :class:`~historyvalue.beliefs.BeliefDistribution` (all that the
 search depends on: equal structures parsed separately, and structures
 that differ only in their labels, share one entry) and the horizon.
 The key's class defines its equality and hash on its integer form alone,
 its weights as integers over their common denominator.  A call that
-raised stores nothing, and an entry is immutable, so callers on several
-threads share nothing they could change.  The memo keeps the
-``SEARCH_MEMO_SIZE`` most recently used entries; it is shared by the
-whole process and has no setting.
+raised stores nothing.  :func:`_walk` checks ``MAX_TIE_PROFILES`` as it
+expands, so only a call within the cap stores an entry, and a served
+entry, which expands nothing, is not checked again.  An entry is
+immutable, so callers on several threads share nothing they could
+change.  The memo keeps the ``SEARCH_MEMO_SIZE`` most recently used
+entries; it is shared by the whole process and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
@@ -235,10 +237,12 @@ def _walk(signal: BeliefDistribution, choices):
     tie-breaks before depth ``d`` produced: the lexicographic maximum is a
     running maximum over prefixes.  Each depth keeps the levels whose agent
     reaches the best payoff, merges equal ones and expands them over their
-    tie-break assignments.  Yields, for depth after depth without end, the
-    best payoff and the number of assignments that expanding the depth
-    tries, summed over the kept levels; the expansion runs only when the
-    next depth is asked for, and only the kept levels stay alive until then.
+    tie-break assignments.  Yields the best payoff of depth after depth
+    without end; only the kept levels stay alive between yields.  The
+    expansion runs only when the next depth is asked for, and first counts
+    the assignments it would try, summed over the kept levels: past
+    ``MAX_TIE_PROFILES`` it raises :class:`TooManyIndifferenceNodes`
+    carrying that count, and expands nothing.
 
     The signal's weights come from its integer form, integers over ``D``,
     the lcm of their denominators, so the levels at depth ``d`` are
@@ -248,42 +252,25 @@ def _walk(signal: BeliefDistribution, choices):
     scale, weights = signal.integer_form
     atoms = [(private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights)]
     frontier, total = {_ROOT}, 1
-    while True:
+    for depth in itertools.count():
         passes = [_advance(_check_level(level, total), atoms) for level in frontier]
         best = max(payoff for payoff, _ in passes)
         kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
                 for payoff, nodes in passes if payoff == best]
         del frontier, passes
         total *= scale
-        yield Fraction(best, 4 * total), sum(math.prod(map(len, options)) for _, options in kept)
+        yield Fraction(best, 4 * total)
+        count = sum(math.prod(map(len, options)) for _, options in kept)
+        if count > MAX_TIE_PROFILES:
+            raise TooManyIndifferenceNodes(
+                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
+                count=count,
+            )
         frontier = {
             _children(nodes, actions)
             for nodes, options in kept
             for actions in itertools.product(*options)
         }
-
-
-def _check_ties(depth: int, count: int):
-    """Past ``MAX_TIE_PROFILES`` assignments at ``depth``, raise
-    :class:`TooManyIndifferenceNodes` carrying ``count``."""
-    if count > MAX_TIE_PROFILES:
-        raise TooManyIndifferenceNodes(
-            f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
-            count=count,
-        )
-
-
-def _depths(signal: BeliefDistribution, choices, horizon: int) -> tuple:
-    """The first ``horizon`` ``(best, count)`` pairs of a new :func:`_walk`.
-    Each depth's count is checked against ``MAX_TIE_PROFILES`` before the
-    next depth is drawn, since drawing it expands the depth."""
-    walk = _walk(signal, choices)
-    depths = []
-    for depth in range(horizon):
-        if depths:
-            _check_ties(depth - 1, depths[-1][1])
-        depths.append(next(walk))
-    return tuple(depths)
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
@@ -299,13 +286,14 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
     signal = induced_belief_distribution(structure)
-    return PayoffProfile(signal, tuple(best for best, _ in _depths(signal, _RULES[rule], horizon)))
+    return PayoffProfile(signal, tuple(itertools.islice(_walk(signal, _RULES[rule]), horizon)))
 
 
 @functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def _search(signal: BeliefDistribution, horizon: int) -> tuple:
-    """The process-wide memo of :func:`_depths` with both actions at every tie."""
-    return _depths(signal, lambda private: (1, 0), horizon)
+    """The process-wide memo of the first ``horizon`` depths of :func:`_walk`
+    with both actions at every tie."""
+    return tuple(itertools.islice(_walk(signal, lambda private: (1, 0)), horizon))
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -317,17 +305,14 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     allowed at every tie.
 
     The result is drawn from :func:`_search`, the process-wide memo that the
-    module docstring describes.  ``MAX_TIE_PROFILES`` is checked on every
-    call, against the counts of every depth but the last, whether the memo
-    serves the result or computes it, so a served call raises as a fresh
-    one would.
+    module docstring describes.  ``MAX_TIE_PROFILES`` bounds the work of a
+    call: the walk checks it before it expands each depth but the last, so
+    a computed call raises past it and stores nothing, and a served call,
+    which expands nothing, is not checked again.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
     signal = induced_belief_distribution(structure)
-    depths = _search(signal, horizon)
-    for depth, (_, count) in enumerate(depths[:-1]):
-        _check_ties(depth, count)
-    return PayoffProfile(signal, tuple(best for best, _ in depths))
+    return PayoffProfile(signal, _search(signal, horizon))
 
 
 class BoundedValue(namedtuple("BoundedValue", "value error_bound")):

@@ -287,6 +287,25 @@ class TestMarket:
         assert payload["surpluses"]["seller"]["value"] == "1/40"
         assert [p["rational"] for p in payload["prices"]] == ["0/1", "0/1", "3/32", "3/32"]
 
+    def test_relaxes_like_value(self, tmp_path, capsys):
+        # at delta = 1/2 the default tolerance needs more agents than LEX_CAP;
+        # both commands report at the cap's tolerance, (1/2)^8 / 4, and say so
+        fixture = {"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"},
+                               {"id": "b", "pH": "1/3", "pL": "1/3"},
+                               {"id": "c", "pH": "1/6", "pL": "1/2"}]}
+        cfg = write_config(tmp_path, {"structure": fixture})
+        value_code, value_out, value_err = run(capsys, "value", "--config", cfg)
+        market_code, market_out, market_err = run(capsys, "market", "--config", cfg)
+        assert value_code == market_code == EXIT_OK
+        assert value_err == market_err == (
+            "note: tolerance 1/1000000000 is not reached within cap 8; the cap "
+            "reaches tolerance 1/1024; reporting at that tolerance\n"
+        )
+        value, seller = json.loads(value_out), json.loads(market_out)["surpluses"]["seller"]
+        assert value["tolerance_relaxed"] is True
+        assert seller["error_bound"] == value["social_value"]["error_bound"] == "0.0009765625"
+        assert seller["value"] == value["social_value"]["rational"]
+
     def test_stickiness_where_delta_power_underflows(self, tmp_path, capsys):
         # (1/2)^1100 underflows as a float; this exited 1 with a traceback
         cfg = write_config(

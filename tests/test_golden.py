@@ -1,8 +1,9 @@
 """``hv`` stdout on fixed configs matches recorded files byte for byte.
 
 The cases cover the market surplus paths (dynamic and sticky, on a
-non-ternary and a ternary structure), ``hv value`` where it relaxes
-the tolerance to the cap and on a ternary structure (the closed form),
+non-ternary and a ternary structure), ``hv value`` and ``hv market``
+where they relax the tolerance to the cap, ``hv value`` on a ternary
+structure (the closed form),
 ``hv design`` on the benchmark's tie-search fixture and on a ternary
 structure, ``hv sweep`` (CSV) at the default and a
 tight tolerance, and ``hv verify`` on the benchmark's 200-structure
@@ -45,6 +46,7 @@ CASES = {
     "market_fixture_t1": ("market", {**FIXTURE_MARKET, "stickiness": 1}),
     "market_fixture_t3": ("market", {**FIXTURE_MARKET, "stickiness": 3}),
     "market_ternary_t1": ("market", {"ternary_eps": "1/3", "stickiness": 1}),
+    "market_fixture_relaxed": ("market", {"structure": FIXTURE}),
     "value_fixture_relaxed": ("value", {"structure": FIXTURE}),
     "value_ternary": ("value", {"ternary_eps": "1/3"}),
     "design_fixture_tie_search": ("design", TIE_SEARCH),

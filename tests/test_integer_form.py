@@ -141,8 +141,16 @@ class TestEqualityAndHash:
         assert equal_pairs > 0  # equal splits recur across the corpus
 
     def test_rebuilt_distribution_is_equal_with_equal_hash(self):
-        for dist in itertools.islice(corpus_distributions(), 300):
-            again = BeliefDistribution.from_weights({b: (wh, wl) for b, wh, wl in dist.atoms})
+        rebuilt = [
+            (BeliefDistribution.from_weights({b: (wh, wl) for b, wh, wl in dist.atoms}), dist)
+            for dist in itertools.islice(corpus_distributions(), 300)
+        ]
+        # two keys that name one belief build one atom
+        rebuilt.append((
+            BeliefDistribution.from_weights({"1/2": ("1/2", "1/2"), "0.5": ("1/2", "1/2")}),
+            BeliefDistribution.from_weights({"1/2": (1, 1)}),
+        ))
+        for again, dist in rebuilt:
             assert again is not dist
             assert again == dist and hash(again) == hash(dist)
             assert {dist: 1}[again] == 1

@@ -200,8 +200,8 @@ def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions, the golden-section search, the ternary sticky closed
     forms and the market's weighted objective."""
-    for module, names in ((learning, {"_advance", "_children", "_walk", "_depths",
-                                     "_check_level", "_sticky_kernel"}),
+    for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level",
+                                     "_sticky_kernel"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),

@@ -368,7 +368,7 @@ class TestPrefixPruning:
         for k in range(7):
             assert full[:k] == best_equilibrium_payoffs(structure, k).with_history
 
-    def test_cap_reports_real_count(self, monkeypatch):
+    def test_cap_reports_real_count(self, empty_memo, monkeypatch):
         # Depth 0 ties once (2 assignments, within the cap).  Its two child
         # levels mirror each other, so both are kept, and each ties once:
         # 4 assignments at depth 1, which is where the cap of 2 binds.
@@ -400,29 +400,43 @@ class TestPrefixPruning:
             best_equilibrium_payoffs(fixture(), 4)
         assert (err.value.count, len(calls)) == (4, 2)
         assert "depth 1" in str(err.value)
+        # the walk itself raises when the draw past depth 1 would expand it
+        calls.clear()
+        walk = learning._walk(induced_belief_distribution(fixture()), lambda private: (1, 0))
+        next(walk), next(walk)  # drawing depth 1 expands depth 0
+        assert len(calls) == 2
+        with pytest.raises(TooManyIndifferenceNodes) as direct:
+            next(walk)
+        assert (direct.value.count, len(calls)) == (4, 2)
+        assert str(direct.value) == str(err.value)
 
-    def test_cap_checked_when_memo_serves_a_prefix(self, empty_memo, monkeypatch):
-        # the entry is stored under the default cap; served under a cap of 2,
-        # the stored counts of its depths before the last are checked again
-        best_equilibrium_payoffs(fixture(), 4)
+    def test_cap_checked_only_when_the_memo_computes(self, empty_memo, monkeypatch):
+        # the entry is stored under the default cap; served under a cap of 2
+        # it expands nothing, so the cap has no work to bound
+        stored = best_equilibrium_payoffs(fixture(), 4).with_history
         monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
-        with pytest.raises(TooManyIndifferenceNodes) as served:
-            best_equilibrium_payoffs(fixture(), 4)
+
+        def no_walk(*_args):
+            raise AssertionError("the memo should serve this search")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(learning, "_advance", no_walk)
+            assert best_equilibrium_payoffs(fixture(), 4).with_history == stored
         assert empty_memo.cache_info()[:2] == (1, 1)  # served: one hit
         empty_memo.cache_clear()
         with pytest.raises(TooManyIndifferenceNodes) as fresh:
             best_equilibrium_payoffs(fixture(), 4)
         assert empty_memo.cache_info()[:2] == (0, 1)  # computed: one miss
-        assert served.value.count == fresh.value.count == 4
-        assert str(served.value) == str(fresh.value)
-        # at horizon 2 only depth 0 (2 assignments) is checked
+        assert fresh.value.count == 4
+        assert str(fresh.value) == "4 tie-break assignments at depth 1 exceed 2"
+        # at horizon 2 only depth 0 (2 assignments) is expanded
         assert best_equilibrium_payoffs(fixture(), 2).with_history == fresh_search(fixture(), 2)
 
 
 def fresh_search(structure, horizon):
     """The first ``horizon`` best payoffs of a new walk, outside the memo."""
     walk = learning._walk(induced_belief_distribution(structure), lambda private: (1, 0))
-    return tuple(best for best, _ in itertools.islice(walk, horizon))
+    return tuple(itertools.islice(walk, horizon))
 
 
 def live_walks() -> list:
@@ -513,7 +527,7 @@ class TestSearchMemo:
         entry = empty_memo(induced_belief_distribution(fixture()), 3)
         info = empty_memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
-        assert tuple(best for best, _ in entry) == fresh_search(fixture(), 3)
+        assert entry == fresh_search(fixture(), 3)
 
     def test_walk_failing_once_is_recomputed(self, empty_memo, monkeypatch):
         check = learning._check_level
