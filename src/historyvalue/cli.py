@@ -302,7 +302,15 @@ def _echo(cfg: dict, params: dict) -> dict:
 
 @functools.lru_cache(maxsize=1)
 def _parser(commands: tuple) -> argparse.ArgumentParser:
-    """The ``hv`` parser: built on first use, then reused, as parsing leaves it unchanged."""
+    """The ``hv`` parser: built on first use, then reused, as parsing leaves it
+    unchanged.  The options every command shares are declared once, on a
+    parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON config file")
+    common.add_argument("--out", help="output path (default: stdout)")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--horizon", type=int, default=None)
+    common.add_argument("--tol", default=None)
     parser = argparse.ArgumentParser(
         prog="hv",
         description="Value of history: exact social-learning payoffs, belief "
@@ -310,12 +318,7 @@ def _parser(commands: tuple) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--tol", default=None)
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -54,7 +54,11 @@ class HorizonCapExceeded(CapExceeded):
 
 
 class TooManyIndifferenceNodes(CapExceeded):
-    """The tie-break search would try more assignments at one depth than its bound."""
+    """The public-belief tree would need more states than ``learning.MAX_STATES``.
+
+    A state is a reduced public node and the number of agents left below
+    it; ``count`` is the number of states the call would have stored.
+    """
 
     def __init__(self, message, count=None):
         super().__init__(message)

@@ -16,8 +16,8 @@ Computed quantities, all exact rationals:
 * ``simulate_equilibrium`` -- per-agent payoffs under a fixed tie rule,
   one of ``ACTION1``, ``ACTION0`` and ``FOLLOW_SIGNAL``;
 * ``best_equilibrium_payoffs`` -- lexicographically best payoffs over
-  all deterministic per-node tie-break tables, from a process-wide memo
-  of finished searches (see below);
+  all deterministic per-node tie-break tables, computed node by node
+  and drawn from a process-wide memo of finished searches (see below);
 * ``discounted_surpluses`` -- the one discounted series of the market for
   history: the seller's and the buyers' surplus when the price resets
   every ``t`` agents at the block leader's history gain, truncated with a
@@ -27,6 +27,16 @@ Computed quantities, all exact rationals:
   under dynamic pricing the seller charges each agent their gain, so this
   is the seller's surplus at ``t = 1`` (``ternary_social_value`` likewise).
 
+The tree is one recursion, :func:`_best`, over the public nodes, each
+its reach in the two states reduced by their gcd.  At most one signal
+ties at a node, tie-break tables are per node, and the lexicographic
+order is kept by sums and positive scaling, so the best payoffs below a
+node are the best, over the tied signal's allowed actions, of its
+children's summed: no table is enumerated whole.  A fixed rule allows
+one action, so the same recursion gives ``simulate_equilibrium``.  Each
+call keeps its own table of finished states, dropped when it returns,
+and raises :class:`TooManyIndifferenceNodes` past ``MAX_STATES`` of them.
+
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
 ``functools.lru_cache`` of finished searches: an entry is the tuple of
 best payoffs of one search at one horizon, keyed by the
@@ -35,25 +45,23 @@ search depends on: equal structures parsed separately, and structures
 that differ only in their labels, share one entry) and the horizon.
 The key's class defines its equality and hash on its integer form alone,
 its weights as integers over their common denominator.  A call that
-raised stores nothing.  :func:`_walk` checks ``MAX_TIE_PROFILES`` as it
-expands, so only a call within the cap stores an entry, and a served
-entry, which expands nothing, is not checked again.  An entry is
-immutable, so callers on several threads share nothing they could
-change.  The memo keeps the ``SEARCH_MEMO_SIZE`` most recently used
-entries; it is shared by the whole process and has no setting.
+raised stores nothing, so only a call within ``MAX_STATES`` stores an
+entry, and a served entry, which computes nothing, is not checked again.
+An entry is immutable, so callers on several threads share nothing they
+could change.  The memo keeps the ``SEARCH_MEMO_SIZE`` most recently
+used entries; it is shared by the whole process and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
-every reach weight at depth ``d`` is an integer over ``D^d``: ties are
-decided by exact integer equality, equal public beliefs merge under
-their reduced integer ratio, and each depth builds one ``Fraction``, its
-best payoff, at the boundary.
+a node's children are integers over ``D`` in the node's own units: ties
+are decided by exact integer equality, equal public beliefs share one
+state under their reduced integer ratio, and each agent's payoff is one
+``Fraction``, built at the root.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -64,7 +72,6 @@ from .beliefs import (
     iid_belief_distribution,
     iid_chain,
     induced_belief_distribution,
-    merge_beliefs,
     uninformative_mass,
 )
 from .errors import (
@@ -80,8 +87,8 @@ from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 HORIZON_CAP = 12
 #: Horizon cap for the lexicographic tie-break search.
 LEX_CAP = 8
-#: Bound on tie-break assignments tried at one depth of that search.
-MAX_TIE_PROFILES = 20000
+#: Bound on the public-belief states one call of the tree engine stores.
+MAX_STATES = 100_000
 #: Signal distributions whose search ``best_equilibrium_payoffs`` keeps.
 SEARCH_MEMO_SIZE = 64
 
@@ -97,6 +104,8 @@ _RULES = {
     ACTION0: lambda private: (0,),
     FOLLOW_SIGNAL: lambda private: (1,) if private >= HALF else (0,),
 }
+# The search allows both.
+_BOTH = lambda private: (1, 0)  # noqa: E731
 
 
 class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
@@ -161,116 +170,92 @@ def full_observation_payoff(structure: InformationStructure, i: int) -> Fraction
     return _expected_payoff(iid_belief_distribution(structure, i))
 
 
-def _advance(level, atoms):
-    """Play one generation up to its ties, in integers.
-
-    At depth ``d``, ``level`` is a sorted tuple of ``(like_high, like_low)``:
-    each public node's probability of being reached in each state of the
-    world, as integers over ``D^d``.  A signal ``(private, w_high, w_low)``,
-    its weights integers over ``D``, reaches the pair ``(ph, pl) =
-    (like_high * w_high, like_low * w_low)`` over ``D^(d+1)``.  Returns the
-    agent's ex-ante payoff times ``4 * D^(d+1)`` and, per public node,
-    ``(strict1, strict0, ties)``: the summed pairs of the signals that
-    strictly prefer action 1 and action 0, and the tied signals'
-    ``(private, ph, pl)``.
-    """
-    payoff = 0
-    nodes = []
-    for lh, ll in level:
-        h1 = l1 = h0 = l0 = 0
-        ties = []
-        for private, wh, wl in atoms:
-            ph = lh * wh
-            pl = ll * wl
-            # The composed belief ph / (ph + pl) against 1/2, without dividing.
-            if ph > pl:
-                h1 += ph
-                l1 += pl
-            elif ph < pl:
-                h0 += ph
-                l0 += pl
-            elif ph:  # ph = pl = 0: a signal the node never sees
-                # a tie earns (ph - pl) / 4 = 0 whichever action is chosen
-                ties.append((private, ph, pl))
-        payoff += h1 - l1  # each signal above 1/2 earns (ph - pl) / 4
-        nodes.append(((h1, l1), (h0, l0), ties))
-    return payoff, nodes
-
-
-def _children(nodes, actions):
-    """The next level when the ties of ``nodes``, taken node by node in
-    order, choose ``actions``; equal public beliefs merge."""
-    actions = iter(actions)
-    pairs = []
-    for strict1, strict0, ties in nodes:
-        sums = {1: list(strict1), 0: list(strict0)}
-        for _, ph, pl in ties:
-            side = sums[next(actions)]
-            side[0] += ph
-            side[1] += pl
-        pairs += sums.values()
-    return tuple(sorted(merge_beliefs(pairs).values()))
-
-
-def _check_level(level, total: int):
-    """``level``, checked: its reach weights sum to ``total``, the depth's
-    ``D^d``, in each state."""
-    if sum(lh for lh, _ in level) != total or sum(ll for _, ll in level) != total:
-        raise InvariantViolation("public-belief level reach probabilities do not sum to one")
-    return level
-
-
 def _check_horizon(horizon: int, limit: int, limit_name: str):
     int_at_least(horizon, 0, "horizon")
     if horizon > limit:
         raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
 
 
-_ROOT = ((1, 1),)
+def _check_node(node, children, scale: int):
+    """``children``, checked: the action-1 and action-0 children of the
+    public node ``node = (a, b)`` sum to its reach times ``D``, in each
+    state."""
+    (h1, l1), (h0, l0) = children
+    a, b = node
+    if h1 + h0 != a * scale or l1 + l0 != b * scale:
+        raise InvariantViolation("public-belief children do not sum to their node's reach")
+    return children
 
 
-def _walk(signal: BeliefDistribution, choices):
-    """The one depth loop: per-agent payoffs, lexicographically best over
-    the actions ``choices(private)`` allows each tied agent.
+def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
+    """``V(a, b, r)``: the lexicographically best payoffs of the next ``r``
+    agents below the public node of reduced reach ``(a, b)``, entry ``i``
+    in integers over ``4 * D^(i+1)``, in the node's own units.
 
-    A tie earns zero, so agent ``d``'s payoff depends only on the level the
-    tie-breaks before depth ``d`` produced: the lexicographic maximum is a
-    running maximum over prefixes.  Each depth keeps the levels whose agent
-    reaches the best payoff, merges equal ones and expands them over their
-    tie-break assignments.  Yields the best payoff of depth after depth
-    without end; only the kept levels stay alive between yields.  The
-    expansion runs only when the next depth is asked for, and first counts
-    the assignments it would try, summed over the kept levels: past
-    ``MAX_TIE_PROFILES`` it raises :class:`TooManyIndifferenceNodes`
-    carrying that count, and expands nothing.
-
-    The signal's weights come from its integer form, integers over ``D``,
-    the lcm of their denominators, so the levels at depth ``d`` are
-    integers over ``D^d`` and the best payoff is the one ``Fraction`` built
-    per depth.
+    ``game`` is ``(atoms, D, choices)``: the signal's ``(private, w_high,
+    w_low)``, weights integers over ``D``, and the actions
+    ``choices(private)`` allows a tied agent.  A signal reaches ``(ph, pl) =
+    (a * w_high, b * w_low)``; entry 0 sums ``ph - pl`` over ``ph > pl``.
+    Each allowed action gives an action-1 and an action-0 child ``(ch,
+    cl)``, ``g`` times the reduced node ``(ch / g, cl / g)``: the rest is
+    the largest, over the actions, of the children's ``g * V(ch / g, cl /
+    g, r - 1)`` summed.  ``states`` is the call's table of finished
+    vectors; past ``MAX_STATES`` it raises :class:`TooManyIndifferenceNodes`.
     """
+    key = a, b, r
+    found = states.get(key)
+    if found is not None:
+        return found
+    atoms, scale, choices = game
+    h1 = l1 = h0 = l0 = 0
+    tied, th, tl = None, 0, 0
+    for private, wh, wl in atoms:
+        ph = a * wh
+        pl = b * wl
+        # The composed belief ph / (ph + pl) against 1/2, without dividing.
+        if ph > pl:
+            h1 += ph
+            l1 += pl
+        elif ph < pl:
+            h0 += ph
+            l0 += pl
+        elif ph:  # ph = pl = 0: a signal the node never sees
+            # at most one signal ties, as distinct signals have distinct
+            # w_high / w_low; a second would drop the first's reach, which
+            # the node check catches
+            tied, th, tl = private, ph, pl
+    rest = ()
+    if r > 1:
+        for action in choices(tied) if th else (1,):
+            sides = ((h1 + th, l1 + tl), (h0, l0)) if action else ((h1, l1), (h0 + th, l0 + tl))
+            total = [0] * (r - 1)
+            for ch, cl in _check_node((a, b), sides, scale):
+                if ch or cl:
+                    g = math.gcd(ch, cl)
+                    for i, v in enumerate(_best(ch // g, cl // g, r - 1, game, states)):
+                        total[i] += g * v
+            rest = max(rest, tuple(total))
+    if len(states) >= MAX_STATES:
+        count = len(states) + 1
+        raise TooManyIndifferenceNodes(
+            f"{count} public-belief states exceed {MAX_STATES}", count=count
+        )
+    states[key] = found = (h1 - l1, *rest)
+    return found
+
+
+def _payoffs(signal: BeliefDistribution, horizon: int, choices) -> tuple:
+    """The first ``horizon`` agents' payoffs, lexicographically best over the
+    actions ``choices(private)`` allows each tied agent: :func:`_best` at
+    the root, with a state table of its own that goes when the call
+    returns, and agent ``j + 1``'s payoff one ``Fraction`` over ``4 *
+    D^(j+1)``."""
+    if not horizon:
+        return ()
     scale, weights = signal.integer_form
-    atoms = [(private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights)]
-    frontier, total = {_ROOT}, 1
-    for depth in itertools.count():
-        passes = [_advance(_check_level(level, total), atoms) for level in frontier]
-        best = max(payoff for payoff, _ in passes)
-        kept = [(nodes, [choices(x) for *_, ties in nodes for x, _, _ in ties])
-                for payoff, nodes in passes if payoff == best]
-        del frontier, passes
-        total *= scale
-        yield Fraction(best, 4 * total)
-        count = sum(math.prod(map(len, options)) for _, options in kept)
-        if count > MAX_TIE_PROFILES:
-            raise TooManyIndifferenceNodes(
-                f"{count} tie-break assignments at depth {depth} exceed {MAX_TIE_PROFILES}",
-                count=count,
-            )
-        frontier = {
-            _children(nodes, actions)
-            for nodes, options in kept
-            for actions in itertools.product(*options)
-        }
+    atoms = tuple((private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights))
+    root = _best(1, 1, horizon, (atoms, scale, choices), {})
+    return tuple(Fraction(v, 4 * scale ** (j + 1)) for j, v in enumerate(root))
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:
@@ -279,21 +264,22 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     Builds the public-belief tree forward, merging histories with equal
     public beliefs.  Every non-tie action is the strict best response by
     construction; ties are resolved by ``rule``, one of ``ACTION1``,
-    ``ACTION0`` and ``FOLLOW_SIGNAL``.
+    ``ACTION0`` and ``FOLLOW_SIGNAL``: :func:`_payoffs` with one action at
+    every tie, so no maximum is taken.
     """
     _check_horizon(horizon, HORIZON_CAP, "cap")
     # a dict rule is unhashable, so test the type before the membership
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
     signal = induced_belief_distribution(structure)
-    return PayoffProfile(signal, tuple(itertools.islice(_walk(signal, _RULES[rule]), horizon)))
+    return PayoffProfile(signal, _payoffs(signal, horizon, _RULES[rule]))
 
 
 @functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def _search(signal: BeliefDistribution, horizon: int) -> tuple:
-    """The process-wide memo of the first ``horizon`` depths of :func:`_walk`
-    with both actions at every tie."""
-    return tuple(itertools.islice(_walk(signal, lambda private: (1, 0)), horizon))
+    """The process-wide memo of :func:`_payoffs` at ``horizon`` with both
+    actions at every tie."""
+    return _payoffs(signal, horizon, _BOTH)
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -301,14 +287,13 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
 
     The maximum is over every deterministic assignment of actions to
     reachable indifference points, in lexicographic order of the payoff
-    vector (earlier agents first): :func:`_walk` with both actions
-    allowed at every tie.
+    vector (earlier agents first): :func:`_payoffs` with both actions
+    allowed at every tie, node by node.
 
     The result is drawn from :func:`_search`, the process-wide memo that the
-    module docstring describes.  ``MAX_TIE_PROFILES`` bounds the work of a
-    call: the walk checks it before it expands each depth but the last, so
+    module docstring describes.  ``MAX_STATES`` bounds the work of a call:
     a computed call raises past it and stores nothing, and a served call,
-    which expands nothing, is not checked again.
+    which computes nothing, is not checked again.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
     signal = induced_belief_distribution(structure)

@@ -9,3 +9,19 @@ def empty_memo():
     learning._search.cache_clear()
     yield learning._search
     learning._search.cache_clear()
+
+
+@pytest.fixture
+def state_tables(monkeypatch):
+    """The state table of each engine call made in the test, recorded as the
+    call's recursion receives it."""
+    tables = []
+    best = learning._best
+
+    def recording(a, b, r, game, states):
+        if not any(table is states for table in tables):
+            tables.append(states)
+        return best(a, b, r, game, states)
+
+    monkeypatch.setattr(learning, "_best", recording)
+    return tables

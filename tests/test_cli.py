@@ -110,10 +110,10 @@ class TestErrorCodes:
         assert code == EXIT_PARSE and out == "" and "cannot read config" in err
 
     def test_invariant_violation_is_internal_error(self, tmp_path, capsys, empty_memo, monkeypatch):
-        def failing(level, total):
+        def failing(node, children, scale):
             raise InvariantViolation("injected")
 
-        monkeypatch.setattr(learning, "_check_level", failing)
+        monkeypatch.setattr(learning, "_check_node", failing)
         cfg = write_config(tmp_path, {"structure": {"signals": [
             {"id": "s1", "pH": "2/3", "pL": "1/3"}, {"id": "s2", "pH": "1/3", "pL": "2/3"}]}})
         code, out, err = run(capsys, "value", "--config", cfg)
@@ -453,8 +453,46 @@ class TestCaps:
         code, out, _ = run(capsys, "sweep", "--config", cfg)
         assert code == EXIT_OK and out.splitlines()[2].startswith(f"0.5,0.5,{cap},")
 
+    def test_search_states(self, tmp_path, capsys, empty_memo, monkeypatch):
+        # the fixture's search at horizon 7 takes 68 states; its social
+        # value needs 4 agents, a smaller search
+        cfg = write_config(tmp_path, {"horizon": 7, "delta": "1/4", "tolerance": "1/1000",
+                                      "structure": {"signals": [
+            {"id": "a", "pH": "1/2", "pL": "1/6"}, {"id": "b", "pH": "1/3", "pL": "1/3"},
+            {"id": "c", "pH": "1/6", "pL": "1/2"}]}})
+        monkeypatch.setattr(learning, "MAX_STATES", 67)
+        code, out, err = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == "cap exceeded: 68 public-belief states exceed 67\n"
+        monkeypatch.setattr(learning, "MAX_STATES", 68)
+        code, out, _ = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_OK and len(json.loads(out)["agents"]) == 7
+
+
+COMMANDS = ("value", "design", "market", "verify", "sweep")
+SHARED_OPTIONS = ("--config", "--out", "--seed", "--horizon", "--tol")
+
 
 class TestParser:
+    def test_top_level_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hv [-h] {" + ",".join(COMMANDS) + "} ...")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_lists_the_shared_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        usage, _, options = out.partition("\n\n")
+        assert usage.startswith(f"usage: hv {command} [-h] --config CONFIG ")
+        assert "[--config" not in usage  # required: no brackets
+        for option in SHARED_OPTIONS:
+            assert option in usage and f"\n  {option}" in options, option
+
     def test_built_once_and_reused(self, tmp_path, capsys):
         cli._parser.cache_clear()
         cfg = write_config(tmp_path, {"ternary_eps": "1/3", "horizon": 2})

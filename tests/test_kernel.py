@@ -1,8 +1,10 @@
-"""The integer kernel of the public-belief tree against a frozen copy of the
-``Fraction`` engine it replaced, and guards on the arithmetic of the integer
+"""The integer kernel of the public-belief tree, a recursion over its public
+nodes, against a frozen copy of the ``Fraction`` engine that came before it,
+a frontier of whole levels; and guards on the arithmetic of the integer
 kernels: the tree's, the golden-section search's and the market objective's."""
 
 import ast
+import functools
 import gc
 import itertools
 import math
@@ -77,7 +79,8 @@ def fraction_children(nodes, actions):
 
 
 def fraction_walk(signal, choices):
-    """Yields ``(best payoff, assignments tried)`` per depth, as the kernel's walk."""
+    """Yields ``(best payoff, assignments tried)`` per depth: a frontier of
+    whole public-belief levels, kept where the depth's agent does best."""
     frontier = {((HALF, F(1), F(1)),)}
     while True:
         for level in frontier:
@@ -100,12 +103,24 @@ def oracle(structure, horizon, choices=BOTH):
     return list(itertools.islice(walk, horizon))
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_best(structure, horizon) -> tuple:
+    """The oracle's search to ``horizon``: each depth's best payoff."""
+    return tuple(best for best, _ in oracle(structure, horizon))
+
+
 RULES = {rule: learning._RULES[rule] for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL)}
 
 
 def mirror(p, q):
     m = 1 - p - q
     return validate_structure({"a": (p, q), "b": (m, m), "c": (q, p)})
+
+
+# corpus(202, 2000, 6, 12)[589]: the one known input where the search
+# beats every fixed rule, so a wrong maximum would show there.
+COUNTEREXAMPLE = validate_structure({"s0": (F(2, 7), F(5, 7)), "s1": (F(4, 7), F(1, 7)),
+                                     "s2": (F(1, 7), F(1, 7)), "s3": (F(0), F(0))})
 
 
 def mirror_structures():
@@ -140,9 +155,17 @@ class TestKernelMatchesFractionEngine:
         assert len(structures) == 5
         assert mirror(HALF, F(1, 6)) in structures
         monkeypatch.setattr(learning, "LEX_CAP", 14)
-        for structure in structures:
-            expected = tuple(best for best, _ in oracle(structure, 14))
-            assert best_equilibrium_payoffs(structure, 14).with_history == expected
+        for structure in [*structures, COUNTEREXAMPLE]:
+            assert best_equilibrium_payoffs(structure, 14).with_history == oracle_best(structure, 14)
+
+    @pytest.mark.parametrize("structure", [mirror(HALF, F(1, 6)), COUNTEREXAMPLE],
+                             ids=["fixture", "counterexample"])
+    def test_depth_20_extends_the_oracle_at_14(self, empty_memo, monkeypatch, structure):
+        # agent k's payoff does not depend on how many agents follow, so the
+        # engine's 20-vector starts with the oracle's 14
+        monkeypatch.setattr(learning, "LEX_CAP", 20)
+        got = best_equilibrium_payoffs(structure, 20).with_history
+        assert len(got) == 20 and got[:14] == oracle_best(structure, 14)
 
     def test_ties_at_non_root_nodes(self, empty_memo):
         # the composed belief is exactly 1/2 below the root: agent 2 holding
@@ -163,45 +186,21 @@ class TestKernelMatchesFractionEngine:
         assert_matches_oracle(structure, learning.LEX_CAP)
 
 
-def reachable(roots):
-    """The ids of the containers reachable from ``roots``."""
-    seen, stack = set(), list(roots)
-    while stack:
-        obj = stack.pop()
-        if isinstance(obj, (list, tuple, set, frozenset, dict)) and id(obj) not in seen:
-            seen.add(id(obj))
-            stack += gc.get_referents(obj)
-    return seen
-
-
-def test_paused_walk_holds_only_the_kept_levels(monkeypatch):
-    made = []
-    advance = learning._advance
-
-    def recording(level, atoms):
-        made.append(advance(level, atoms))
-        return made[-1]
-
-    monkeypatch.setattr(learning, "_advance", recording)
-    walk = learning._walk(induced_belief_distribution(mirror(HALF, F(1, 6))), BOTH)
-    dropped = 0
-    for _ in range(7):
-        made.clear()
-        next(walk)
-        held = reachable(walk.gi_frame.f_locals.values())
-        best = max(payoff for payoff, _ in made)
-        for payoff, nodes in made:
-            assert (id(nodes) in held) == (payoff == best)
-            dropped += payoff != best
-    assert dropped > 0  # some depth has levels that are not kept
+@pytest.mark.parametrize("choices, states", [(BOTH, 68), (RULES[ACTION1], 27)],
+                         ids=["search", "action1"])
+def test_finished_call_holds_no_state_table(state_tables, choices, states):
+    # the table lives as long as the call: once the payoffs are returned,
+    # only this test's record refers to it
+    learning._payoffs(induced_belief_distribution(mirror(HALF, F(1, 6))), 7, choices)
+    (table,) = state_tables
+    assert len(table) == states and gc.get_referrers(table) == [state_tables]
 
 
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions, the golden-section search, the ternary sticky closed
     forms and the market's weighted objective."""
-    for module, names in ((learning, {"_advance", "_children", "_walk", "_check_level",
-                                     "_sticky_kernel"}),
+    for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),

@@ -1,9 +1,9 @@
 import ast
 import gc
-import inspect
 import itertools
 import json
 import pathlib
+import subprocess
 import sys
 import threading
 from fractions import Fraction as F
@@ -33,7 +33,7 @@ from historyvalue.errors import (
     ValidationError,
 )
 from historyvalue import beliefs, learning
-from historyvalue.learning import _check_level, truncation_horizon
+from historyvalue.learning import _check_node, truncation_horizon
 
 HALF = F(1, 2)
 
@@ -166,6 +166,31 @@ def exhaustive_best(structure, horizon):
 
     explore(FROZEN_ROOT, 0, [])
     return max(vectors)
+
+
+def frozen_states(structure, horizon):
+    """Oracle: the ``(public belief, agents left)`` pairs the search reaches
+    on the frozen engine, from the root with ``horizon`` agents left, every
+    tie taking either action."""
+    atoms = induced_belief_distribution(structure).atoms
+    seen = set()
+
+    def visit(public, reach, left):
+        if (public, left) in seen:
+            return
+        seen.add((public, left))
+        if left == 1:
+            return
+        _, _, points = frozen_advance({public: reach}, atoms, FROZEN_RULES[ACTION1])
+        for assignment in itertools.product((1, 0), repeat=len(points)):
+            choose = table_chooser(dict(zip(points, assignment)))
+            _, nxt, _ = frozen_advance({public: reach}, atoms, choose)
+            for child, child_reach in nxt.items():
+                visit(child, child_reach, left - 1)
+
+    if horizon:
+        visit(HALF, FROZEN_ROOT[HALF], horizon)
+    return seen
 
 
 class TestSingleSignalPayoff:
@@ -312,17 +337,23 @@ class TestBestEquilibrium:
 
 
 class TestOneWalk:
-    def test_tree_steps_called_only_from_walk(self):
-        # the fixed rules and the search share one depth loop
+    def test_children_built_only_by_the_recursion(self):
+        # the fixed rules and the search share one engine: only the
+        # recursion splits a node into children, checks them and reduces
+        # them, and only the engine's entry point starts it
         tree = ast.parse(pathlib.Path(learning.__file__).read_text())
-        callers = {"_advance": set(), "_children": set()}
+        callers = {"_best": set(), "_check_node": set(), "gcd": set(), "_payoffs": set()}
         for fn in ast.walk(tree):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                            and node.func.id in callers):
-                        callers[node.func.id].add(fn.name)
-        assert callers == {"_advance": {"_walk"}, "_children": {"_walk"}}
+                    name = isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(fn.name)
+        assert callers == {"_best": {"_best", "_payoffs"}, "_check_node": {"_best"},
+                           "gcd": {"_best"}, "_payoffs": {"simulate_equilibrium", "_search"}}
+        defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+        assert defined.isdisjoint({"_walk", "_advance", "_children", "_check_level"})
 
     def test_truncation_horizon_called_only_from_truncated_payoffs(self):
         # the depth and the tail d^N / 4 of every truncated series are
@@ -368,82 +399,75 @@ class TestPrefixPruning:
         for k in range(7):
             assert full[:k] == best_equilibrium_payoffs(structure, k).with_history
 
-    def test_cap_reports_real_count(self, empty_memo, monkeypatch):
-        # Depth 0 ties once (2 assignments, within the cap).  Its two child
-        # levels mirror each other, so both are kept, and each ties once:
-        # 4 assignments at depth 1, which is where the cap of 2 binds.
-        atoms = induced_belief_distribution(fixture()).atoms
-        rules = [FROZEN_RULES[ACTION1], FROZEN_RULES[ACTION0]]
-        children = [frozen_advance(FROZEN_ROOT, atoms, rule)[1] for rule in rules]
-        passes = [frozen_advance(c, atoms, FROZEN_RULES[ACTION1]) for c in children]
-        assert passes[0][0] == passes[1][0]
-        count = sum(2 ** len(points) for _payoff, _nxt, points in passes)
-        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+    @pytest.mark.parametrize("structure, horizon", [(fixture(), 7), (sym_binary(), 6)],
+                             ids=["fixture-7", "sym-binary-6"])
+    def test_cap_reports_real_count(self, empty_memo, monkeypatch, structure, horizon):
+        # the search needs exactly the states the frozen engine reaches: a
+        # cap of that many passes, one fewer raises with the count
+        count = len(frozen_states(structure, horizon))
+        assert count == {7: 68, 6: 23}[horizon]
+        monkeypatch.setattr(learning, "MAX_STATES", count)
+        got = best_equilibrium_payoffs(structure, horizon).with_history
+        assert got == fresh_search(structure, horizon)
+        empty_memo.cache_clear()
+        monkeypatch.setattr(learning, "MAX_STATES", count - 1)
         with pytest.raises(TooManyIndifferenceNodes) as err:
-            best_equilibrium_payoffs(fixture(), 4)
-        assert err.value.count == count == 4
-        assert "depth 1" in str(err.value)
+            best_equilibrium_payoffs(structure, horizon)
+        assert err.value.count == count
+        assert str(err.value) == f"{count} public-belief states exceed {count - 1}"
 
-    def test_cap_checked_before_the_depth_is_expanded(self, empty_memo, monkeypatch):
-        # depth 1's 4 assignments are counted when depth 1 is drawn, which
-        # expands only depth 0's 2; depth 1 is never expanded
-        children = learning._children
-        calls = []
+    def test_cap_checked_as_each_state_is_added(self, empty_memo, monkeypatch, state_tables):
+        # under a cap of 10 the table holds 10 states when the 11th raises;
+        # past them, only the raising state's path from the root was begun
+        best, begun = learning._best, []
 
-        def counting(nodes, actions):
-            calls.append(actions)
-            return children(nodes, actions)
+        def counting(a, b, r, game, states):
+            begun.append((a, b, r) not in states)
+            return best(a, b, r, game, states)
 
-        monkeypatch.setattr(learning, "_children", counting)
-        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+        monkeypatch.setattr(learning, "_best", counting)
+        monkeypatch.setattr(learning, "MAX_STATES", 10)
         with pytest.raises(TooManyIndifferenceNodes) as err:
-            best_equilibrium_payoffs(fixture(), 4)
-        assert (err.value.count, len(calls)) == (4, 2)
-        assert "depth 1" in str(err.value)
-        # the walk itself raises when the draw past depth 1 would expand it
-        calls.clear()
-        walk = learning._walk(induced_belief_distribution(fixture()), lambda private: (1, 0))
-        next(walk), next(walk)  # drawing depth 1 expands depth 0
-        assert len(calls) == 2
+            best_equilibrium_payoffs(fixture(), 7)
+        (table,) = state_tables
+        assert err.value.count == 11 and len(table) == 10
+        assert 11 <= sum(begun) <= 10 + 7
+        # the engine itself raises the same error, outside the memo
         with pytest.raises(TooManyIndifferenceNodes) as direct:
-            next(walk)
-        assert (direct.value.count, len(calls)) == (4, 2)
-        assert str(direct.value) == str(err.value)
+            fresh_search(fixture(), 7)
+        assert str(direct.value) == str(err.value) == "11 public-belief states exceed 10"
 
     def test_cap_checked_only_when_the_memo_computes(self, empty_memo, monkeypatch):
         # the entry is stored under the default cap; served under a cap of 2
-        # it expands nothing, so the cap has no work to bound
+        # it computes nothing, so the cap has no work to bound
         stored = best_equilibrium_payoffs(fixture(), 4).with_history
-        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+        monkeypatch.setattr(learning, "MAX_STATES", 2)
 
-        def no_walk(*_args):
+        def no_search(*_args):
             raise AssertionError("the memo should serve this search")
 
         with monkeypatch.context() as patch:
-            patch.setattr(learning, "_advance", no_walk)
+            patch.setattr(learning, "_best", no_search)
             assert best_equilibrium_payoffs(fixture(), 4).with_history == stored
         assert empty_memo.cache_info()[:2] == (1, 1)  # served: one hit
         empty_memo.cache_clear()
         with pytest.raises(TooManyIndifferenceNodes) as fresh:
             best_equilibrium_payoffs(fixture(), 4)
         assert empty_memo.cache_info()[:2] == (0, 1)  # computed: one miss
-        assert fresh.value.count == 4
-        assert str(fresh.value) == "4 tie-break assignments at depth 1 exceed 2"
-        # at horizon 2 only depth 0 (2 assignments) is expanded
-        assert best_equilibrium_payoffs(fixture(), 2).with_history == fresh_search(fixture(), 2)
+        assert fresh.value.count == 3
+        assert str(fresh.value) == "3 public-belief states exceed 2"
+        # at horizon 1 the root is the one state
+        assert best_equilibrium_payoffs(fixture(), 1).with_history == fresh_search(fixture(), 1)
 
 
 def fresh_search(structure, horizon):
-    """The first ``horizon`` best payoffs of a new walk, outside the memo."""
-    walk = learning._walk(induced_belief_distribution(structure), lambda private: (1, 0))
-    return tuple(itertools.islice(walk, horizon))
+    """The first ``horizon`` best payoffs of a new engine call, outside the memo."""
+    return learning._payoffs(induced_belief_distribution(structure), horizon, learning._BOTH)
 
 
-def live_walks() -> list:
-    """The :func:`learning._walk` generators still alive after a collection."""
-    gc.collect()
-    return [obj for obj in gc.get_objects()
-            if inspect.isgenerator(obj) and obj.gi_code is learning._walk.__code__]
+def held_tables(tables) -> list:
+    """The recorded state tables that anything but the record refers to."""
+    return [table for table in tables if gc.get_referrers(table) != [tables]]
 
 
 class TestSearchMemo:
@@ -481,10 +505,10 @@ class TestSearchMemo:
         entry = empty_memo(first.signal, 5)
         info = empty_memo.cache_info()
 
-        def no_walk(*_args):
+        def no_search(*_args):
             raise AssertionError("the memo should serve this search")
 
-        monkeypatch.setattr(learning, "_advance", no_walk)
+        monkeypatch.setattr(learning, "_best", no_search)
         for structure in (structure_from_json(text), relabelled):
             profile = best_equilibrium_payoffs(structure, 5)
             assert profile.with_history == first.with_history
@@ -507,19 +531,19 @@ class TestSearchMemo:
         assert learning._search.cache_info() == info
         assert rule == frozen_simulate(structure, 4, ACTION1)
 
-    def test_failed_walk_is_not_reused(self, empty_memo, monkeypatch):
-        # every level past the root fails its check, on every walk
-        def failing(level, total):
-            if level != learning._ROOT:
+    def test_failed_search_is_not_reused(self, empty_memo, monkeypatch):
+        # every node past the root fails its check, on every search
+        def failing(node, children, scale):
+            if node != (1, 1):
                 raise InvariantViolation("injected")
-            return level
+            return children
 
         best_equilibrium_payoffs(fixture(), 1)
-        monkeypatch.setattr(learning, "_check_level", failing)
+        monkeypatch.setattr(learning, "_check_node", failing)
         for misses in (2, 3):
             with pytest.raises(InvariantViolation, match="injected"):
                 best_equilibrium_payoffs(fixture(), 3)
-            # each failing call walks anew and stores nothing
+            # each failing call searches anew and stores nothing
             info = empty_memo.cache_info()
             assert (info.hits, info.misses, info.currsize) == (0, misses, 1)
         monkeypatch.undo()
@@ -529,18 +553,18 @@ class TestSearchMemo:
         assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
         assert entry == fresh_search(fixture(), 3)
 
-    def test_walk_failing_once_is_recomputed(self, empty_memo, monkeypatch):
-        check = learning._check_level
+    def test_search_failing_once_is_recomputed(self, empty_memo, monkeypatch):
+        check = learning._check_node
         failures = []
 
-        def fails_once(level, total):
-            if level != learning._ROOT and not failures:
-                failures.append(level)
+        def fails_once(node, children, scale):
+            if node != (1, 1) and not failures:
+                failures.append(node)
                 raise InvariantViolation("injected")
-            return check(level, total)
+            return check(node, children, scale)
 
         best_equilibrium_payoffs(fixture(), 1)
-        monkeypatch.setattr(learning, "_check_level", fails_once)
+        monkeypatch.setattr(learning, "_check_node", fails_once)
         with pytest.raises(InvariantViolation, match="injected"):
             best_equilibrium_payoffs(fixture(), 3)
         assert empty_memo.cache_info().currsize == 1  # the failure is not stored
@@ -548,20 +572,22 @@ class TestSearchMemo:
         assert got == fresh_search(fixture(), 3) and len(failures) == 1
         assert empty_memo.cache_info().currsize == 2
 
-    def test_no_walk_outlives_its_call(self, empty_memo, tmp_path, capsys, monkeypatch):
-        # an entry is a finished tuple: no paused walk stays behind, after
-        # ``hv design`` in-process or once a failed call's error is dropped
-        assert live_walks() == []
+    def test_no_state_table_outlives_its_call(self, empty_memo, tmp_path, capsys, monkeypatch,
+                                              state_tables):
+        # an entry is a finished tuple: no call's state table stays behind,
+        # after ``hv design`` in-process or once a failed call's error is
+        # dropped, and none waits for a collection to be freed
         config = tmp_path / "design.json"
         config.write_text(json.dumps({"horizon": 7, "structure": json.loads(structure_to_json(fixture()))}))
         assert main(["design", "--config", str(config)]) == EXIT_OK
         assert capsys.readouterr().err == ""
         assert empty_memo.cache_info().currsize > 0
-        assert live_walks() == []
-        monkeypatch.setattr(learning, "MAX_TIE_PROFILES", 2)
+        assert len(state_tables) > 1 and held_tables(state_tables) == []
+        del state_tables[:]
+        monkeypatch.setattr(learning, "MAX_STATES", 2)
         with pytest.raises(TooManyIndifferenceNodes):
             best_equilibrium_payoffs(sym_binary(), 6)
-        assert live_walks() == []
+        assert len(state_tables) == 1 and held_tables(state_tables) == []
 
     def test_concurrent_callers(self, empty_memo):
         # 4 threads (more than this suite's 2-core host) switching often,
@@ -680,15 +706,24 @@ class TestTruncationHorizon:
         assert err.value.achievable_tolerance == F(1, 4) * HALF**4
 
 
-class TestLevelInvariant:
-    def test_consistent_level_passes(self):
-        # reach weights (1/2, 1/4) and (1/2, 3/4), as integers over 4
-        _check_level(((2, 1), (2, 3)), 4)
+# The fixture's root, its signals integers over D = 6: (3, 1) prefers
+# action 1, (1, 3) action 0 and (2, 2) ties.  Action 1 at the tie gives
+# the children (5, 3) and (1, 3), which sum to the root's reach (1, 1)
+# times 6 in each state.
+ROOT_CHILDREN = ((5, 3), (1, 3))
 
-    def test_unbalanced_level_raises(self):
+
+class TestNodeInvariant:
+    def test_consistent_node_passes(self):
+        assert _check_node((1, 1), ROOT_CHILDREN, 6) is ROOT_CHILDREN
+        # a node of reach (1, 0) over D = 6 sends all its weight one way
+        _check_node((1, 0), ((6, 0), (0, 0)), 6)
+
+    @pytest.mark.parametrize("children", [((3, 1), (1, 3)), ((5, 3), (1, 4)), ((5, 3), (0, 3))],
+                             ids=["tie-dropped", "low-over", "high-short"])
+    def test_unbalanced_node_raises(self, children):
         with pytest.raises(InvariantViolation) as err:
-            # reach weights (1/2, 1), as integers over 2
-            _check_level(((1, 2),), 2)
+            _check_node((1, 1), children, 6)
         # an internal fault: not an input error, so the CLI maps it to exit 5
         assert isinstance(err.value, HistoryValueError)
         assert not isinstance(err.value, ValidationError)
@@ -728,3 +763,28 @@ def test_no_assert_statements_in_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert found == [], f"{path.name}: assert at lines {found}"
+
+
+def test_node_check_runs_under_python_O():
+    # python -O strips assert statements: the node check raises there too,
+    # called alone and from inside a search whose children it checks
+    script = (
+        "from fractions import Fraction\n"
+        "from historyvalue import learning, ternary_structure\n"
+        "from historyvalue.errors import InvariantViolation\n"
+        "assert False, 'asserts are on'\n"
+        "check = learning._check_node\n"
+        "learning._check_node = lambda node, children, scale: check(node, children, scale + 1)\n"
+        "third = ternary_structure(Fraction(1, 3))\n"
+        "for run in (lambda: check((1, 1), ((3, 1), (1, 3)), 6),\n"
+        "            lambda: learning.best_equilibrium_payoffs(third, 2)):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except InvariantViolation as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(pathlib.Path(learning.__file__).parent.parent)}, check=True,
+    )
+    assert proc.stdout.split() == ["InvariantViolation"] * 2

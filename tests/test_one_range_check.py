@@ -1,13 +1,13 @@
-"""Each parameter range and the tie-break cap are checked by one function:
-the package raises the "must lie in (0, 1)", "outside [0, 1]", "must be
-positive" and tie-cap errors from one function each."""
+"""Each parameter range and the tree's state cap are checked by one
+function: the package raises the "must lie in (0, 1)", "outside [0, 1]",
+"must be positive" and state-cap errors from one function each."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "historyvalue"
 PHRASES = ("must lie in (0, 1)", "outside [0, 1]", "must be positive",
-           " tie-break assignments at depth ")
+           " public-belief states exceed ")
 
 
 def raisers(source: str, phrase: str) -> list:

@@ -33,7 +33,7 @@ PUBLIC = {
     ),
     "historyvalue.learning": (
         "ACTION0", "ACTION1", "BoundedValue", "FOLLOW_SIGNAL", "HORIZON_CAP", "LEX_CAP",
-        "MAX_TIE_PROFILES", "PayoffProfile", "SEARCH_MEMO_SIZE", "best_equilibrium_payoffs",
+        "MAX_STATES", "PayoffProfile", "SEARCH_MEMO_SIZE", "best_equilibrium_payoffs",
         "discounted", "full_observation_payoff", "simulate_equilibrium",
         "single_signal_payoff", "social_value", "ternary_social_value", "truncated_payoffs",
         "truncation_horizon",
