@@ -5,16 +5,20 @@ number is rendered as ``num/den`` plus a 12-significant-digit decimal,
 and every truncated series carries its certified error bound.  Identical
 config and seed produce byte-identical output.
 
+A plain command line, ``COMMAND`` followed by distinct ``--OPTION VALUE``
+pairs with ``--config`` among them, is read directly (``_plain``); argparse
+is imported and its parser built only for help, errors and every other form.
+
 Exit codes: 0 ok, 2 parse error, 3 validation error, 4 cap exceeded,
 5 internal error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 from fractions import Fraction
 
 from . import design, market
@@ -243,12 +247,9 @@ def run_verify(cfg: dict, args) -> dict:
     failures = []
     for idx, structure in enumerate(structures):
         report = design.verify_dominance(structure, params["horizon"])
-        entry = {
-            "index": idx,
-            "two_sided": report.two_sided,
-            "pass": report.verdict,
-        }
-        if not report.verdict:
+        verdict = report.verdict
+        entry = {"index": idx, "two_sided": report.two_sided, "pass": verdict}
+        if not verdict:
             entry["structure"] = json.loads(structure_to_json(structure))
             entry["dominance"] = report.to_json_dict()
             failures.append(entry)
@@ -300,17 +301,49 @@ def _echo(cfg: dict, params: dict) -> dict:
     return echo
 
 
+#: The options every command shares, declared once for ``_plain`` and
+#: ``_parser``: name -> (type, required, help).
+_OPTIONS = {
+    "--config": (None, True, "JSON config file"),
+    "--out": (None, False, "output path (default: stdout)"),
+    "--seed": (int, False, None),
+    "--horizon": (int, False, None),
+    "--tol": (None, False, None),
+}
+
+
+def _plain(argv: list, commands: tuple):
+    """The attributes ``_parser(commands).parse_args(argv)`` gives, read
+    without argparse when ``argv`` is a command followed by pairs of distinct
+    full option names from ``_OPTIONS`` and string values that do not start
+    with ``-``, ``--config`` among them; ``None`` for any other ``argv``."""
+    if not (argv and isinstance(argv[0], str) and argv[0] in commands and len(argv) % 2):
+        return None
+    args = {"command": argv[0], **{name[2:]: None for name in _OPTIONS}}
+    seen = set()
+    for name, value in zip(argv[1::2], argv[2::2]):
+        if (not isinstance(name, str) or name not in _OPTIONS or name in seen
+                or not isinstance(value, str) or value.startswith("-")):
+            return None
+        seen.add(name)
+        kind = _OPTIONS[name][0]
+        try:
+            args[name[2:]] = value if kind is None else kind(value)
+        except ValueError:
+            return None
+    return types.SimpleNamespace(**args) if "--config" in seen else None
+
+
 @functools.lru_cache(maxsize=1)
-def _parser(commands: tuple) -> argparse.ArgumentParser:
-    """The ``hv`` parser: built on first use, then reused, as parsing leaves it
-    unchanged.  The options every command shares are declared once, on a
-    parent parser."""
+def _parser(commands: tuple):
+    """The ``hv`` ``argparse`` parser, for the command lines ``_plain`` leaves:
+    built on first use, then reused, as parsing leaves it unchanged.  The
+    options every command shares are declared on a parent parser."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON config file")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--horizon", type=int, default=None)
-    common.add_argument("--tol", default=None)
+    for name, (kind, required, text) in _OPTIONS.items():
+        common.add_argument(name, type=kind, required=required, help=text)
     parser = argparse.ArgumentParser(
         prog="hv",
         description="Value of history: exact social-learning payoffs, belief "
@@ -325,7 +358,11 @@ def _parser(commands: tuple) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     runners = {"value": run_value, "design": run_design, "market": run_market,
                "verify": run_verify, "sweep": run_sweep}
-    args = _parser(tuple(runners)).parse_args(argv)
+    commands = tuple(runners)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv, commands)
+    if args is None:
+        args = _parser(commands).parse_args(argv)
     try:
         cfg = _load_config(args.config)
         result = runners[args.command](cfg, args)

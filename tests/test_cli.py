@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from historyvalue import cli, design, learning, market
 from historyvalue.beliefs import structure_from_json
@@ -16,6 +22,8 @@ from historyvalue.cli import (
     main,
 )
 from historyvalue.errors import InvariantViolation
+from test_golden import CASES, ROOT, golden_path
+from test_search import bench_workloads
 
 
 #: File contents that ``json`` rejects with an error other than JSONDecodeError.
@@ -494,13 +502,21 @@ class TestParser:
             assert option in usage and f"\n  {option}" in options, option
 
     def test_built_once_and_reused(self, tmp_path, capsys):
+        # plain command lines never build the parser; help and errors build
+        # it once and then reuse it
         cli._parser.cache_clear()
         cfg = write_config(tmp_path, {"ternary_eps": "1/3", "horizon": 2})
         outputs = [run(capsys, "value", "--config", cfg) for _ in range(2)]
         assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
         code, _, _ = run(capsys, "design", "--config", cfg, "--horizon", "3")
         assert code == EXIT_OK
-        assert cli._parser.cache_info().misses == 1
+        assert cli._parser.cache_info().misses == 0
+        for argv in (["-h"], ["value", "--config", cfg, "--seed", "x"], ["design", "-h"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     @pytest.mark.parametrize("argv, message", [
         ([], "hv: error: the following arguments are required: command"),
@@ -517,6 +533,137 @@ class TestParser:
             assert exc.value.code == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.startswith("usage: hv") and err.endswith(message + "\n")
+
+
+COMMAND_TOKENS = (*COMMANDS, "nope")
+ODD_OPTIONS = ("--conf", "--hor", "--config=x", "--seed=3", "-h", "--")
+PLAIN_VALUES = ("c.json", "3", "", " 7", "+5", "1_0", "\u0663", " -x", "design")
+ODD_VALUES = ("-1", "0x10", "1" * 5000)
+NOT_STR = Path("c.json")
+TOKENS = st.sampled_from(
+    (*COMMAND_TOKENS, *SHARED_OPTIONS, *ODD_OPTIONS, *PLAIN_VALUES, *ODD_VALUES, NOT_STR))
+
+
+def near_plain(command, options, insert):
+    """``command`` and the ``options`` pairs, with ``insert``, when given, an
+    ``(index, token)`` to put in."""
+    argv = [command, *(token for pair in options.items() for token in pair)]
+    if insert is not None:
+        argv.insert(*insert)
+    return argv
+
+
+#: Any token list, and command lines one token or value away from the plain
+#: form, which the reader accepts often enough to compare what it reads.
+ARGVS = st.one_of(
+    st.lists(TOKENS, max_size=7),
+    st.builds(
+        near_plain,
+        st.sampled_from(COMMAND_TOKENS),
+        st.dictionaries(st.sampled_from(SHARED_OPTIONS),
+                        st.sampled_from((*PLAIN_VALUES, *ODD_VALUES, NOT_STR)), min_size=1),
+        st.one_of(st.none(), st.tuples(st.integers(0, 10), TOKENS)),
+    ),
+)
+
+
+def argparse_args(argv):
+    """``_parser``'s namespace for ``argv``, or the exception it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser(COMMANDS).parse_args(argv)
+        except SystemExit as exc:
+            return exc
+        except TypeError as exc:  # argparse indexes each token; a Path has no [0]
+            return exc
+
+
+def assert_read_as_argparse_reads(argv):
+    plain = cli._plain(argv, COMMANDS)
+    assert plain is not None and vars(plain) == vars(argparse_args(argv)), argv
+
+
+class TestPlainReader:
+    @given(argv=ARGVS)
+    @settings(max_examples=1500, deadline=None)
+    def test_agrees_with_argparse(self, argv):
+        plain = cli._plain(argv, COMMANDS)
+        parsed = argparse_args(argv)
+        if isinstance(parsed, BaseException):
+            assert plain is None
+        else:
+            assert plain is None or vars(plain) == vars(parsed)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["value", "--config", "c.json"],
+         {"config": "c.json", "out": None, "seed": None, "horizon": None, "tol": None}),
+        (["sweep", "--tol", "1/8", "--seed", " 7", "--out", "", "--horizon", "1_0",
+          "--config", "design"],
+         {"config": "design", "out": "", "seed": 7, "horizon": 10, "tol": "1/8"}),
+    ])
+    def test_plain_form_read(self, argv, expected):
+        assert vars(cli._plain(argv, COMMANDS)) == {"command": argv[0], **expected}
+        assert vars(argparse_args(argv)) == vars(cli._plain(argv, COMMANDS))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["value"], ["-h"], ["value", "-h"], ["nope", "--config", "c.json"],
+        ["value", "--out", "o.json"],  # no --config
+        ["value", "--conf", "c.json"],  # abbreviation
+        ["value", "--config=c.json"],
+        ["value", "--config", "a", "--config", "b"],  # repeated
+        ["value", "--config", "c.json", "--seed", "-1"],
+        ["value", "--config", "c.json", "--seed", "0x10"],
+        ["value", "--config", "c.json", "--horizon", "1" * 5000],
+        ["value", "--config", "c.json", "--"],
+        ["value", "--config", Path("c.json")],
+    ], ids=str)
+    def test_other_forms_left_to_argparse(self, argv):
+        assert cli._plain(argv, COMMANDS) is None
+
+    def test_iterator_argv_read_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"ternary_eps": "1/3", "horizon": 2})
+        assert main(iter(["value", "--config", cfg])) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:  # argparse sees the same tokens
+            main(iter(["value", "--config", cfg, "--seed", "x"]))
+        assert exc.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.endswith("invalid int value: 'x'\n")
+
+    def test_golden_cases_are_plain(self):
+        for command, _, *extra in CASES.values():
+            assert_read_as_argparse_reads(
+                [command, "--config", "config.json", *(extra[0] if extra else ())])
+
+    def test_benchmark_commands_are_plain(self):
+        workloads = bench_workloads()
+        for make in workloads.WORKLOADS.values():
+            for seed in range(4):
+                for k in range(workloads.CYCLE):
+                    for command in make(seed, k):
+                        assert_read_as_argparse_reads(
+                            [command.name, "--config", "config.json", *command.args])
+
+    def test_sys_argv_path(self, tmp_path):
+        # main() with no argument reads sys.argv[1:]; a plain run there
+        # leaves argparse unloaded, and help still goes through argparse
+        script = ("import sys\n"
+                  "from historyvalue.cli import main\n"
+                  "code = main()\n"
+                  "print(code, 'argparse' in sys.modules, file=sys.stderr)\n")
+        command, config = CASES["value_ternary"]
+        cfg = write_config(tmp_path, config)
+        env = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def hv(*argv):
+            return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                  text=True, timeout=60, env=env)
+
+        proc = hv(command, "--config", cfg)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == golden_path("value_ternary").read_text()
+        assert proc.stderr.splitlines()[-1] == f"{EXIT_OK} False"
+        proc = hv("-h")
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith("usage: hv [-h] {" + ",".join(COMMANDS) + "} ...")
 
 
 class TestDeterminism:
