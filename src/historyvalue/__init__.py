@@ -10,6 +10,7 @@ from .beliefs import (
     iid_belief_distribution,
     induced_belief_distribution,
     posterior,
+    structure_from_integers,
     structure_from_json,
     structure_to_json,
     uninformative_mass,

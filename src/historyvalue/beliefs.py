@@ -49,7 +49,8 @@ class InformationStructure(namedtuple("InformationStructure",
     ``signals[k]`` in the high / low state.  Each column sums to one.
     ``integer_likelihoods`` is ``(D, ((D * like_high[k], D * like_low[k]),
     ...))``, the same columns as integers over ``D``, the lcm of their
-    denominators.  Construct via :func:`validate_structure`.
+    denominators.  Construct via :func:`structure_from_integers`, or via
+    :func:`validate_structure` from a table of rationals.
     """
 
     def likelihoods(self, signal):
@@ -69,16 +70,56 @@ class InformationStructure(namedtuple("InformationStructure",
         return _merged_distribution(*self.integer_likelihoods)
 
 
+def structure_from_integers(signals, scale: int, weights) -> InformationStructure:
+    """The structure whose signal ``signals[k]`` has likelihoods
+    ``weights[k][0] / scale`` (high) and ``weights[k][1] / scale`` (low).
+
+    Raises ``EmptyAlphabet`` for no signals, ``NegativeLikelihood`` for a
+    negative weight and ``NonStochastic`` unless both weight columns sum to
+    ``scale``; a ``scale`` below 1, a weight that is not an ``int`` and a
+    count of weight pairs other than that of signals are a
+    ``ValidationError``.  ``scale`` and the weights are divided by their
+    gcd, which gives the canonical ``integer_likelihoods``: the weights over
+    the lcm of the likelihoods' denominators.
+    """
+    signals, weights = tuple(signals), tuple(weights)
+    if not signals:
+        raise EmptyAlphabet("at least one signal is required")
+    if len(weights) != len(signals):
+        raise ValidationError(f"{len(signals)} signals but {len(weights)} weight pairs")
+    int_at_least(scale, 1, "scale")
+    for s, (wh, wl) in zip(signals, weights):
+        if type(wh) is not int or type(wl) is not int:  # nor a bool nor a Fraction
+            raise ValidationError(f"signal {s!r} weights are not integers: {wh!r}, {wl!r}")
+        if wh < 0 or wl < 0:
+            raise NegativeLikelihood(f"signal {s!r} has a negative likelihood")
+    high, low = _column_sums(weights)
+    if high != scale or low != scale:
+        raise NonStochastic(
+            f"columns sum to {Fraction(high, scale)} (high) and {Fraction(low, scale)} (low), "
+            "expected 1"
+        )
+    g = math.gcd(scale, *itertools.chain.from_iterable(weights))
+    scale //= g
+    weights = tuple((wh // g, wl // g) for wh, wl in weights)
+    return InformationStructure(
+        signals,
+        tuple(Fraction(wh, scale) for wh, _ in weights),
+        tuple(Fraction(wl, scale) for _, wl in weights),
+        (scale, weights),
+    )
+
+
 def validate_structure(table) -> InformationStructure:
     """Check a raw ``{signal: (p_high, p_low)}`` table and canonicalize it.
 
     Raises ``EmptyAlphabet``, ``NegativeLikelihood`` or ``NonStochastic``
     when the table is not a valid pair of probability columns, and a
-    ``ValidationError`` when an entry is not a pair of rationals.
+    ``ValidationError`` when an entry is not a pair of rationals.  The
+    structure is built by :func:`structure_from_integers` from the
+    likelihoods as integers over the lcm of their denominators.
     """
-    if not table:
-        raise EmptyAlphabet("at least one signal is required")
-    signals = tuple(table.keys())
+    signals = tuple(table or ())
     pairs = []
     for s in signals:
         try:
@@ -86,17 +127,12 @@ def validate_structure(table) -> InformationStructure:
         except (TypeError, ValueError):
             raise ValidationError(f"signal {s!r} needs a (p_high, p_low) pair") from None
         ph, pl = (rational(p, f"signal {s!r} likelihood") for p in (ph, pl))
+        # checked as each entry is read, so a negative entry is named before a
+        # later entry that does not parse
         if ph < 0 or pl < 0:
             raise NegativeLikelihood(f"signal {s!r} has a negative likelihood")
         pairs.append((ph, pl))
-    scale, weights = integer_weights(pairs)
-    high, low = _column_sums(weights)
-    if high != scale or low != scale:
-        raise NonStochastic(
-            f"columns sum to {Fraction(high, scale)} (high) and {Fraction(low, scale)} (low), "
-            "expected 1"
-        )
-    return InformationStructure(signals, *zip(*pairs), (scale, weights))
+    return structure_from_integers(signals, *integer_weights(pairs))
 
 
 def posterior(prior, signal, structure: InformationStructure) -> Fraction:

@@ -362,7 +362,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain(argv, commands)
     if args is None:
-        args = _parser(commands).parse_args(argv)
+        parser = _parser(commands)
+        # argparse indexes each token and would raise TypeError on a non-str
+        odd = next((token for token in argv if not isinstance(token, str)), None)
+        if odd is not None:
+            parser.error(f"command-line tokens must be strings, got {odd!r}")
+        args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         result = runners[args.command](cfg, args)

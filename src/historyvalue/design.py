@@ -20,8 +20,8 @@ from fractions import Fraction
 from .beliefs import (
     InformationStructure,
     induced_belief_distribution,
+    structure_from_integers,
     uninformative_mass,
-    validate_structure,
 )
 from .errors import CapExceeded, NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
@@ -41,8 +41,15 @@ def ternary_structure(eps) -> InformationStructure:
     ``mid`` has probability ``eps`` in both states.  Zero-probability
     signals are left out."""
     e = closed_unit(eps, "eps")
-    table = {HI_ID: (1 - e, Fraction(0)), MID_ID: (e, e), LO_ID: (Fraction(0), 1 - e)}
-    return validate_structure({s: p for s, p in table.items() if any(p)})
+    return _ternary(e.numerator, e.denominator)
+
+
+def _ternary(n: int, m: int) -> InformationStructure:
+    """:func:`ternary_structure` of ``n/m``, ``0 <= n <= m``, built in integers
+    over ``m``: weights ``(m - n, 0)``, ``(n, n)`` and ``(0, m - n)``."""
+    rows = {HI_ID: (m - n, 0), MID_ID: (n, n), LO_ID: (0, m - n)}
+    rows = {s: w for s, w in rows.items() if any(w)}
+    return structure_from_integers(rows, m, rows.values())
 
 
 def split_to_ternary(structure: InformationStructure) -> InformationStructure:
@@ -53,9 +60,11 @@ def split_to_ternary(structure: InformationStructure) -> InformationStructure:
     conclusive signal on the majority side; the conditional mean of the
     post-split belief equals the original belief.  The residuals sum to
     ``1 - sum min(pH, pL)`` in each state, so the split is the ternary
-    structure with uninformative mass ``sum min(pH, pL)``.
+    structure with uninformative mass ``sum min(pH, pL)``, summed over the
+    structure's ``integer_likelihoods`` and built in integers.
     """
-    return ternary_structure(sum(min(ph, pl) for _s, ph, pl in structure.items()))
+    scale, weights = structure.integer_likelihoods
+    return _ternary(sum(min(wh, wl) for wh, wl in weights), scale)
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -385,18 +394,22 @@ def verify_dominance(structure: InformationStructure, horizon: int) -> Dominance
     split = split_to_ternary(structure)
     base = best_equilibrium_payoffs(structure, horizon)
     after = best_equilibrium_payoffs(split, horizon)
-    beliefs = induced_belief_distribution(structure).beliefs()
-    two_sided = any(0 < b < HALF for b in beliefs) and any(
-        HALF < b < 1 for b in beliefs
-    )
     return DominanceReport(
         eps=uninformative_mass(split),
         single_base=base.single,
         single_split=after.single,
         base_values=base.history_value,
         split_values=after.history_value,
-        two_sided=two_sided,
+        two_sided=_two_sided(structure.integer_likelihoods[1]),
     )
+
+
+def _two_sided(weights) -> bool:
+    """Whether the integer ``(w_high, w_low)`` pairs induce beliefs strictly
+    inside (0, 1/2) and inside (1/2, 1): the belief ``w_high / (w_high +
+    w_low)`` lies in (0, 1/2) when ``0 < w_high < w_low`` and in (1/2, 1)
+    when ``w_high > w_low > 0``."""
+    return any(0 < wh < wl for wh, wl in weights) and any(wh > wl > 0 for wh, wl in weights)
 
 
 # -- random corpus -------------------------------------------------------------
@@ -405,7 +418,12 @@ def verify_dominance(structure: InformationStructure, horizon: int) -> Dominance
 def random_structure(
     rng: random.Random, max_signals: int = 4, max_denominator: int = 12
 ) -> InformationStructure:
-    """Random structure with small-denominator rational likelihoods."""
+    """Random structure with small-denominator rational likelihoods.
+
+    Each column cuts a random denominator ``den`` at ``k - 1`` random
+    integer points; the pieces, rescaled to the lcm of the two columns'
+    denominators, are the weights handed to
+    :func:`~historyvalue.beliefs.structure_from_integers`."""
     int_at_least(max_signals, 1, "max_signals")
     int_at_least(max_denominator, 1, "max_denominator")
     k = rng.randint(1, max_signals)
@@ -414,12 +432,14 @@ def random_structure(
         den = rng.randint(1, max_denominator)
         cuts = sorted(rng.randint(0, den) for _ in range(k - 1))
         bounds = [0] + cuts + [den]
-        return [Fraction(b - a, den) for a, b in zip(bounds, bounds[1:])]
+        return den, [b - a for a, b in zip(bounds, bounds[1:])]
 
-    high = column()
-    low = column()
-    return validate_structure(
-        {f"s{j}": (high[j], low[j]) for j in range(k)}
+    den_h, high = column()
+    den_l, low = column()
+    scale = math.lcm(den_h, den_l)
+    uh, ul = scale // den_h, scale // den_l
+    return structure_from_integers(
+        [f"s{j}" for j in range(k)], scale, [(h * uh, l * ul) for h, l in zip(high, low)]
     )
 
 

@@ -1,13 +1,20 @@
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import historyvalue
 from historyvalue import (
     BeliefDistribution,
     compose_beliefs,
     iid_belief_distribution,
     induced_belief_distribution,
     posterior,
+    structure_from_integers,
     structure_from_json,
     structure_to_json,
     validate_structure,
@@ -78,6 +85,93 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             build(table)
         assert not isinstance(err.value, NegativeLikelihood)
+
+
+#: (integer builder arguments, the same structure as a table of rationals)
+#: whose two builders raise the same error.
+BAD_COLUMNS = [
+    ((("a", "b"), 2, ((3, 2), (-1, 0))), {"a": (F(3, 2), F(1)), "b": (-HALF, F(0))}),
+    ((("a", "b"), 2, ((1, 2), (1, -1))), {"a": (HALF, F(1)), "b": (HALF, -HALF)}),
+    ((("s1",), 6, ((3, 2),)), {"s1": (HALF, F(1, 3))}),
+    ((("a", "b"), 4, ((1, 1), (2, 2))), {"a": (F(1, 4), F(1, 4)), "b": (HALF, HALF)}),
+    (((), 1, ()), {}),
+]
+
+
+def raised(build, *args):
+    with pytest.raises(ValidationError) as err:
+        build(*args)
+    return type(err.value), str(err.value)
+
+
+class TestIntegerBuilder:
+    def test_reduces_to_the_canonical_form(self):
+        s = structure_from_integers(("a", "b"), 6, ((4, 2), (2, 4)))
+        assert s == sym_binary()._replace(signals=("a", "b"))
+        assert s.integer_likelihoods == (3, ((2, 1), (1, 2)))
+
+    @pytest.mark.parametrize("args, table", BAD_COLUMNS, ids=repr)
+    def test_errors_match_validate_structure(self, args, table):
+        error = raised(structure_from_integers, *args)
+        assert error == raised(validate_structure, table)
+        assert error[0] in (NegativeLikelihood, NonStochastic, EmptyAlphabet)
+
+    def test_messages(self):
+        assert raised(structure_from_integers, *BAD_COLUMNS[0][0]) == (
+            NegativeLikelihood, "signal 'b' has a negative likelihood")
+        assert raised(structure_from_integers, *BAD_COLUMNS[2][0]) == (
+            NonStochastic, "columns sum to 1/2 (high) and 1/3 (low), expected 1")
+
+    @pytest.mark.parametrize("args", [
+        (("a",), 1, ((F(1), 1),)),
+        (("a",), 1, ((1, 1.0),)),
+        (("a",), 1, ((True, 1),)),
+        (("a",), 0, ((0, 0),)),
+        (("a",), F(1), ((1, 1),)),
+        (("a",), True, ((1, 1),)),
+        (("a", "b"), 1, ((1, 1),)),
+    ], ids=repr)
+    def test_malformed_input_is_validation_error(self, args):
+        error_type, _ = raised(structure_from_integers, *args)
+        assert error_type is ValidationError
+
+    @given(
+        scale=st.integers(1, 60),
+        cuts=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_validate_structure(self, scale, cuts):
+        # columns cut at sorted points: non-negative, each summing to scale
+        high = sorted(min(h, scale) for h, _ in cuts)
+        low = sorted(min(lo, scale) for _, lo in cuts)
+        weights = [(b - a, d - c) for a, b, c, d in
+                   zip([0, *high], [*high, scale], [0, *low], [*low, scale])]
+        signals = [f"s{j}" for j in range(len(weights))]
+        table = {s: (F(wh, scale), F(wl, scale)) for s, (wh, wl) in zip(signals, weights)}
+        assert structure_from_integers(signals, scale, weights) == validate_structure(table)
+
+    def test_checks_run_under_python_O(self):
+        # python -O strips assert statements: the builder's checks are real
+        # raises and give the same errors there
+        script = (
+            "from historyvalue import structure_from_integers\n"
+            "from historyvalue.errors import ValidationError\n"
+            "assert False, 'asserts are on'\n"
+            f"for args in {[args for args, _ in BAD_COLUMNS[:3]]!r}:\n"
+            "    try:\n"
+            "        structure_from_integers(*args)\n"
+            "    except ValidationError as exc:\n"
+            "        print(type(exc).__name__, exc, sep=': ')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(pathlib.Path(historyvalue.__file__).parent.parent)}, check=True,
+        )
+        assert proc.stdout.splitlines() == [
+            "NegativeLikelihood: signal 'b' has a negative likelihood",
+            "NegativeLikelihood: signal 'b' has a negative likelihood",
+            "NonStochastic: columns sum to 1/2 (high) and 1/3 (low), expected 1",
+        ]
 
 
 class TestPosterior:

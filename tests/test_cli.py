@@ -525,6 +525,12 @@ class TestParser:
                    "(choose from 'value', 'design', 'market', 'verify', 'sweep')"),
         (["value", "--config", "c.json", "--seed", "x"],
          "hv value: error: argument --seed: invalid int value: 'x'"),
+        # a library caller's non-str token is a usage error, not a TypeError
+        (["value", "--config", Path("c.json")],
+         "hv: error: command-line tokens must be strings, got PosixPath('c.json')"),
+        (["value", "--config", "c.json", "--seed", 3],
+         "hv: error: command-line tokens must be strings, got 3"),
+        ([b"value"], "hv: error: command-line tokens must be strings, got b'value'"),
     ])
     def test_bad_arguments_exit_2_every_time(self, capsys, argv, message):
         for _ in range(2):  # the kept parser answers a second call the same way

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from historyvalue import (
     validate_structure,
     verify_dominance,
 )
-from historyvalue import beliefs
+from historyvalue import beliefs, design
 from historyvalue.errors import NonFiniteEvaluation, ValidationError
 
 HALF = F(1, 2)
@@ -200,8 +201,8 @@ class TestDominance:
         assert report.verdict
 
     def test_induced_distribution_once_per_structure(self, monkeypatch):
-        # the search, the two-sided test and the ternary check all read the
-        # base's and the split's distributions, built once each
+        # the search and the ternary check read the base's and the split's
+        # distributions, built once each; the two-sided test reads neither
         calls = []
         build = beliefs._merged_distribution
 
@@ -272,3 +273,100 @@ class TestTernaryBuilder:
         s = ternary_structure(eps)
         assert s.signals == signals
         assert uninformative_mass(s) == eps
+
+
+# -- the integer builders against the Fraction builders they replaced ----------
+
+
+def frozen_random_structure(rng, max_signals=4, max_denominator=12):
+    """``random_structure`` as it was built before it handed its integer cuts
+    to ``structure_from_integers``: ``Fraction`` likelihoods, read back into
+    integers by ``validate_structure``."""
+    k = rng.randint(1, max_signals)
+
+    def column():
+        den = rng.randint(1, max_denominator)
+        cuts = sorted(rng.randint(0, den) for _ in range(k - 1))
+        bounds = [0] + cuts + [den]
+        return [F(b - a, den) for a, b in zip(bounds, bounds[1:])]
+
+    high = column()
+    low = column()
+    return validate_structure({f"s{j}": (high[j], low[j]) for j in range(k)})
+
+
+def frozen_ternary_structure(e):
+    """``ternary_structure`` as it was built before it went through integers."""
+    table = {"hi": (1 - e, F(0)), "mid": (e, e), "lo": (F(0), 1 - e)}
+    return validate_structure({s: p for s, p in table.items() if any(p)})
+
+
+def frozen_two_sided(structure):
+    """The two-sided test as it was decided on the induced ``Fraction`` beliefs."""
+    beliefs = induced_belief_distribution(structure).beliefs()
+    return any(0 < b < HALF for b in beliefs) and any(HALF < b < 1 for b in beliefs)
+
+
+FROZEN_CORPORA = [(0, 1000), (7, 1000), (101, 1000, 6, 12), (303, 1000, 6, 30)]
+
+
+def assert_same_structure(new, old):
+    # an InformationStructure is a namedtuple: == compares field by field
+    assert new == old
+    assert all(type(q) is F for q in new.like_high + new.like_low)
+
+
+class TestIntegerBuilders:
+    @pytest.mark.parametrize("args", FROZEN_CORPORA, ids=str)
+    def test_random_structure_matches_frozen(self, args):
+        seed, count, *bounds = args
+        rng = random.Random(seed)
+        frozen = [frozen_random_structure(rng, *bounds) for _ in range(count)]
+        built = corpus(*args)
+        assert len(built) == len(frozen) == count
+        for new, old in zip(built, frozen):
+            assert_same_structure(new, old)
+
+    def test_random_structure_draws_as_before(self):
+        new_rng, old_rng = random.Random(5), random.Random(5)
+        for _ in range(200):
+            random_structure(new_rng, 6, 30)
+            frozen_random_structure(old_rng, 6, 30)
+        assert new_rng.getstate() == old_rng.getstate()
+
+    def test_ternary_structure_matches_frozen(self):
+        for m in range(1, 31):
+            for n in range(m + 1):
+                assert_same_structure(ternary_structure(F(n, m)),
+                                      frozen_ternary_structure(F(n, m)))
+
+    @pytest.mark.parametrize("args", FROZEN_CORPORA, ids=str)
+    def test_two_sided_matches_frozen(self, args):
+        found = {True: 0, False: 0}
+        for s in corpus(*args):
+            expected = frozen_two_sided(s)
+            assert design._two_sided(s.integer_likelihoods[1]) is expected
+            found[expected] += 1
+        assert min(found.values()) > 0  # the corpus has both kinds
+
+    @pytest.mark.parametrize("table, expected", [
+        # conclusive atoms only, and with the atom at exactly 1/2
+        ({"hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
+        ({"hi": (F(2, 3), F(0)), "mid": (F(1, 3), F(1, 3)), "lo": (F(0), F(2, 3))}, False),
+        # beliefs 1/2 alone, and 0 with a null signal
+        ({"a": (HALF, HALF), "b": (HALF, HALF)}, False),
+        ({"z": (F(0), F(0)), "hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
+        # an interior belief on one side only, next to 0, 1/2 or 1
+        ({"hi": (HALF, F(0)), "mid": (F(1, 4), F(1, 4)), "a": (F(1, 4), F(3, 4))}, False),
+        ({"lo": (F(0), HALF), "a": (F(1), HALF)}, False),
+        ({"a": (F(1, 3), F(1, 3)), "b": (F(2, 3), F(1, 3)), "lo": (F(0), F(1, 3))}, False),
+        # interior beliefs on both sides, with and without 1/2, 0 and 1
+        ({"a": (F(2, 3), F(1, 3)), "b": (F(1, 3), F(2, 3))}, True),
+        ({"a": (HALF, F(1, 6)), "b": (F(1, 3), F(1, 3)), "c": (F(1, 6), HALF)}, True),
+        ({"hi": (F(1, 4), F(0)), "lo": (F(0), F(1, 4)), "a": (HALF, F(1, 4)),
+          "b": (F(1, 4), HALF)}, True),
+    ], ids=repr)
+    def test_two_sided_hand_cases(self, table, expected):
+        s = validate_structure(table)
+        assert frozen_two_sided(s) is expected
+        assert verify_dominance(s, 2).two_sided is expected

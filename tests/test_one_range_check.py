@@ -1,13 +1,14 @@
-"""Each parameter range and the tree's state cap are checked by one
-function: the package raises the "must lie in (0, 1)", "outside [0, 1]",
-"must be positive" and state-cap errors from one function each."""
+"""Each parameter range, the tree's state cap and the stochastic check of a
+structure's columns are checked by one function: the package raises the
+"must lie in (0, 1)", "outside [0, 1]", "must be positive", state-cap and
+"columns sum to" errors from one function each."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "historyvalue"
 PHRASES = ("must lie in (0, 1)", "outside [0, 1]", "must be positive",
-           " public-belief states exceed ")
+           " public-belief states exceed ", "columns sum to")
 
 
 def raisers(source: str, phrase: str) -> list:

@@ -25,7 +25,8 @@ PUBLIC = {
         "optimal_eps_seller_sticky", "optimal_eps_social", "optimal_eps_weighted",
         "optimal_eps_weighted_sticky", "posterior", "random_structure",
         "simulate_equilibrium", "single_signal_payoff", "social_value", "split_to_ternary",
-        "sticky_price_path", "sticky_surpluses", "structure_from_json", "structure_to_json",
+        "sticky_price_path", "sticky_surpluses", "structure_from_integers",
+        "structure_from_json", "structure_to_json",
         "surpluses", "ternary_social_value", "ternary_sticky_buyer_surplus",
         "ternary_sticky_seller_surplus", "ternary_sticky_surpluses", "ternary_structure",
         "ternary_value_i", "ternary_weighted_surplus", "ternary_weighted_surplus_sticky",
