@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 
@@ -276,7 +275,11 @@ def unit_search(f, tolerance) -> tuple:
     """``(argmax, flat)`` of the integer objective ``f`` (as for
     :func:`golden_section`) on [0, 1]: a scan of ``_GRID + 1`` points, then
     golden section between the best point's neighbours.  The first of
-    equal best points wins, as with ``max``."""
+    equal best points wins, as with ``max``.
+
+    ``f``'s values are read only through strict comparisons and equality,
+    so a strictly increasing transform of ``f`` gives the same result, and
+    every strictly decreasing ``f`` gives that of ``(-n, m)``."""
     values = [f(k, _GRID) for k in range(_GRID + 1)]
     best = 0
     for k, (n, m) in enumerate(values):
@@ -450,5 +453,7 @@ def corpus(seed: int, count: int, max_signals: int = 4, max_denominator: int = 1
         raise CapExceeded(f"corpus count {count} exceeds cap {CORPUS_CAP}")
     int_at_least(max_signals, 1, "max_signals")
     int_at_least(max_denominator, 1, "max_denominator")
+    import random  # here, not at module level: nothing else in the library draws
+
     rng = random.Random(seed)
     return [random_structure(rng, max_signals, max_denominator) for _ in range(count)]

@@ -218,14 +218,35 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
     """Mass maximizing the weighted sticky surplus.
 
     At ``t == 1`` this is :func:`optimal_eps_weighted`.  Otherwise it is
-    exactly 0 for ``alpha >= 1/2``, and located numerically (no closed
-    form is provided) with the returned point within ``tolerance`` of the
-    argmax: the grid scan and golden section of
-    :func:`~historyvalue.design.unit_search` on :func:`weighted_objective`.
+    exactly 0 for ``alpha >= 1/2``, and for ``alpha < 1/2`` the point that
+    the grid scan and golden section of
+    :func:`~historyvalue.design.unit_search` return on
+    :func:`weighted_objective`, within ``tolerance`` of the argmax.
+
+    Where ``(1 - 2*alpha)*d^t <= alpha*(1 - d)`` the surplus
+    ``f = alpha*W + (1 - 2*alpha)*S`` is strictly decreasing on [0, 1]:
+
+    - ``W' = -(1-d)/(4*(1-d*e)^2) <= -(1-d)/4``, strictly for ``e > 0``;
+    - ``S = (d^t/4)*e*h(e^t)`` with ``h(u) = (1-u)/(1-d^t*u)``, and
+      ``h' < 0``, so ``(e*h(e^t))' = h(u) + t*u*h'(u) <= h(0) = 1``;
+    - so ``f' <= ((1-2*alpha)*d^t - alpha*(1-d))/4 <= 0``, strictly for
+      ``e > 0``.
+
+    The search reads its objective only through strict comparisons and
+    equality of values, so every strictly decreasing objective gives the
+    same result as ``(-n, m)``: there the search runs on that objective and
+    :func:`weighted_objective` is never evaluated.  The test is exact, in
+    integers: with ``d = p/q`` and ``alpha = r/s`` it is
+    ``(s - 2*r)*p^t*q <= r*(q - p)*q^t``.  At ``t == 1`` it is the
+    ``delta <= alpha/(1 - alpha)`` of :func:`optimal_eps_weighted`.
     """
-    MarketParams(delta, alpha, t)  # checks delta, alpha and t before either shortcut
+    MarketParams(delta, alpha, t)  # checks delta, alpha and t before any shortcut
     if t == 1:
         return optimal_eps_weighted(delta, alpha)
-    if Fraction(alpha) >= Fraction(1, 2):
+    d, a = Fraction(delta), Fraction(alpha)
+    if a >= Fraction(1, 2):
         return Fraction(0)
-    return unit_search(weighted_objective(delta, alpha, t), tolerance)[0]
+    p, q, r, s = d.numerator, d.denominator, a.numerator, a.denominator
+    if (s - 2 * r) * p**t * q <= r * (q - p) * q**t:
+        return unit_search(lambda n, m: (-n, m), tolerance)[0]
+    return unit_search(weighted_objective(d, a, t), tolerance)[0]

@@ -175,3 +175,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "historyvalue.cli" in added
     assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(added)
     assert parsers == 0  # the parser is built by the first main() call, not the import
+
+
+def test_only_a_corpus_imports_random():
+    # without ``site`` (-S), which may load ``random`` itself, the library
+    # imports it on the first corpus only
+    script = (
+        "import sys\n"
+        "import historyvalue.cli\n"
+        "loaded = 'random' in sys.modules\n"
+        "historyvalue.design.corpus(0, 1)\n"
+        "print(loaded, 'random' in sys.modules)\n"
+    )
+    env = {"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,7 +1,9 @@
 """The integer golden-section search against a frozen copy of the ``Fraction``
 search it replaced (``frozen_search.py``), with its probe memo cold and warm,
-``best_approximation`` against ``Fraction.limit_denominator``, and the
-search's unimodality assumption on the benchmark's sweep inputs."""
+``best_approximation`` against ``Fraction.limit_denominator``, the
+search's unimodality assumption on the benchmark's sweep inputs, the
+certificate under which the weighted objective falls and the search skips
+it, and the paper's claim that the seller discloses less."""
 
 import importlib.util
 import math
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 from frozen_search import frozen_argmax_unit_interval, frozen_maximize_concave
 from historyvalue import (
     argmax_unit_interval,
+    market,
     maximize_concave,
+    optimal_eps_seller_sticky,
     optimal_eps_weighted_sticky,
     ternary_social_value,
     ternary_sticky_seller_surplus,
@@ -24,7 +28,7 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
 )
 from historyvalue.cli import main
-from historyvalue.design import PROBE_MEMO_SIZE, _probes
+from historyvalue.design import _GRID, PROBE_MEMO_SIZE, _exact, _probes, unit_search
 from historyvalue.errors import NonFiniteEvaluation
 from historyvalue.market import weighted_objective
 from historyvalue.rationals import best_approximation
@@ -225,3 +229,131 @@ def test_weighted_objective_unimodal_on_sweep_inputs():
     bad = [(d, a, t) for d, a, t in points
            if rises_after_falling([weighted_objective(d, a, t)(k, grid) for k in range(grid + 1)])]
     assert bad == []
+
+
+# -- the certified fall: where the weighted objective is strictly decreasing ----
+
+
+def certified(d, a, t) -> bool:
+    """``(1 - 2a)*d^t <= a*(1 - d)``, in exact rationals."""
+    return (1 - 2 * a) * d**t <= a * (1 - d)
+
+
+def falling_chain(tol) -> list:
+    """The probe points, in the order visited, of a golden section that
+    falls from ``e = 0``: the bracket ``[0, 1/64]`` always keeps its left part."""
+    ln, ld, hn, hd = 0, _GRID, 1, _GRID
+    points = []
+    while (hn * ld - ln * hd) * tol.denominator > tol.numerator * ld * hd:
+        probes = _probes(ln, ld, hn, hd)
+        if probes is None:
+            break
+        cn, cd, dn, dd = probes
+        points += [F(cn, cd), F(dn, dd)]
+        hn, hd = dn, dd
+    return points
+
+
+FALLING_POINTS = sorted({F(k, _GRID) for k in range(_GRID + 1)} | set(falling_chain(TOLERANCES[-1])))
+
+
+@st.composite
+def certified_points(draw):
+    """``(delta, alpha, t)`` with ``t`` in 2..12 and ``alpha`` in
+    ``[alpha_min, 1/2)``, where ``alpha_min = d^t/(1 - d + 2*d^t)`` makes the
+    certificate an equality."""
+    d = draw(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000))
+    t = draw(st.integers(2, 12))
+    low = d**t / (1 - d + 2 * d**t)
+    u = draw(st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100))
+    return d, low + u * (HALF - low), t
+
+
+def strictly_falling(d, a, t) -> bool:
+    f = weighted_objective(d, a, t)
+    values = [f(x.numerator, x.denominator) for x in FALLING_POINTS]
+    return all(n1 * m0 < n0 * m1 for (n0, m0), (n1, m1) in zip(values, values[1:]))
+
+
+class TestCertifiedFall:
+    EQUALITY = (HALF, F(1, 4), 2)  # (1 - 2a)*d^t == a*(1 - d): the slope at e = 0 is 0
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    def test_chain_is_the_searchs(self, tol):
+        # a falling search visits the 65 grid points, then exactly this chain,
+        # a prefix of the 1e-12 one that FALLING_POINTS holds
+        seen = []
+
+        def falling(n, m):
+            seen.append(F(n, m))
+            return -n, m
+
+        unit_search(falling, tol)
+        chain = falling_chain(tol)
+        assert seen == [F(k, _GRID) for k in range(_GRID + 1)] + chain
+        assert chain == falling_chain(TOLERANCES[-1])[:len(chain)]
+
+    def test_falls_on_sweep_points(self):
+        points = [p for p in price_sweep_points() if certified(*p)]
+        assert len(points) > 500
+        assert [p for p in points if not strictly_falling(*p)] == []
+
+    def test_equality_case(self):
+        d, a, t = self.EQUALITY
+        assert (1 - 2 * a) * d**t == a * (1 - d)
+        assert strictly_falling(d, a, t)
+
+    @given(point=certified_points())
+    @settings(max_examples=60, deadline=None)
+    def test_falls_on_drawn_points(self, point):
+        assert certified(*point) and strictly_falling(*point)
+
+
+class TestCertifiedBranch:
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    def test_matches_full_search_on_sweep_points(self, tol):
+        for d, a, t in price_sweep_points():
+            if certified(d, a, t):
+                got = optimal_eps_weighted_sticky(d, a, t, tol)
+                assert type(got) is F and got == unit_search(weighted_objective(d, a, t), tol)[0]
+
+    @given(point=certified_points(), tol=st.sampled_from(TOLERANCES))
+    @example(point=TestCertifiedFall.EQUALITY, tol=TOLERANCES[-1])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_search_on_drawn_points(self, point, tol):
+        got = optimal_eps_weighted_sticky(*point, tol)
+        assert type(got) is F and got == unit_search(weighted_objective(*point), tol)[0]
+
+    def test_certified_calls_skip_the_objective(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("weighted_objective evaluated")
+
+        monkeypatch.setattr(market, "weighted_objective", boom)
+        for point in [TestCertifiedFall.EQUALITY, (HALF, F(5, 12), 2), (F(1, 12), F(1, 24), 8)]:
+            assert certified(*point)
+            assert optimal_eps_weighted_sticky(*point) == unit_search(lambda n, m: (-n, m),
+                                                                      F(1, 10**9))[0]
+        assert not certified(F(10, 11), F(1, 12), 2)
+        with pytest.raises(AssertionError, match="evaluated"):
+            optimal_eps_weighted_sticky(F(10, 11), F(1, 12), 2)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_unit_search_reads_only_the_order_of_values(name):
+    f = _exact(OBJECTIVES[name])
+
+    def rising(n, m):  # y -> (y^3 - 5)/7, strictly increasing
+        return n**3 - 5 * m**3, 7 * m**3
+
+    tol = F(1, 10**9)
+    assert unit_search(lambda n, m: rising(*f(n, m)), tol) == unit_search(f, tol)
+
+
+def test_seller_discloses_less():
+    # the paper's market result: the seller's optimal uninformative mass is
+    # above the weighted optimum, by far more than the search's 1e-9 tolerance
+    grid = [(F(i, 12), F(j, 24), t) for i in range(1, 12) for j in range(1, 12)
+            for t in (1, 2, 3, 5, 8)]
+    margins = [optimal_eps_seller_sticky(d, t) - float(optimal_eps_weighted_sticky(d, a, t))
+               for d, a, t in price_sweep_points() + grid]
+    assert min(margins) > 1e-3
