@@ -27,10 +27,8 @@ from .errors import (
     ValidationError,
     ZeroProbabilitySignal,
 )
-from .rationals import HALF, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .rationals import closed_unit, int_at_least, rational
-
-ONE = Fraction(1)
 
 #: Cap on the number of composed i.i.d. draws.
 IID_CAP = 16
@@ -319,11 +317,15 @@ def iid_belief_distribution(structure: InformationStructure, n: int) -> BeliefDi
 
 def uninformative_mass(structure: InformationStructure):
     """The probability of the belief-1/2 signal if ``structure`` is ternary
-    (induces beliefs only in {0, 1/2, 1}), else None."""
-    atoms = induced_belief_distribution(structure).atoms
-    if any(belief not in (0, HALF, ONE) for belief, _wh, _wl in atoms):
+    (induces beliefs only in {0, 1/2, 1}), else None.
+
+    Read on the integer form: an atom is interior exactly when both its
+    weights are nonzero and differ, and the belief-1/2 atom is the one
+    whose weights are equal."""
+    scale, weights = induced_belief_distribution(structure).integer_form
+    if any(wh and wl and wh != wl for wh, wl in weights):
         return None
-    return next((wh for belief, wh, _wl in atoms if belief == HALF), Fraction(0))
+    return next((Fraction(wh, scale) for wh, wl in weights if wh == wl), Fraction(0))
 
 
 # -- JSON structure-file format ------------------------------------------------

@@ -32,6 +32,8 @@ LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
 
 #: Cap on the structures in one :func:`corpus`.
 CORPUS_CAP = 1000
+#: Ternary structures, one per reduced mass, that :func:`_ternary` keeps.
+TERNARY_MEMO_SIZE = 64
 
 
 def ternary_structure(eps) -> InformationStructure:
@@ -44,7 +46,18 @@ def ternary_structure(eps) -> InformationStructure:
 
 
 def _ternary(n: int, m: int) -> InformationStructure:
-    """:func:`ternary_structure` of ``n/m``, ``0 <= n <= m``, built in integers
+    """:func:`ternary_structure` of ``n/m``, ``0 <= n <= m``, shared: ``n/m``
+    is reduced by its gcd, and the reduced pair's structure comes from
+    :func:`_shared_ternary`, a memo of the ``TERNARY_MEMO_SIZE`` most
+    recently used masses.  Equal masses given over any scale return one
+    object, whose ``belief_distribution`` is built once."""
+    g = math.gcd(n, m)
+    return _shared_ternary(n // g, m // g)
+
+
+@functools.lru_cache(maxsize=TERNARY_MEMO_SIZE)
+def _shared_ternary(n: int, m: int) -> InformationStructure:
+    """The ternary structure of ``n/m`` in lowest terms, built in integers
     over ``m``: weights ``(m - n, 0)``, ``(n, n)`` and ``(0, m - n)``."""
     rows = {HI_ID: (m - n, 0), MID_ID: (n, n), LO_ID: (0, m - n)}
     rows = {s: w for s, w in rows.items() if any(w)}

@@ -38,18 +38,22 @@ call keeps its own table of finished states, dropped when it returns,
 and raises :class:`TooManyIndifferenceNodes` past ``MAX_STATES`` of them.
 
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
-``functools.lru_cache`` of finished searches: an entry is the tuple of
-best payoffs of one search at one horizon, keyed by the
+``functools.lru_cache`` of finished searches: an entry is the finished
+:class:`PayoffProfile` of one search at one horizon, keyed by the
 induced :class:`~historyvalue.beliefs.BeliefDistribution` (all that the
 search depends on: equal structures parsed separately, and structures
 that differ only in their labels, share one entry) and the horizon.
 The key's class defines its equality and hash on its integer form alone,
-its weights as integers over their common denominator.  A call that
-raised stores nothing, so only a call within ``MAX_STATES`` stores an
-entry, and a served entry, which computes nothing, is not checked again.
-An entry is immutable, so callers on several threads share nothing they
-could change.  The memo keeps the ``SEARCH_MEMO_SIZE`` most recently
-used entries; it is shared by the whole process and has no setting.
+its weights as integers over their common denominator.  Every caller is
+served the entry itself, so its derived values are computed once; its
+``signal`` is the first caller's distribution, equal to each later
+caller's but not the same object.  A call that raised stores nothing,
+so only a call within ``MAX_STATES`` stores an entry, and a served
+entry, which computes nothing, is not checked again.  An entry's fields
+are immutable and its derived values deterministic, so callers on
+several threads that fill one in at once write equal values.  The memo
+keeps the ``SEARCH_MEMO_SIZE`` most recently used entries; it is shared
+by the whole process and has no setting.
 
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
@@ -276,10 +280,12 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
 
 
 @functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
-def _search(signal: BeliefDistribution, horizon: int) -> tuple:
-    """The process-wide memo of :func:`_payoffs` at ``horizon`` with both
-    actions at every tie."""
-    return _payoffs(signal, horizon, _BOTH)
+def _search(signal: BeliefDistribution, horizon: int) -> PayoffProfile:
+    """The process-wide memo of finished profiles: :func:`_payoffs` at
+    ``horizon`` with both actions at every tie, as the
+    :class:`PayoffProfile` of the first caller's ``signal``, whose derived
+    values are then computed once for every caller."""
+    return PayoffProfile(signal, _payoffs(signal, horizon, _BOTH))
 
 
 def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> PayoffProfile:
@@ -296,8 +302,7 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     which computes nothing, is not checked again.
     """
     _check_horizon(horizon, LEX_CAP, "lexicographic cap")
-    signal = induced_belief_distribution(structure)
-    return PayoffProfile(signal, _search(signal, horizon))
+    return _search(induced_belief_distribution(structure), horizon)
 
 
 class BoundedValue(namedtuple("BoundedValue", "value error_bound")):

@@ -263,6 +263,31 @@ class TestIidDistribution:
             iid_belief_distribution(sym_binary(), 17)
 
 
+def frozen_uninformative_mass(structure):
+    """``uninformative_mass`` as it was decided on the induced ``Fraction``
+    beliefs."""
+    atoms = induced_belief_distribution(structure).atoms
+    if any(belief not in (0, HALF, 1) for belief, _wh, _wl in atoms):
+        return None
+    return next((wh for belief, wh, _wl in atoms if belief == HALF), F(0))
+
+
+class TestUninformativeMass:
+    def test_matches_frozen_on_corpora_splits_and_ternary(self):
+        from historyvalue import corpus, split_to_ternary, ternary_structure
+
+        structures = [s for seed in (0, 7, 101) for s in corpus(seed, 1000, 6, 12)]
+        structures += [split_to_ternary(s) for s in structures]
+        structures += [ternary_structure(F(k, m)) for m in range(1, 25) for k in range(m + 1)]
+        assert len(structures) == 6324
+        found = {True: 0, False: 0}
+        for s in structures:
+            got, expected = historyvalue.uninformative_mass(s), frozen_uninformative_mass(s)
+            assert got == expected and type(got) is type(expected), s
+            found[got is None] += 1
+        assert min(found.values()) > 0  # both ternary and non-ternary inputs
+
+
 class TestJsonRoundTrip:
     def test_bit_exact(self):
         s = validate_structure(

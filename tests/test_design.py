@@ -17,6 +17,7 @@ from historyvalue import (
     random_structure,
     single_signal_payoff,
     split_to_ternary,
+    structure_from_integers,
     ternary_social_value,
     ternary_structure,
     ternary_value_i,
@@ -200,7 +201,8 @@ class TestDominance:
         assert report.base_values == report.split_values
         assert report.verdict
 
-    def test_induced_distribution_once_per_structure(self, monkeypatch):
+    def test_induced_distribution_once_per_structure(self, empty_memo, empty_ternary_memo,
+                                                     monkeypatch):
         # the search and the ternary check read the base's and the split's
         # distributions, built once each; the two-sided test reads neither
         calls = []
@@ -213,6 +215,10 @@ class TestDominance:
         monkeypatch.setattr(beliefs, "_merged_distribution", counting)
         verify_dominance(sym_binary(), 3)
         assert len(calls) == 2
+        # an equal structure built anew builds its own distribution; its
+        # split is the shared ternary structure, whose distribution is kept
+        verify_dominance(sym_binary(), 3)
+        assert len(calls) == 3
 
     def test_report_serialization(self):
         report = verify_dominance(sym_binary(), 3)
@@ -273,6 +279,60 @@ class TestTernaryBuilder:
         s = ternary_structure(eps)
         assert s.signals == signals
         assert uninformative_mass(s) == eps
+
+
+def uncached_ternary(n, m):
+    """``_ternary`` as it was before ternary structures were shared: a new
+    structure built over ``m`` on every call."""
+    rows = {"hi": (m - n, 0), "mid": (n, n), "lo": (0, m - n)}
+    rows = {s: w for s, w in rows.items() if any(w)}
+    return structure_from_integers(rows, m, rows.values())
+
+
+def unreduced_split_mass(structure):
+    """A split's uninformative mass as ``(n, m)`` over the structure's own scale."""
+    scale, weights = structure.integer_likelihoods
+    return sum(map(min, weights)), scale
+
+
+class TestSharedTernary:
+    def test_equal_masses_share_one_structure(self, empty_ternary_memo):
+        for s in corpus(7, 200):
+            n, m = unreduced_split_mass(s)
+            shared = split_to_ternary(s)
+            assert shared is ternary_structure(F(n, m)) is design._ternary(3 * n, 3 * m)
+            assert induced_belief_distribution(shared) is shared.belief_distribution
+        assert ternary_structure(F(2, 6)) is ternary_structure("1/3") is design._ternary(1, 3)
+        assert ternary_structure(0) is design._ternary(0, 5)
+        assert ternary_structure(1) is design._ternary(7, 7)
+
+    def test_stays_within_bound(self, empty_ternary_memo):
+        bound = design.TERNARY_MEMO_SIZE
+        masses = [F(1, 10007 + k) for k in range(bound + 3)]
+        entries = []
+        for eps in masses:
+            entries.append(ternary_structure(eps))
+            assert empty_ternary_memo.cache_info().currsize <= bound
+        info = empty_ternary_memo.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 3)
+        # the last ``bound`` masses are served; the first three were evicted
+        assert all(ternary_structure(e) is s for e, s in zip(masses[3:], entries[3:]))
+        assert empty_ternary_memo.cache_info().misses == bound + 3
+        for eps, old in zip(masses[:3], entries[:3]):
+            new = ternary_structure(eps)
+            assert new is not old and new == old
+
+    @pytest.mark.parametrize("pairs", [
+        lambda: (unreduced_split_mass(s) for s in corpus(7, 1000)),
+        lambda: ((n, m) for m in range(1, 31) for n in range(m + 1)),
+    ], ids=["corpus-splits", "small-masses"])
+    def test_equals_uncached_builder(self, empty_ternary_memo, pairs):
+        for n, m in pairs():
+            shared, fresh = design._ternary(n, m), uncached_ternary(n, m)
+            for name in shared._fields:
+                assert getattr(shared, name) == getattr(fresh, name), (n, m, name)
+            assert shared.belief_distribution.atoms == fresh.belief_distribution.atoms
+            assert shared.belief_distribution == fresh.belief_distribution
 
 
 # -- the integer builders against the Fraction builders they replaced ----------

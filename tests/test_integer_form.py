@@ -51,7 +51,8 @@ def corpus_distributions():
 
 
 class TestBuilder:
-    def test_equals_from_weights_on_corpus_splits_and_chains(self, monkeypatch):
+    def test_equals_from_weights_on_corpus_splits_and_chains(self, empty_ternary_memo,
+                                                             monkeypatch):
         build = beliefs._merged_distribution
         built = []
 
@@ -66,11 +67,15 @@ class TestBuilder:
             return dist
 
         monkeypatch.setattr(beliefs, "_merged_distribution", checked)
-        for structure in corpus(7, 200):
+        structures = corpus(7, 200)
+        for structure in structures:
             for s in (structure, split_to_ternary(structure)):
                 assert len(tuple(iid_chain(induced_belief_distribution(s), 4))) == 4
-        # one induced distribution and three compositions per structure
-        assert len(built) == 200 * 2 * 4
+        # one induced distribution and three compositions per structure, but
+        # equal splits share one structure and so one induced distribution
+        masses = {F(sum(map(min, weights)), scale)
+                  for scale, weights in (s.integer_likelihoods for s in structures)}
+        assert len(built) == 200 * 4 + 200 * 3 + len(masses)
 
     def test_form_is_over_the_lcm_of_the_denominators(self):
         for dist in itertools.islice(corpus_distributions(), 300):
@@ -185,8 +190,11 @@ class TestEqualityAndHash:
         info = empty_memo.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         assert empty_memo(induced_belief_distribution(second), 4) is entry
-        # each profile carries its own structure's distribution
-        assert b.signal is induced_belief_distribution(second) == signal
+        # the second call is served the entry itself, which carries the first
+        # structure's distribution: equal to the second's, not the same object
+        assert b is entry
+        assert b.signal == induced_belief_distribution(second)
+        assert b.signal is not induced_belief_distribution(second)
         assert b.with_history == a.with_history
 
 

@@ -551,7 +551,7 @@ class TestSearchMemo:
         entry = empty_memo(induced_belief_distribution(fixture()), 3)
         info = empty_memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
-        assert entry == fresh_search(fixture(), 3)
+        assert entry.with_history == fresh_search(fixture(), 3)
 
     def test_search_failing_once_is_recomputed(self, empty_memo, monkeypatch):
         check = learning._check_node
@@ -593,8 +593,13 @@ class TestSearchMemo:
         # 4 threads (more than this suite's 2-core host) switching often,
         # each extending and serving the same entries in its own order
         structures = [fixture(), sym_binary(), *CORPUS[:4]]
-        expected = {s: fresh_search(s, learning.LEX_CAP) for s in structures}
         cases = [(s, h) for s in structures for h in (7, 2, learning.LEX_CAP, 4, 1, 5)]
+        # profiles built outside the memo, their derived values read before
+        # the threads start
+        expected = {}
+        for s, h in cases:
+            fresh = learning.PayoffProfile(induced_belief_distribution(s), fresh_search(s, h))
+            expected[s, h] = fresh.with_history, fresh.single, fresh.history_value, fresh.benchmark
         start = threading.Barrier(4, timeout=60)
         results, errors = [], []
 
@@ -602,7 +607,8 @@ class TestSearchMemo:
             try:
                 start.wait()
                 for structure, horizon in cases[offset:] + cases[:offset]:
-                    got = best_equilibrium_payoffs(structure, horizon).with_history
+                    p = best_equilibrium_payoffs(structure, horizon)
+                    got = p.with_history, p.single, p.history_value, p.benchmark
                     results.append((structure, horizon, got))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
@@ -621,7 +627,7 @@ class TestSearchMemo:
         assert errors == []
         assert len(results) == 4 * len(cases)
         for structure, horizon, got in results:
-            assert got == expected[structure][:horizon]
+            assert got == expected[structure, horizon]
 
 
 class TestSocialValue:
@@ -730,21 +736,33 @@ class TestNodeInvariant:
 
 
 class TestPayoffProfile:
-    def test_benchmark_composed_on_first_read_only(self, monkeypatch):
-        calls = []
+    def test_benchmark_composed_on_first_read_only(self, empty_memo, monkeypatch):
+        calls, payoffs = [], []
         compose = beliefs.compose_distributions
+        expected_payoff = learning._expected_payoff
 
         def counting(a, b):
             calls.append(1)
             return compose(a, b)
 
+        def counting_payoffs(dist):
+            payoffs.append(1)
+            return expected_payoff(dist)
+
         monkeypatch.setattr(beliefs, "compose_distributions", counting)
+        monkeypatch.setattr(learning, "_expected_payoff", counting_payoffs)
         p = best_equilibrium_payoffs(fixture(), 5)
         p.with_history, p.single, p.history_value
-        assert calls == []
+        assert calls == [] and len(payoffs) == 1
         first = p.benchmark
-        assert len(calls) == 4
+        assert len(calls) == 4 and len(payoffs) == 1 + 5
         assert p.benchmark is first and len(calls) == 4
+        # a second caller, with an equal structure built anew, is served the
+        # profile whose derived values are already there
+        q = best_equilibrium_payoffs(fixture(), 5)
+        assert q.single is p.single and q.history_value is p.history_value
+        assert q.benchmark is first
+        assert len(calls) == 4 and len(payoffs) == 1 + 5
 
     @pytest.mark.parametrize("solve", [simulate_equilibrium, best_equilibrium_payoffs])
     def test_single_is_first_agent_payoff(self, solve):

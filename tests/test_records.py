@@ -52,10 +52,14 @@ def make_records() -> list:
 
 
 @pytest.fixture(params=range(len(RECORDS)), ids=lambda k: sorted(c.__name__ for c in RECORDS)[k])
-def pair(request):
-    """Two equal records of one class, built separately."""
+def pair(request, empty_memo):
+    """Two equal records of one class, built separately: the search memo is
+    emptied between them, so the second ``PayoffProfile`` is not served the
+    first."""
     name = sorted(c.__name__ for c in RECORDS)[request.param]
-    first, second = ({type(r).__name__: r for r in make_records()}[name] for _ in range(2))
+    first = {type(r).__name__: r for r in make_records()}[name]
+    empty_memo.cache_clear()
+    second = {type(r).__name__: r for r in make_records()}[name]
     return first, second
 
 
