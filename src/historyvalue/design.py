@@ -20,7 +20,6 @@ from .beliefs import (
     InformationStructure,
     induced_belief_distribution,
     structure_from_integers,
-    uninformative_mass,
 )
 from .errors import CapExceeded, NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
@@ -32,8 +31,6 @@ LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
 
 #: Cap on the structures in one :func:`corpus`.
 CORPUS_CAP = 1000
-#: Ternary structures, one per reduced mass, that :func:`_ternary` keeps.
-TERNARY_MEMO_SIZE = 64
 
 
 def ternary_structure(eps) -> InformationStructure:
@@ -46,22 +43,22 @@ def ternary_structure(eps) -> InformationStructure:
 
 
 def _ternary(n: int, m: int) -> InformationStructure:
-    """:func:`ternary_structure` of ``n/m``, ``0 <= n <= m``, shared: ``n/m``
-    is reduced by its gcd, and the reduced pair's structure comes from
-    :func:`_shared_ternary`, a memo of the ``TERNARY_MEMO_SIZE`` most
-    recently used masses.  Equal masses given over any scale return one
-    object, whose ``belief_distribution`` is built once."""
+    """:func:`ternary_structure` of ``n/m``, ``0 <= n <= m``, built in
+    integers over ``m`` once ``n/m`` is reduced by its gcd: weights
+    ``(m - n, 0)``, ``(n, n)`` and ``(0, m - n)``."""
     g = math.gcd(n, m)
-    return _shared_ternary(n // g, m // g)
-
-
-@functools.lru_cache(maxsize=TERNARY_MEMO_SIZE)
-def _shared_ternary(n: int, m: int) -> InformationStructure:
-    """The ternary structure of ``n/m`` in lowest terms, built in integers
-    over ``m``: weights ``(m - n, 0)``, ``(n, n)`` and ``(0, m - n)``."""
+    n, m = n // g, m // g
     rows = {HI_ID: (m - n, 0), MID_ID: (n, n), LO_ID: (0, m - n)}
     rows = {s: w for s, w in rows.items() if any(w)}
     return structure_from_integers(rows, m, rows.values())
+
+
+def _split_mass(structure: InformationStructure) -> tuple:
+    """The split's uninformative mass as ``(n, m)``, unreduced: ``sum
+    min(w_high, w_low)`` over the structure's ``integer_likelihoods`` and
+    their scale."""
+    scale, weights = structure.integer_likelihoods
+    return sum(min(wh, wl) for wh, wl in weights), scale
 
 
 def split_to_ternary(structure: InformationStructure) -> InformationStructure:
@@ -72,11 +69,10 @@ def split_to_ternary(structure: InformationStructure) -> InformationStructure:
     conclusive signal on the majority side; the conditional mean of the
     post-split belief equals the original belief.  The residuals sum to
     ``1 - sum min(pH, pL)`` in each state, so the split is the ternary
-    structure with uninformative mass ``sum min(pH, pL)``, summed over the
-    structure's ``integer_likelihoods`` and built in integers.
+    structure with uninformative mass ``sum min(pH, pL)``
+    (:func:`_split_mass`), built in integers.
     """
-    scale, weights = structure.integer_likelihoods
-    return _ternary(sum(min(wh, wl) for wh, wl in weights), scale)
+    return _ternary(*_split_mass(structure))
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -153,8 +149,13 @@ def check_equivalence(
 def ternary_value_i(eps, i: int) -> Fraction:
     """History gain of agent ``i`` under the ternary structure: (e - e^i)/4."""
     e = closed_unit(eps, "eps")
-    int_at_least(i, 1, "agent index")
-    return (e - e**i) / 4
+    return _ternary_gain(e.numerator, e.denominator, int_at_least(i, 1, "agent index"))
+
+
+def _ternary_gain(n: int, m: int, i: int) -> Fraction:
+    """Agent ``i``'s history gain ``(e - e^i)/4`` at ``e = n/m``, as one
+    quotient of integers over ``4 m^i``."""
+    return Fraction(n * m ** (i - 1) - n**i, 4 * m**i)
 
 
 class AgentOptimum(namedtuple("AgentOptimum", "eps degenerate")):
@@ -406,16 +407,21 @@ class DominanceReport(namedtuple("DominanceReport", "eps single_base single_spli
 
 
 def verify_dominance(structure: InformationStructure, horizon: int) -> DominanceReport:
-    """Split ``structure`` and compare values agent by agent, exactly."""
-    split = split_to_ternary(structure)
+    """Compare ``structure`` with its split, agent by agent, exactly.
+
+    Only ``structure`` is searched.  The split is the ternary structure of
+    mass ``e = n/m`` (:func:`_split_mass`), whose values are closed forms
+    in integers: signal-only payoff ``(1 - e)/4`` and history gains
+    ``(e - e^i)/4`` (:func:`_ternary_gain`), equal to the engine's.
+    """
     base = best_equilibrium_payoffs(structure, horizon)
-    after = best_equilibrium_payoffs(split, horizon)
+    n, m = _split_mass(structure)
     return DominanceReport(
-        eps=uninformative_mass(split),
+        eps=Fraction(n, m),
         single_base=base.single,
-        single_split=after.single,
+        single_split=Fraction(m - n, 4 * m),
         base_values=base.history_value,
-        split_values=after.history_value,
+        split_values=tuple(_ternary_gain(n, m, i) for i in range(1, base.horizon + 1)),
         two_sided=_two_sided(structure.integer_likelihoods[1]),
     )
 

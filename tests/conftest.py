@@ -1,6 +1,6 @@
 import pytest
 
-from historyvalue import design, learning
+from historyvalue import learning
 
 
 @pytest.fixture
@@ -9,15 +9,6 @@ def empty_memo():
     learning._search.cache_clear()
     yield learning._search
     learning._search.cache_clear()
-
-
-@pytest.fixture
-def empty_ternary_memo():
-    """The memo of shared ternary structures, empty at the start of the test
-    and emptied after it."""
-    design._shared_ternary.cache_clear()
-    yield design._shared_ternary
-    design._shared_ternary.cache_clear()
 
 
 @pytest.fixture

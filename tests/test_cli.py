@@ -339,6 +339,28 @@ class TestVerify:
         assert payload["all_pass"] is True
         assert len(payload["results"]) == 20
 
+    def test_searches_each_structure_once_and_builds_no_split(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the split's values are closed forms: one search per corpus
+        # structure, and no split is built
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for module, name in ((design, "best_equilibrium_payoffs"),
+                             (learning, "best_equilibrium_payoffs"),
+                             (design, "split_to_ternary")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        count = 40
+        cfg = write_config(tmp_path, {"corpus": {"count": count}, "horizon": 6, "seed": 0})
+        code, out, _ = run(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK and json.loads(out)["all_pass"] is True
+        assert calls == ["best_equilibrium_payoffs"] * count
+
     def test_failure_entries(self, tmp_path, capsys, monkeypatch):
         # a report whose split loses the signal-only payoff fails
         real = design.verify_dominance

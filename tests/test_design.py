@@ -26,7 +26,9 @@ from historyvalue import (
     verify_dominance,
 )
 from historyvalue import beliefs, design
-from historyvalue.errors import NonFiniteEvaluation, ValidationError
+from historyvalue.design import DominanceReport
+from historyvalue.errors import HorizonCapExceeded, NonFiniteEvaluation, ValidationError
+from historyvalue.learning import LEX_CAP
 
 HALF = F(1, 2)
 
@@ -119,10 +121,21 @@ class TestTernaryClosedForms:
         assert ternary_value_i(F(1), 5) == 0
 
     def test_value_i_matches_engine(self):
-        for eps in (F(1, 4), F(3, 5)):
-            p = best_equilibrium_payoffs(ternary_structure(eps), 5)
-            for i in range(1, 6):
-                assert p.history_value[i - 1] == ternary_value_i(eps, i)
+        # every reduced mass n/m with m <= 30, 0 and 1 included, at every
+        # horizon the search takes: the forms verify_dominance reads
+        masses = [F(n, m) for m in range(1, 31) for n in range(m + 1) if math.gcd(n, m) == 1]
+        assert masses[:2] == [0, 1]
+        for eps in masses:
+            structure = ternary_structure(eps)
+            for horizon in range(LEX_CAP + 1):
+                p = best_equilibrium_payoffs(structure, horizon)
+                assert p.single == (1 - eps) / 4, (eps, horizon)
+                assert p.history_value == tuple(
+                    (eps - eps**i) / 4 for i in range(1, horizon + 1)
+                ), (eps, horizon)
+                assert p.history_value == tuple(
+                    ternary_value_i(eps, i) for i in range(1, horizon + 1)
+                ), (eps, horizon)
 
     def test_social_value(self):
         assert ternary_social_value(HALF, HALF) == F(1, 24)
@@ -201,10 +214,10 @@ class TestDominance:
         assert report.base_values == report.split_values
         assert report.verdict
 
-    def test_induced_distribution_once_per_structure(self, empty_memo, empty_ternary_memo,
-                                                     monkeypatch):
-        # the search and the ternary check read the base's and the split's
-        # distributions, built once each; the two-sided test reads neither
+    def test_induced_distribution_once_per_structure(self, empty_memo, monkeypatch):
+        # the search reads the base's distribution, built once; the split's
+        # values are closed forms and the two-sided test reads the integer
+        # likelihoods, so no other distribution is built
         calls = []
         build = beliefs._merged_distribution
 
@@ -214,11 +227,39 @@ class TestDominance:
 
         monkeypatch.setattr(beliefs, "_merged_distribution", counting)
         verify_dominance(sym_binary(), 3)
-        assert len(calls) == 2
-        # an equal structure built anew builds its own distribution; its
-        # split is the shared ternary structure, whose distribution is kept
+        assert len(calls) == 1
+        # an equal structure built anew builds its own distribution
         verify_dominance(sym_binary(), 3)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_old_path_on_corpus(self, seed):
+        for structure in corpus(seed, 200):
+            assert_same_report(structure, 6)
+
+    def test_equals_old_path_at_every_horizon(self):
+        for structure in corpus(7, 60):
+            for horizon in range(1, LEX_CAP + 1):
+                assert_same_report(structure, horizon)
+
+    @pytest.mark.parametrize("structure", [
+        validate_structure({"h": (F(1), F(0)), "l": (F(0), F(1))}),
+        validate_structure({"a": (F(1, 3), F(1, 3)), "b": (F(2, 3), F(2, 3))}),
+        validate_structure({"x": (F(1, 5), F(0)), "y": (F(4, 5), F(1))}),
+    ], ids=["full-information", "uninformative", "one-sided"])
+    @pytest.mark.parametrize("horizon", [0, 1, LEX_CAP])
+    def test_equals_old_path_at_the_ends(self, structure, horizon):
+        assert_same_report(structure, horizon)
+
+    @pytest.mark.parametrize("horizon", [LEX_CAP + 1, -1, 2.0, True, "3"])
+    def test_bad_horizon_raises_as_old_path(self, horizon):
+        with pytest.raises(Exception) as old:
+            old_path_report(sym_binary(), horizon)
+        with pytest.raises(Exception) as new:
+            verify_dominance(sym_binary(), horizon)
+        assert type(new.value) is type(old.value)
+        assert isinstance(new.value, (HorizonCapExceeded, ValidationError))
+        assert str(new.value) == str(old.value)
 
     def test_report_serialization(self):
         report = verify_dominance(sym_binary(), 3)
@@ -226,6 +267,33 @@ class TestDominance:
         assert payload["verdict"] is True
         assert payload["history_values"][1]["split"] == "1/18"
         assert report.to_csv().splitlines()[2].startswith("2,0/1,1/18")
+
+
+def old_path_report(structure, horizon):
+    """``verify_dominance`` as it was before the split's values were read in
+    closed form: the split built and searched like the base."""
+    split = split_to_ternary(structure)
+    base = best_equilibrium_payoffs(structure, horizon)
+    after = best_equilibrium_payoffs(split, horizon)
+    return DominanceReport(
+        eps=uninformative_mass(split),
+        single_base=base.single,
+        single_split=after.single,
+        base_values=base.history_value,
+        split_values=after.history_value,
+        two_sided=design._two_sided(structure.integer_likelihoods[1]),
+    )
+
+
+def assert_same_report(structure, horizon):
+    """``verify_dominance`` equals :func:`old_path_report` field by field,
+    each value of the same type."""
+    new, old = verify_dominance(structure, horizon), old_path_report(structure, horizon)
+    assert new._fields == old._fields
+    for name, a, b in zip(new._fields, new, old):
+        assert a == b and type(a) is type(b), (name, horizon)
+        if isinstance(a, tuple):
+            assert all(type(x) is F for x in a + b), (name, horizon)
 
 
 class TestRandomCorpus:
@@ -282,8 +350,8 @@ class TestTernaryBuilder:
 
 
 def uncached_ternary(n, m):
-    """``_ternary`` as it was before ternary structures were shared: a new
-    structure built over ``m`` on every call."""
+    """An independent copy of ``_ternary`` that builds over ``m`` as given,
+    without reducing ``n/m`` first."""
     rows = {"hi": (m - n, 0), "mid": (n, n), "lo": (0, m - n)}
     rows = {s: w for s, w in rows.items() if any(w)}
     return structure_from_integers(rows, m, rows.values())
@@ -295,44 +363,18 @@ def unreduced_split_mass(structure):
     return sum(map(min, weights)), scale
 
 
-class TestSharedTernary:
-    def test_equal_masses_share_one_structure(self, empty_ternary_memo):
-        for s in corpus(7, 200):
-            n, m = unreduced_split_mass(s)
-            shared = split_to_ternary(s)
-            assert shared is ternary_structure(F(n, m)) is design._ternary(3 * n, 3 * m)
-            assert induced_belief_distribution(shared) is shared.belief_distribution
-        assert ternary_structure(F(2, 6)) is ternary_structure("1/3") is design._ternary(1, 3)
-        assert ternary_structure(0) is design._ternary(0, 5)
-        assert ternary_structure(1) is design._ternary(7, 7)
-
-    def test_stays_within_bound(self, empty_ternary_memo):
-        bound = design.TERNARY_MEMO_SIZE
-        masses = [F(1, 10007 + k) for k in range(bound + 3)]
-        entries = []
-        for eps in masses:
-            entries.append(ternary_structure(eps))
-            assert empty_ternary_memo.cache_info().currsize <= bound
-        info = empty_ternary_memo.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 3)
-        # the last ``bound`` masses are served; the first three were evicted
-        assert all(ternary_structure(e) is s for e, s in zip(masses[3:], entries[3:]))
-        assert empty_ternary_memo.cache_info().misses == bound + 3
-        for eps, old in zip(masses[:3], entries[:3]):
-            new = ternary_structure(eps)
-            assert new is not old and new == old
-
+class TestTernaryIntegerBuilder:
     @pytest.mark.parametrize("pairs", [
         lambda: (unreduced_split_mass(s) for s in corpus(7, 1000)),
         lambda: ((n, m) for m in range(1, 31) for n in range(m + 1)),
     ], ids=["corpus-splits", "small-masses"])
-    def test_equals_uncached_builder(self, empty_ternary_memo, pairs):
+    def test_equals_uncached_builder(self, pairs):
         for n, m in pairs():
-            shared, fresh = design._ternary(n, m), uncached_ternary(n, m)
-            for name in shared._fields:
-                assert getattr(shared, name) == getattr(fresh, name), (n, m, name)
-            assert shared.belief_distribution.atoms == fresh.belief_distribution.atoms
-            assert shared.belief_distribution == fresh.belief_distribution
+            built, fresh = design._ternary(n, m), uncached_ternary(n, m)
+            for name in built._fields:
+                assert getattr(built, name) == getattr(fresh, name), (n, m, name)
+            assert built.belief_distribution.atoms == fresh.belief_distribution.atoms
+            assert built.belief_distribution == fresh.belief_distribution
 
 
 # -- the integer builders against the Fraction builders they replaced ----------

@@ -51,8 +51,7 @@ def corpus_distributions():
 
 
 class TestBuilder:
-    def test_equals_from_weights_on_corpus_splits_and_chains(self, empty_ternary_memo,
-                                                             monkeypatch):
+    def test_equals_from_weights_on_corpus_splits_and_chains(self, monkeypatch):
         build = beliefs._merged_distribution
         built = []
 
@@ -71,11 +70,9 @@ class TestBuilder:
         for structure in structures:
             for s in (structure, split_to_ternary(structure)):
                 assert len(tuple(iid_chain(induced_belief_distribution(s), 4))) == 4
-        # one induced distribution and three compositions per structure, but
-        # equal splits share one structure and so one induced distribution
-        masses = {F(sum(map(min, weights)), scale)
-                  for scale, weights in (s.integer_likelihoods for s in structures)}
-        assert len(built) == 200 * 4 + 200 * 3 + len(masses)
+        # one induced distribution and three compositions per structure and
+        # per split, each split a structure of its own
+        assert len(built) == 200 * 4 * 2
 
     def test_form_is_over_the_lcm_of_the_denominators(self):
         for dist in itertools.islice(corpus_distributions(), 300):
