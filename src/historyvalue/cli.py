@@ -145,8 +145,8 @@ def _bounded_entry(v) -> dict:
 
 def _relaxed(series, tolerance):
     """``series(tolerance)``, a truncated series certified to the config
-    tolerance, and whether the tolerance was relaxed.  Where ``LEX_CAP``
-    cannot reach it, the run stays useful: the series is reported at the
+    tolerance, and whether the tolerance was relaxed.  Where ``HORIZON_CAP``
+    agents cannot reach it, the run stays useful: the series is reported at the
     best tolerance the cap reaches, with one note on stderr."""
     try:
         return series(tolerance), False

@@ -437,10 +437,10 @@ def _two_sided(weights) -> bool:
 # -- random corpus -------------------------------------------------------------
 
 
-def random_structure(
-    rng: random.Random, max_signals: int = 4, max_denominator: int = 12
-) -> InformationStructure:
-    """Random structure with small-denominator rational likelihoods.
+def random_structure(rng, max_signals: int = 4, max_denominator: int = 12) -> InformationStructure:
+    """Random structure with small-denominator rational likelihoods, drawn
+    by ``rng.randint``: ``rng`` is a :class:`random.Random`, left out of the
+    annotations because ``random`` is imported only by :func:`corpus`.
 
     Each column cuts a random denominator ``den`` at ``k - 1`` random
     integer points; the pieces, rescaled to the lcm of the two columns'

@@ -87,10 +87,9 @@ from .errors import (
 from .rationals import HALF, QUARTER, format_decimal, format_rational
 from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
-#: Horizon cap for fixed-rule simulation.
+#: Horizon cap of the tree engine: the fixed rules, the tie-break search
+#: and the truncated series.
 HORIZON_CAP = 12
-#: Horizon cap for the lexicographic tie-break search.
-LEX_CAP = 8
 #: Bound on the public-belief states one call of the tree engine stores.
 MAX_STATES = 100_000
 #: Signal distributions whose search ``best_equilibrium_payoffs`` keeps.
@@ -174,10 +173,10 @@ def full_observation_payoff(structure: InformationStructure, i: int) -> Fraction
     return _expected_payoff(iid_belief_distribution(structure, i))
 
 
-def _check_horizon(horizon: int, limit: int, limit_name: str):
+def _check_horizon(horizon: int):
     int_at_least(horizon, 0, "horizon")
-    if horizon > limit:
-        raise HorizonCapExceeded(f"horizon {horizon} exceeds {limit_name} {limit}")
+    if horizon > HORIZON_CAP:
+        raise HorizonCapExceeded(f"horizon {horizon} exceeds cap {HORIZON_CAP}")
 
 
 def _check_node(node, children, scale: int):
@@ -271,7 +270,7 @@ def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACT
     ``ACTION0`` and ``FOLLOW_SIGNAL``: :func:`_payoffs` with one action at
     every tie, so no maximum is taken.
     """
-    _check_horizon(horizon, HORIZON_CAP, "cap")
+    _check_horizon(horizon)
     # a dict rule is unhashable, so test the type before the membership
     if not (isinstance(rule, str) and rule in _RULES):
         raise ValidationError(f"unknown tie-break rule: {rule!r}")
@@ -301,7 +300,7 @@ def best_equilibrium_payoffs(structure: InformationStructure, horizon: int) -> P
     a computed call raises past it and stores nothing, and a served call,
     which computes nothing, is not checked again.
     """
-    _check_horizon(horizon, LEX_CAP, "lexicographic cap")
+    _check_horizon(horizon)
     return _search(induced_belief_distribution(structure), horizon)
 
 
@@ -321,14 +320,14 @@ class BoundedValue(namedtuple("BoundedValue", "value error_bound")):
 def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
     """Fewest agents ``N >= 1`` whose discounted tail bound ``d^N / 4`` is
     within ``tolerance`` (each per-agent gain lies in [0, 1/4]), up to
-    ``LEX_CAP``."""
+    ``HORIZON_CAP``, the cap of the search that sums them."""
     depth = 1
     while QUARTER * delta**depth > tolerance:
         depth += 1
-        if depth > LEX_CAP:
-            achievable = QUARTER * delta**LEX_CAP
+        if depth > HORIZON_CAP:
+            achievable = QUARTER * delta**HORIZON_CAP
             raise HorizonCapExceeded(
-                f"tolerance {tolerance} is not reached within cap {LEX_CAP}; "
+                f"tolerance {tolerance} is not reached within cap {HORIZON_CAP}; "
                 f"the cap reaches tolerance {achievable}",
                 achievable_tolerance=achievable,
             )

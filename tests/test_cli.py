@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from historyvalue import cli, design, learning, market
-from historyvalue.beliefs import structure_from_json
+from historyvalue import beliefs, cli, design, learning, market
+from historyvalue.beliefs import structure_from_json, structure_from_payload
 from historyvalue.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -22,7 +22,7 @@ from historyvalue.cli import (
     main,
 )
 from historyvalue.errors import InvariantViolation
-from test_golden import CASES, ROOT, golden_path
+from test_golden import CASES, FIXTURE, ROOT, golden_path
 from test_search import bench_workloads
 
 
@@ -296,8 +296,8 @@ class TestMarket:
         assert [p["rational"] for p in payload["prices"]] == ["0/1", "0/1", "3/32", "3/32"]
 
     def test_relaxes_like_value(self, tmp_path, capsys):
-        # at delta = 1/2 the default tolerance needs more agents than LEX_CAP;
-        # both commands report at the cap's tolerance, (1/2)^8 / 4, and say so
+        # at delta = 1/2 the default tolerance needs more agents than HORIZON_CAP;
+        # both commands report at the cap's tolerance, (1/2)^12 / 4, and say so
         fixture = {"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"},
                                {"id": "b", "pH": "1/3", "pL": "1/3"},
                                {"id": "c", "pH": "1/6", "pL": "1/2"}]}
@@ -306,12 +306,12 @@ class TestMarket:
         market_code, market_out, market_err = run(capsys, "market", "--config", cfg)
         assert value_code == market_code == EXIT_OK
         assert value_err == market_err == (
-            "note: tolerance 1/1000000000 is not reached within cap 8; the cap "
-            "reaches tolerance 1/1024; reporting at that tolerance\n"
+            "note: tolerance 1/1000000000 is not reached within cap 12; the cap "
+            "reaches tolerance 1/16384; reporting at that tolerance\n"
         )
         value, seller = json.loads(value_out), json.loads(market_out)["surpluses"]["seller"]
         assert value["tolerance_relaxed"] is True
-        assert seller["error_bound"] == value["social_value"]["error_bound"] == "0.0009765625"
+        assert seller["error_bound"] == value["social_value"]["error_bound"] == "6.103515625e-05"
         assert seller["value"] == value["social_value"]["rational"]
 
     def test_stickiness_where_delta_power_underflows(self, tmp_path, capsys):
@@ -497,6 +497,37 @@ class TestCaps:
         monkeypatch.setattr(learning, "MAX_STATES", 68)
         code, out, _ = run(capsys, "value", "--config", cfg)
         assert code == EXIT_OK and len(json.loads(out)["agents"]) == 7
+
+    @pytest.mark.parametrize("command, source", [
+        ("value", {"structure": FIXTURE}),
+        ("design", {"structure": FIXTURE}),
+        ("market", {"structure": FIXTURE}),
+        ("verify", {"corpus": {"count": 20}}),
+    ], ids=["value", "design", "market", "verify"])
+    def test_horizon(self, tmp_path, capsys, command, source):
+        # one cap for every command that takes a horizon, the fixed rules'
+        # and the search's alike, with the library's one message
+        cap = learning.HORIZON_CAP
+        cfg = write_config(tmp_path, {**source, "horizon": cap + 1})
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == f"cap exceeded: horizon {cap + 1} exceeds cap {cap}\n"
+        cfg = write_config(tmp_path, {**source, "horizon": cap})
+        code, out, _ = run(capsys, command, "--config", cfg)
+        assert code == EXIT_OK
+
+    def test_value_benchmark_at_the_horizon_cap(self, tmp_path, capsys):
+        # hv value prints each agent's benchmark: at the horizon cap that is
+        # HORIZON_CAP i.i.d. draws, within the i.i.d. cap
+        cap = learning.HORIZON_CAP
+        assert cap <= beliefs.IID_CAP
+        cfg = write_config(tmp_path, {"structure": FIXTURE, "horizon": cap})
+        code, out, _ = run(capsys, "value", "--config", cfg)
+        assert code == EXIT_OK
+        agents = json.loads(out)["agents"]
+        assert [a["i"] for a in agents] == list(range(1, cap + 1))
+        last = F(agents[-1]["benchmark"]["rational"])
+        assert last == learning.full_observation_payoff(structure_from_payload(FIXTURE), cap)
 
 
 COMMANDS = ("value", "design", "market", "verify", "sweep")

@@ -28,7 +28,7 @@ from historyvalue import (
 from historyvalue import beliefs, design
 from historyvalue.design import DominanceReport
 from historyvalue.errors import HorizonCapExceeded, NonFiniteEvaluation, ValidationError
-from historyvalue.learning import LEX_CAP
+from historyvalue.learning import HORIZON_CAP
 
 HALF = F(1, 2)
 
@@ -127,7 +127,7 @@ class TestTernaryClosedForms:
         assert masses[:2] == [0, 1]
         for eps in masses:
             structure = ternary_structure(eps)
-            for horizon in range(LEX_CAP + 1):
+            for horizon in range(HORIZON_CAP + 1):
                 p = best_equilibrium_payoffs(structure, horizon)
                 assert p.single == (1 - eps) / 4, (eps, horizon)
                 assert p.history_value == tuple(
@@ -239,7 +239,7 @@ class TestDominance:
 
     def test_equals_old_path_at_every_horizon(self):
         for structure in corpus(7, 60):
-            for horizon in range(1, LEX_CAP + 1):
+            for horizon in range(1, HORIZON_CAP + 1):
                 assert_same_report(structure, horizon)
 
     @pytest.mark.parametrize("structure", [
@@ -247,11 +247,11 @@ class TestDominance:
         validate_structure({"a": (F(1, 3), F(1, 3)), "b": (F(2, 3), F(2, 3))}),
         validate_structure({"x": (F(1, 5), F(0)), "y": (F(4, 5), F(1))}),
     ], ids=["full-information", "uninformative", "one-sided"])
-    @pytest.mark.parametrize("horizon", [0, 1, LEX_CAP])
+    @pytest.mark.parametrize("horizon", [0, 1, HORIZON_CAP])
     def test_equals_old_path_at_the_ends(self, structure, horizon):
         assert_same_report(structure, horizon)
 
-    @pytest.mark.parametrize("horizon", [LEX_CAP + 1, -1, 2.0, True, "3"])
+    @pytest.mark.parametrize("horizon", [HORIZON_CAP + 1, -1, 2.0, True, "3"])
     def test_bad_horizon_raises_as_old_path(self, horizon):
         with pytest.raises(Exception) as old:
             old_path_report(sym_binary(), horizon)

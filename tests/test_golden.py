@@ -20,10 +20,12 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from historyvalue import learning
 from historyvalue.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,9 +99,46 @@ def test_cli_output_matches_golden(name):
 
 
 def test_value_case_relaxes():
-    # the fixture at the default tolerance is past the lexicographic cap
+    # the fixture at the default tolerance is past the horizon cap
     golden = json.loads(golden_path("value_fixture_relaxed").read_text())
     assert golden["tolerance_relaxed"] is True
+
+
+#: The truncated series of the two relaxed cases as recorded when the
+#: horizon cap was 8, each ``(value, error_bound)``: ``hv value``'s
+#: ``social_value`` is ``hv market``'s seller surplus, and the market's
+#: social surplus has half its bound.
+CAP_8_RECORD = {
+    "social_value": ("160103/7962624", "0.0009765625"),
+    "seller": ("160103/7962624", "0.0009765625"),
+    "social": ("823655/15925248", "0.00048828125"),
+}
+
+
+def relaxed_series() -> dict:
+    """Each truncated series of the two relaxed cases, as printed."""
+    value = json.loads(hv_stdout(*CASES["value_fixture_relaxed"]))["social_value"]
+    surpluses = json.loads(hv_stdout(*CASES["market_fixture_relaxed"]))["surpluses"]
+    out = {"social_value": (value["rational"], value["error_bound"])}
+    for key in ("seller", "social"):
+        out[key] = surpluses[key]["value"], surpluses[key]["error_bound"]
+    return out
+
+
+def test_relaxed_cases_at_cap_8_print_the_old_record(monkeypatch):
+    monkeypatch.setattr(learning, "HORIZON_CAP", 8)
+    assert relaxed_series() == CAP_8_RECORD
+
+
+def test_relaxed_cases_lie_inside_the_old_record():
+    # each bound is a power of 1/2, printed exactly; [v, v + e] narrows as
+    # the cap deepens, never leaving the interval certified at cap 8
+    got = relaxed_series()
+    assert got.keys() == CAP_8_RECORD.keys()
+    for key, (old_value, old_bound) in CAP_8_RECORD.items():
+        value, bound = map(F, got[key])
+        assert F(old_value) <= value and value + bound <= F(old_value) + F(old_bound), key
+        assert bound < F(old_bound), key
 
 
 if __name__ == "__main__":

@@ -148,13 +148,13 @@ class TestKernelMatchesFractionEngine:
     def test_corpus_and_splits(self, empty_memo):
         for base in corpus(7, 60):
             for structure in (base, split_to_ternary(base)):
-                assert_matches_oracle(structure, learning.LEX_CAP)
+                assert_matches_oracle(structure, learning.HORIZON_CAP)
 
     def test_mirror_structures_to_depth_14(self, empty_memo, monkeypatch):
         structures = mirror_structures()
         assert len(structures) == 5
         assert mirror(HALF, F(1, 6)) in structures
-        monkeypatch.setattr(learning, "LEX_CAP", 14)
+        monkeypatch.setattr(learning, "HORIZON_CAP", 14)
         for structure in [*structures, COUNTEREXAMPLE]:
             assert best_equilibrium_payoffs(structure, 14).with_history == oracle_best(structure, 14)
 
@@ -163,7 +163,7 @@ class TestKernelMatchesFractionEngine:
     def test_depth_20_extends_the_oracle_at_14(self, empty_memo, monkeypatch, structure):
         # agent k's payoff does not depend on how many agents follow, so the
         # engine's 20-vector starts with the oracle's 14
-        monkeypatch.setattr(learning, "LEX_CAP", 20)
+        monkeypatch.setattr(learning, "HORIZON_CAP", 20)
         got = best_equilibrium_payoffs(structure, 20).with_history
         assert len(got) == 20 and got[:14] == oracle_best(structure, 14)
 
@@ -171,9 +171,9 @@ class TestKernelMatchesFractionEngine:
         # the composed belief is exactly 1/2 below the root: agent 2 holding
         # the 1/3 signal after action 1, and deeper
         structure = validate_structure({"s1": (F(2, 3), F(1, 3)), "s2": (F(1, 3), F(2, 3))})
-        counts = [count for _, count in oracle(structure, learning.LEX_CAP)]
+        counts = [count for _, count in oracle(structure, learning.HORIZON_CAP)]
         assert counts[0] == 1 and max(counts[1:]) > 1
-        assert_matches_oracle(structure, learning.LEX_CAP)
+        assert_matches_oracle(structure, learning.HORIZON_CAP)
 
     @pytest.mark.parametrize("table", [
         {"s0": (F(0), F(1, 4)), "s1": (F(1, 6), F(1, 4)), "s2": (HALF, HALF), "s3": (F(1, 3), F(0))},
@@ -183,7 +183,7 @@ class TestKernelMatchesFractionEngine:
         # zero reach weights: a conclusive signal zeroes one state's weight
         structure = validate_structure(table)
         assert any(0 in (wh, wl) for _, wh, wl in induced_belief_distribution(structure).atoms)
-        assert_matches_oracle(structure, learning.LEX_CAP)
+        assert_matches_oracle(structure, learning.HORIZON_CAP)
 
 
 @pytest.mark.parametrize("choices, states", [(BOTH, 68), (RULES[ACTION1], 27)],

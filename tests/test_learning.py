@@ -242,8 +242,9 @@ class TestSimulateEquilibrium:
         assert a.with_history == b.with_history
 
     def test_horizon_cap(self):
-        with pytest.raises(HorizonCapExceeded):
-            simulate_equilibrium(sym_binary(), 13)
+        simulate_equilibrium(sym_binary(), learning.HORIZON_CAP)
+        with pytest.raises(HorizonCapExceeded, match="^horizon 13 exceeds cap 12$"):
+            simulate_equilibrium(sym_binary(), learning.HORIZON_CAP + 1)
 
     @pytest.mark.parametrize("rule", [{}, None, "nope", {(0, HALF, HALF): 1}])
     def test_unknown_rule_rejected(self, rule):
@@ -291,14 +292,16 @@ class TestBestEquilibrium:
         p = best_equilibrium_payoffs(ternary_structure(F(2, 3)), 6)
         assert list(p.with_history) == sorted(p.with_history)
 
-    def test_lex_cap(self):
-        with pytest.raises(HorizonCapExceeded):
-            best_equilibrium_payoffs(sym_binary(), 9)
+    def test_horizon_cap(self):
+        # the search has the fixed rules' cap and message
+        best_equilibrium_payoffs(sym_binary(), learning.HORIZON_CAP)
+        with pytest.raises(HorizonCapExceeded, match="^horizon 13 exceeds cap 12$"):
+            best_equilibrium_payoffs(sym_binary(), learning.HORIZON_CAP + 1)
 
     @pytest.mark.parametrize("rule", [ACTION1, ACTION0, FOLLOW_SIGNAL])
     def test_at_least_every_fixed_rule(self, rule):
         # a fixed rule is one of the tie-break tables the search ranges over
-        cases = [(s, 6) for s in CORPUS] + [(fixture(), learning.LEX_CAP)]
+        cases = [(s, 6) for s in CORPUS] + [(fixture(), learning.HORIZON_CAP)]
         for structure, horizon in cases:
             best = best_equilibrium_payoffs(structure, horizon).with_history
             assert best >= simulate_equilibrium(structure, horizon, rule).with_history, structure
@@ -474,8 +477,8 @@ class TestSearchMemo:
     @pytest.mark.parametrize("order", [1, -1], ids=["short-then-long", "long-then-short"])
     def test_matches_fresh_search(self, empty_memo, order):
         for structure in CORPUS:
-            expected = fresh_search(structure, learning.LEX_CAP)
-            for horizon in range(learning.LEX_CAP + 1)[::order]:
+            expected = fresh_search(structure, learning.HORIZON_CAP)
+            for horizon in range(learning.HORIZON_CAP + 1)[::order]:
                 got = best_equilibrium_payoffs(structure, horizon).with_history
                 assert got == expected[:horizon], (structure, horizon)
 
@@ -593,7 +596,7 @@ class TestSearchMemo:
         # 4 threads (more than this suite's 2-core host) switching often,
         # each extending and serving the same entries in its own order
         structures = [fixture(), sym_binary(), *CORPUS[:4]]
-        cases = [(s, h) for s in structures for h in (7, 2, learning.LEX_CAP, 4, 1, 5)]
+        cases = [(s, h) for s in structures for h in (7, 2, learning.HORIZON_CAP, 4, 1, 5)]
         # profiles built outside the memo, their derived values read before
         # the threads start
         expected = {}
@@ -651,18 +654,43 @@ class TestSocialValue:
         assert got.value > 0
 
     def test_cap_error_names_cap_not_a_horizon(self):
-        # 1/10^9 needs 28 agents at d = 1/2; the message must not claim 9
+        # 1/10^9 needs 28 agents at d = 1/2; the message must not claim 13
         with pytest.raises(HorizonCapExceeded) as err:
             social_value(sym_binary(), HALF, F(1, 10**9))
-        assert err.value.achievable_tolerance == F(1, 1024)
+        assert err.value.achievable_tolerance == F(1, 16384)
         message = str(err.value)
-        assert "cap 8" in message and "1/1024" in message
-        assert "horizon 9" not in message
+        assert "cap 12" in message and "1/16384" in message
+        assert "horizon 13" not in message
 
     def test_unreachable_tolerance(self):
         with pytest.raises(HorizonCapExceeded) as err:
             social_value(sym_binary(), F(9, 10), F(1, 10**12))
-        assert err.value.achievable_tolerance == F(1, 4) * F(9, 10) ** 8
+        assert err.value.achievable_tolerance == F(1, 4) * F(9, 10) ** 12
+
+
+class TestCertifiedBounds:
+    @pytest.mark.parametrize("delta", [HALF, F(3, 4)])
+    def test_deeper_truncations_nest(self, delta):
+        # at tolerance d^N / 4 each series sums exactly N agents and certifies
+        # [v_N, v_N + e_N]; every deeper interval lies inside every shallower
+        # one, so each bound holds of the values that a deeper cap computes
+        cap = learning.HORIZON_CAP
+        truncated = 0
+        for structure in [fixture(), *corpus(7, 30)]:
+            series = {}
+            for n in range(1, cap + 1):
+                tolerance = F(1, 4) * delta**n
+                assert truncation_horizon(delta, tolerance) == n
+                series[n] = [social_value(structure, delta, tolerance)]
+                for t in (2, 3):
+                    series[n] += learning.discounted_surpluses(structure, delta, t, tolerance)
+            for n, m in itertools.combinations(range(1, cap + 1), 2):
+                for shallow, deep in zip(series[n], series[m]):
+                    assert shallow.value <= deep.value, (structure, n, m)
+                    assert (deep.value + deep.error_bound
+                            <= shallow.value + shallow.error_bound), (structure, n, m)
+            truncated += not series[cap][0].exact
+        assert truncated > 10
 
 
 class TestCsvExport:
@@ -706,8 +734,13 @@ class TestTruncationHorizon:
         assert truncation_horizon(HALF, F(1, 4)) == 1
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(learning, "LEX_CAP", 4)
-        with pytest.raises(HorizonCapExceeded) as err:
+        # (1/2)^12 / 4 = 1/16384 is reached at the cap, and nothing below it
+        assert truncation_horizon(HALF, F(1, 16384)) == learning.HORIZON_CAP
+        with pytest.raises(HorizonCapExceeded, match="not reached within cap 12;") as err:
+            truncation_horizon(HALF, F(1, 16385))
+        assert err.value.achievable_tolerance == F(1, 16384)
+        monkeypatch.setattr(learning, "HORIZON_CAP", 4)
+        with pytest.raises(HorizonCapExceeded, match="not reached within cap 4;") as err:
             truncation_horizon(HALF, F(1, 10**6))
         assert err.value.achievable_tolerance == F(1, 4) * HALF**4
 

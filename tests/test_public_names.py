@@ -7,11 +7,25 @@ and each module's own top-level definitions, plus ``design``'s
 re-export of ``ternary_social_value``.  A move between modules must
 re-bind the name where it was, and a deletion must show up here as a
 deliberate edit of this list.
+
+Every function and method the package defines also resolves its
+annotations, and every cap it defines is listed in README "Caps" with
+its current value.
 """
 
+import functools
 import importlib
+import inspect
+import pkgutil
+import re
+import typing
+from pathlib import Path
 
 import pytest
+
+import historyvalue
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = {
     "historyvalue": (
@@ -33,7 +47,7 @@ PUBLIC = {
         "uninformative_mass", "validate_structure", "verify_dominance",
     ),
     "historyvalue.learning": (
-        "ACTION0", "ACTION1", "BoundedValue", "FOLLOW_SIGNAL", "HORIZON_CAP", "LEX_CAP",
+        "ACTION0", "ACTION1", "BoundedValue", "FOLLOW_SIGNAL", "HORIZON_CAP",
         "MAX_STATES", "PayoffProfile", "SEARCH_MEMO_SIZE", "best_equilibrium_payoffs",
         "discounted", "full_observation_payoff", "simulate_equilibrium",
         "single_signal_payoff", "social_value", "ternary_social_value", "truncated_payoffs",
@@ -68,3 +82,70 @@ def test_package_exports_the_recorded_names():
     import historyvalue
 
     assert set(PUBLIC["historyvalue"]) <= set(historyvalue.__all__)
+
+
+def package_modules() -> list:
+    return [importlib.import_module(f"historyvalue.{info.name}")
+            for info in pkgutil.iter_modules(historyvalue.__path__)]
+
+
+def defined_functions():
+    """``(qualified name, function)`` for every top-level function and every
+    method, property and cached property that a package module defines."""
+    for module in package_modules():
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if not inspect.isclass(obj):
+                if callable(obj):
+                    yield f"{module.__name__}.{name}", obj
+                continue
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    functions = dict(defined_functions())
+    assert "historyvalue.design.random_structure" in functions
+    assert "historyvalue.learning.PayoffProfile.benchmark" in functions
+    unresolved = []
+    for name, function in functions.items():
+        try:
+            typing.get_type_hints(function)
+        except NameError as exc:
+            unresolved.append((name, str(exc)))
+    assert unresolved == []
+
+
+def is_cap(name: str) -> bool:
+    """``*_CAP`` and ``MAX_STATES`` name caps; ``cli.EXIT_CAP`` is an exit code."""
+    return (name.endswith("_CAP") or name == "MAX_STATES") and not name.startswith("EXIT_")
+
+
+def defined_caps() -> set:
+    """``(module, name, value)`` of every cap the package defines."""
+    return {(module.__name__.rpartition(".")[2], name, value)
+            for module in package_modules() for name, value in vars(module).items()
+            if is_cap(name)}
+
+
+def readme_caps() -> set:
+    """``(module, name, value)`` of each cap written ```module.NAME` (value)``
+    in README "Caps", up to the next top-level section."""
+    text = README.read_text()
+    section = text.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    found = re.findall(r"`(\w+)\.([A-Z_]+)` \((\d+)\)", section)
+    return {(module, name, int(value)) for module, name, value in found if is_cap(name)}
+
+
+def test_readme_lists_every_cap_with_its_value():
+    caps = defined_caps()
+    assert ("learning", "HORIZON_CAP", 12) in caps and len(caps) == 5
+    assert readme_caps() == caps
