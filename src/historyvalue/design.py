@@ -223,57 +223,79 @@ class SearchResult(namedtuple("SearchResult", "argmax value flat")):
         return float(self.argmax)
 
 
-#: Brackets whose probe pairs :func:`_probes` keeps.  One search walks up to
-#: about 36 brackets, so a bound near that would evict a chain before the
-#: next search reuses it.
+#: Rounded probe points that :func:`_rounded` keeps.  A search to tolerance
+#: 1e-9 takes about 36 steps of :func:`golden_section` and rounds one point
+#: per certified step and two per exact step, so its chain holds 36 to 72
+#: points; a bound near that would evict a chain before the next search
+#: reuses it.
 PROBE_MEMO_SIZE = 256
+_BITS = _LIMIT.bit_length()  # 2**-_BITS < 1/_LIMIT
 
 
 @functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
-def _probes(ln: int, ld: int, hn: int, hd: int):
-    """The golden-section probe pair ``(cn, cd, dn, dd)`` of the bracket
-    ``[ln/ld, hn/hd]``, or ``None`` when the denominator cap leaves no
-    ``lo < c < d < hi``.
-
-    ``c = lo + (1 - 1/phi)*(hi - lo)`` and ``d = lo + (hi - lo)/phi``, each
-    formed as one unreduced quotient and rounded by
+def _rounded(n: int, d: int) -> tuple:
+    """The probe point ``n/d`` rounded by
     :func:`~historyvalue.rationals.best_approximation` to a denominator of
-    at most ``_LIMIT``.  The pair depends only on the bracket, ``_INVPHI``
-    and ``_LIMIT``, so the memo is exact; were either constant an input,
-    it would have to join the key.
-    """
-    g, big = _INVPHI
-    width = hn * ld - ln * hd
-    base = ln * hd * big
-    den = ld * hd * big
-    cn, cd = best_approximation(base + (big - g) * width, den, _LIMIT)
-    dn, dd = best_approximation(base + g * width, den, _LIMIT)
-    if ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd:
-        return cn, cd, dn, dd
-    return None  # interval too narrow for the denominator cap
+    at most ``_LIMIT``, as ``(num, den)``.  The point depends only on ``n``,
+    ``d`` and ``_LIMIT``, so the memo is exact; were the cap an input, it
+    would have to join the key."""
+    return best_approximation(n, d, _LIMIT)
 
 
-def golden_section(f, tol: Fraction, lo: tuple, hi: tuple) -> tuple:
+def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
     """Golden-section search in integers: ``(argmax, flat)`` on ``[lo, hi]``.
 
     ``f(n, m)`` returns the objective at ``n/m`` as an integer pair
     ``(num, den)`` with ``den > 0``; ``lo`` and ``hi`` are such pairs too.
-    Each bracket's probe points come from :func:`_probes`, whose memo of
-    ``PROBE_MEMO_SIZE`` brackets lets searches that pass through the same
-    bracket (those that start in the same grid cell and fall the same way)
-    round its probes once per process.  Every comparison is
+    A bracket's probes ``c = lo + (1 - 1/phi)*(hi - lo)`` and ``d = lo +
+    (hi - lo)/phi`` are formed as unreduced quotients over one denominator
+    and rounded by :func:`_rounded` to a denominator of at most ``_LIMIT``;
+    the search stops early when the cap leaves no ``lo < c < d < hi``.
+    Its memo of ``PROBE_MEMO_SIZE`` points lets searches that pass through
+    the same bracket (those that start in the same grid cell and fall the
+    same way) round its probes once per process.  Every comparison is
     cross-multiplied.  ``flat`` says that every probe gave the same value.
+
+    ``slope``, when given, is a rational bound ``L`` on ``|f'|`` over
+    ``[lo, hi]``.  Where the exact probes lie more than ``4/_LIMIT`` apart,
+    a step then evaluates ``f`` at both exact probes truncated to ``_BITS``
+    binary digits.  If the two values differ by more than ``4*L/_LIMIT``,
+    it decides from them and rounds only the probe it keeps; otherwise it
+    takes the exact step.  The result is the same as without ``slope``:
+    each rounded probe lies within ``1/(2*_LIMIT)`` of its exact point, so
+    the gap keeps ``lo < c < d < hi``, and each truncated probe lies within
+    ``2/_LIMIT`` of the rounded one, so the two differences of values
+    differ by less than ``4*L/_LIMIT`` and have the same sign.  That step
+    compares unequal values, so it clears ``flat`` as the exact step would.
+    The test on the difference compares bit lengths (``2**(k-1) <= x <
+    2**k`` for an ``x >= 1`` of ``k`` bits gives ``margin``), so it forms
+    no product of the values and passes only where the exact test would.
     """
+    g, big = _INVPHI
     tn, td = tol.numerator, tol.denominator
     ln, ld = lo
     hn, hd = hi
     first = None
     flat = True
-    while (hn * ld - ln * hd) * td > tn * ld * hd:
-        probes = _probes(ln, ld, hn, hd)
-        if probes is None:
-            break
-        cn, cd, dn, dd = probes
+    if slope is not None:  # |diff|*_LIMIT*Ld > 4*Ln*ycd*ydd once |diff| has this many more bits
+        margin = (_LIMIT * slope.denominator).bit_length() - (4 * slope.numerator).bit_length() - 2
+    while (width := hn * ld - ln * hd) * td > tn * ld * hd:
+        base, den = ln * hd * big, ld * hd * big
+        c, d = base + (big - g) * width, base + g * width  # the exact probes, over den
+        if slope is not None and (2 * g - big) * width * _LIMIT > 4 * den:
+            yc, ycd = f((c << _BITS) // den, 1 << _BITS)
+            yd, ydd = f((d << _BITS) // den, 1 << _BITS)
+            diff = yc * ydd - yd * ycd
+            if diff and diff.bit_length() + margin >= ycd.bit_length() + ydd.bit_length():
+                flat = False
+                if diff > 0:
+                    hn, hd = _rounded(d, den)
+                else:
+                    ln, ld = _rounded(c, den)
+                continue
+        (cn, cd), (dn, dd) = _rounded(c, den), _rounded(d, den)
+        if not (ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd):
+            break  # interval too narrow for the denominator cap
         (yc, ycd), (yd, ydd) = f(cn, cd), f(dn, dd)
         if first is None:
             first = yc, ycd
@@ -285,15 +307,18 @@ def golden_section(f, tol: Fraction, lo: tuple, hi: tuple) -> tuple:
     return Fraction(ln * hd + hn * ld, 2 * ld * hd), flat
 
 
-def unit_search(f, tolerance) -> tuple:
+def unit_search(f, tolerance, slope=None) -> tuple:
     """``(argmax, flat)`` of the integer objective ``f`` (as for
     :func:`golden_section`) on [0, 1]: a scan of ``_GRID + 1`` points, then
     golden section between the best point's neighbours.  The first of
-    equal best points wins, as with ``max``.
+    equal best points wins, as with ``max``.  ``slope``, a bound on
+    ``|f'|`` over [0, 1], lets the golden section round one probe per step
+    where it can; it never changes the result.
 
-    ``f``'s values are read only through strict comparisons and equality,
-    so a strictly increasing transform of ``f`` gives the same result, and
-    every strictly decreasing ``f`` gives that of ``(-n, m)``."""
+    The result depends on ``f``'s values only through strict comparisons
+    and equality, so a strictly increasing transform of ``f`` gives the
+    same result, and every strictly decreasing ``f`` gives that of ``(-n,
+    m)``, each searched with or without a bound on its own slope."""
     values = [f(k, _GRID) for k in range(_GRID + 1)]
     best = 0
     for k, (n, m) in enumerate(values):
@@ -301,7 +326,7 @@ def unit_search(f, tolerance) -> tuple:
             best = k
     lo = (max(best - 1, 0), _GRID)
     hi = (min(best + 1, _GRID), _GRID)
-    argmax, flat = golden_section(f, positive(tolerance, "tolerance"), lo, hi)
+    argmax, flat = golden_section(f, positive(tolerance, "tolerance"), lo, hi, slope)
     n0, m0 = values[0]
     return argmax, flat and all(n * m0 == n0 * m for n, m in values)
 
@@ -327,11 +352,14 @@ def maximize_concave(f, tolerance, lo=0, hi=1) -> SearchResult:
     points that ``Fraction.limit_denominator(10**40)`` gives, so when ``f``
     returns exact values the bracket shrinks without any floating-point
     noise; the returned point is within ``tolerance`` of the true argmax
-    for unimodal ``f``.
+    for unimodal ``f``.  A reversed bracket, ``lo > hi``, raises
+    :class:`ValidationError`.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
     tol = positive(tolerance, "tolerance")
+    if lo > hi:
+        raise ValidationError(f"bracket reversed: lo {lo} > hi {hi}")
     argmax, flat = golden_section(_exact(f), tol, lo.as_integer_ratio(), hi.as_integer_ratio())
     return SearchResult(argmax=argmax, value=_finite(f, argmax), flat=flat)
 

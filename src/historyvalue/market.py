@@ -31,7 +31,7 @@ from .errors import CapExceeded, ValidationError
 from .learning import BoundedValue, best_equilibrium_payoffs, discounted_surpluses
 from .learning import _block_prices, _sticky_kernel, ternary_sticky_surpluses
 from .rationals import format_decimal, format_rational
-from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit
+from .rationals import DISCOUNT, WEIGHT, closed_unit, int_at_least, open_unit, positive
 
 
 #: Cap on ``MarketParams.stickiness``: the exact closed forms raise integers to that power.
@@ -232,15 +232,29 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
     - so ``f' <= ((1-2*alpha)*d^t - alpha*(1-d))/4 <= 0``, strictly for
       ``e > 0``.
 
-    The search reads its objective only through strict comparisons and
-    equality of values, so every strictly decreasing objective gives the
-    same result as ``(-n, m)``: there the search runs on that objective and
-    :func:`weighted_objective` is never evaluated.  The test is exact, in
+    The search's result depends on its objective only through strict
+    comparisons and equality of values, so every strictly decreasing
+    objective gives the same result as ``(-n, m)``: there the search runs
+    on that objective and :func:`weighted_objective` is never evaluated.
+    The test is exact, in
     integers: with ``d = p/q`` and ``alpha = r/s`` it is
     ``(s - 2*r)*p^t*q <= r*(q - p)*q^t``.  At ``t == 1`` it is the
     ``delta <= alpha/(1 - alpha)`` of :func:`optimal_eps_weighted`.
+
+    Each search gets a bound on ``|f'|`` over [0, 1], which lets its golden
+    section round one probe per step and never changes its result: 1 for
+    ``(-n, m)``, and ``(t + 1)/(4*(1 - d))`` for :func:`weighted_objective`:
+
+    - ``|W'| = (1-d)/(4*(1-d*e)^2) <= 1/(4*(1-d))``, as ``1 - d*e >= 1 - d``;
+    - with ``D = d^t``, ``S' = (D/4)*(h(u) + t*u*h'(u))``, ``0 <= h(u) <= 1``
+      and ``|h'(u)| = (1-D)/(1-D*u)^2 <= 1/(1-D)``, so ``|S'| <=
+      (D/4)*(1 + t/(1-D)) <= (1 + t)/(4*(1-d))``, as ``D <= 1`` and
+      ``1 - D >= 1 - d``;
+    - so ``|f'| <= (alpha + (1 - 2*alpha)*(1 + t))/(4*(1-d)) <= (1 +
+      t)/(4*(1-d))`` for ``0 < alpha < 1/2``.
     """
     MarketParams(delta, alpha, t)  # checks delta, alpha and t before any shortcut
+    tol = positive(tolerance, "tolerance")
     if t == 1:
         return optimal_eps_weighted(delta, alpha)
     d, a = Fraction(delta), Fraction(alpha)
@@ -248,5 +262,5 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
         return Fraction(0)
     p, q, r, s = d.numerator, d.denominator, a.numerator, a.denominator
     if (s - 2 * r) * p**t * q <= r * (q - p) * q**t:
-        return unit_search(lambda n, m: (-n, m), tolerance)[0]
-    return unit_search(weighted_objective(d, a, t), tolerance)[0]
+        return unit_search(lambda n, m: (-n, m), tol, 1)[0]
+    return unit_search(weighted_objective(d, a, t), tol, Fraction(t + 1, 4) / (1 - d))[0]

@@ -195,6 +195,15 @@ class TestMaximizeConcave:
         with pytest.raises(NonFiniteEvaluation):
             maximize_concave(lambda e: float("nan"), F(1, 100))
 
+    @pytest.mark.parametrize("lo, hi", [(1, 0), (F(1, 2), F(1, 3)), (F(-1, 10**40), F(-1, 10**39))])
+    def test_reversed_bracket_raises(self, lo, hi):
+        with pytest.raises(ValidationError, match="bracket reversed"):
+            maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6), lo, hi)
+
+    def test_point_bracket_is_the_point(self):
+        got = maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6), F(1, 3), F(1, 3))
+        assert got.argmax == F(1, 3) and got.flat
+
 
 class TestDominance:
     def test_symmetric_binary_strict(self):

@@ -248,6 +248,14 @@ class TestOptima:
         with pytest.raises(ValidationError, match=message):
             optimal_eps_weighted_sticky(delta, F(7, 10), t)
 
+    @pytest.mark.parametrize("alpha, t", [(F(1, 3), 1), (F(3, 4), 2), (F(1, 3), 2), (F(1, 24), 8)],
+                             ids=["dynamic", "alpha-high", "search", "falling"])
+    @pytest.mark.parametrize("tolerance", [-1, 0, F(-1, 10**9), "one"])
+    def test_weighted_sticky_checks_tolerance_before_any_shortcut(self, alpha, t, tolerance):
+        # t = 1 and alpha >= 1/2 return without a search; the tolerance is checked there too
+        with pytest.raises(ValidationError, match="tolerance must be positive"):
+            optimal_eps_weighted_sticky(HALF, alpha, t, tolerance)
+
     def test_weighted_sticky_numeric(self):
         got = optimal_eps_weighted_sticky(F(3, 4), F(1, 4), 2, F(1, 10**8))
         # numeric-only optimum: verify first-order dominance over neighbors

@@ -3,7 +3,8 @@ search it replaced (``frozen_search.py``), with its probe memo cold and warm,
 ``best_approximation`` against ``Fraction.limit_denominator``, the
 search's unimodality assumption on the benchmark's sweep inputs, the
 certificate under which the weighted objective falls and the search skips
-it, and the paper's claim that the seller discloses less."""
+it, the slope bound under which a step rounds only the probe it keeps, and
+the paper's claim that the seller discloses less."""
 
 import importlib.util
 import math
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from frozen_search import frozen_argmax_unit_interval, frozen_maximize_concave
 from historyvalue import (
     argmax_unit_interval,
+    design,
     market,
     maximize_concave,
     optimal_eps_seller_sticky,
@@ -28,7 +30,8 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
 )
 from historyvalue.cli import main
-from historyvalue.design import _GRID, PROBE_MEMO_SIZE, _exact, _probes, unit_search
+from historyvalue.design import _GRID, _INVPHI, PROBE_MEMO_SIZE, _exact, _rounded
+from historyvalue.design import golden_section, unit_search
 from historyvalue.errors import NonFiniteEvaluation
 from historyvalue.market import weighted_objective
 from historyvalue.rationals import best_approximation
@@ -51,7 +54,7 @@ class TestWeightedOptimum:
             expected = frozen_argmax_unit_interval(
                 lambda e: ternary_weighted_surplus_sticky(e, d, a, t), tol
             ).argmax
-            _probes.cache_clear()
+            _rounded.cache_clear()
             cold = optimal_eps_weighted_sticky(d, a, t, tol)
             warm = optimal_eps_weighted_sticky(d, a, t, tol)
             assert type(cold) is F and cold == warm == expected, (d, a, t)
@@ -59,12 +62,12 @@ class TestWeightedOptimum:
 
 class TestProbeMemo:
     def test_sweep_twice_same_bytes(self):
-        _probes.cache_clear()
+        _rounded.cache_clear()
         first = hv_stdout(*CASES["sweep_grid"])
         assert hv_stdout(*CASES["sweep_grid"]) == first == golden_path("sweep_grid").read_text()
 
     def test_bounded_after_seed0_sweep(self, tmp_path, capsys):
-        _probes.cache_clear()
+        _rounded.cache_clear()
         workloads = bench_workloads()
         for k in range(workloads.CYCLE):
             (command,) = workloads.price_sweep(0, k)
@@ -72,18 +75,18 @@ class TestProbeMemo:
             config.write_text(command.config_text())
             assert main([command.name, "--config", str(config), *command.args]) == 0
         capsys.readouterr()
-        info = _probes.cache_info()
+        info = _rounded.cache_info()
         assert info.maxsize == PROBE_MEMO_SIZE and info.currsize <= PROBE_MEMO_SIZE
         assert info.hits > 0
 
     def test_searches_falling_from_zero_share_probes(self):
         # the objective falls from e = 0 at both alphas, so both searches take
         # the same all-left chain of brackets from [0, 1/64]
-        _probes.cache_clear()
+        _rounded.cache_clear()
         optimal_eps_weighted_sticky(HALF, F(5, 12), 2)
-        first = _probes.cache_info()
+        first = _rounded.cache_info()
         optimal_eps_weighted_sticky(HALF, F(9, 20), 2)
-        second = _probes.cache_info()
+        second = _rounded.cache_info()
         assert first.hits == 0 and first.misses > 0
         assert second.misses == first.misses and second.hits == first.misses
 
@@ -241,14 +244,18 @@ def certified(d, a, t) -> bool:
 
 def falling_chain(tol) -> list:
     """The probe points, in the order visited, of a golden section that
-    falls from ``e = 0``: the bracket ``[0, 1/64]`` always keeps its left part."""
+    falls from ``e = 0``: the bracket ``[0, 1/64]`` always keeps its left
+    part.  Its probes are ``lo + (1 - 1/phi)*(hi - lo)`` and ``lo + (hi -
+    lo)/phi``, rounded by the memo's ``_rounded``, while they still
+    separate the bracket."""
+    g, big = _INVPHI
     ln, ld, hn, hd = 0, _GRID, 1, _GRID
     points = []
     while (hn * ld - ln * hd) * tol.denominator > tol.numerator * ld * hd:
-        probes = _probes(ln, ld, hn, hd)
-        if probes is None:
+        width, den = hn * ld - ln * hd, ld * hd * big
+        (cn, cd), (dn, dd) = (_rounded(ln * hd * big + k * width, den) for k in (big - g, g))
+        if not F(ln, ld) < F(cn, cd) < F(dn, dd) < F(hn, hd):
             break
-        cn, cd, dn, dd = probes
         points += [F(cn, cd), F(dn, dd)]
         hn, hd = dn, dd
     return points
@@ -336,6 +343,175 @@ class TestCertifiedBranch:
         assert not certified(F(10, 11), F(1, 12), 2)
         with pytest.raises(AssertionError, match="evaluated"):
             optimal_eps_weighted_sticky(F(10, 11), F(1, 12), 2)
+
+
+# -- the slope bound: a certified step rounds only the probe it keeps -----------
+
+
+def slope_bound(d, t) -> F:
+    """The bound on the slope of :func:`weighted_objective` over [0, 1] that
+    ``optimal_eps_weighted_sticky`` hands its search: ``(t + 1)/(4*(1 - d))``."""
+    return F(t + 1, 4) / (1 - d)
+
+
+@st.composite
+def slope_points(draw):
+    """``(delta, alpha, t, x, y)`` with ``alpha < 1/2``, ``t`` in 2..12 and
+    ``x``, ``y`` in [0, 1]."""
+    d = draw(st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000))
+    a = draw(st.fractions(min_value=F(1, 1000), max_value=F(499, 1000), max_denominator=1000))
+    t = draw(st.integers(2, 12))
+    x, y = (draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6)) for _ in "xy")
+    return d, a, t, x, y
+
+
+class TestSlopeBound:
+    @given(point=slope_points())
+    @example(point=(HALF, F(1, 1000), 12, 1 - F(1, 10**12), F(1)))  # e -> 1
+    @example(point=(1 - F(1, 10**9), F(1, 1000), 2, F(0), F(1, 10**6)))  # delta -> 1
+    @example(point=(1 - F(1, 10**9), F(1, 1000), 12, 1 - F(1, 10**15), F(1)))  # both
+    @example(point=(1 - F(1, 10**9), F(499, 1000), 2, 1 - F(1, 10**15), F(1)))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_weighted_objective(self, point):
+        d, a, t, x, y = point
+        f = weighted_objective(d, a, t)
+        fx, fy = F(*f(x.numerator, x.denominator)), F(*f(y.numerator, y.denominator))
+        assert abs(fy - fx) <= slope_bound(d, t) * abs(y - x)
+
+    @pytest.mark.parametrize("tol, stride", [(tol, 1) for tol in TOLERANCES] + [(F(1, 10**45), 3)],
+                             ids=str)
+    def test_search_unchanged_on_sweep_points(self, tol, stride):
+        # the search that optimal_eps_weighted_sticky runs at each point: on
+        # (-n, m) with slope 1 where the objective provably falls, else on
+        # weighted_objective.  At 1e-45 the bracket narrows past what a
+        # certified step can separate, so each search ends in exact steps;
+        # such a search takes about 30 ms, so that case takes every third point.
+        falling = lambda n, m: (-n, m)  # noqa: E731
+        assert unit_search(falling, tol, 1) == unit_search(falling, tol)
+        points = [p for p in price_sweep_points() if not certified(*p)]
+        assert len(points) > 300
+        for d, a, t in points[::stride]:
+            f = weighted_objective(d, a, t)
+            assert unit_search(f, tol, slope_bound(d, t)) == unit_search(f, tol), (d, a, t)
+
+    def test_market_passes_the_bound(self, monkeypatch):
+        slopes = []
+
+        def recording(f, tol, slope=None):
+            slopes.append(slope)
+            return unit_search(f, tol, slope)
+
+        monkeypatch.setattr(market, "unit_search", recording)
+        optimal_eps_weighted_sticky(F(10, 11), F(1, 12), 3)
+        optimal_eps_weighted_sticky(*TestCertifiedFall.EQUALITY)
+        assert slopes == [slope_bound(F(10, 11), 3), 1]
+
+    def test_seed0_sweep_rounds_about_half_the_points(self, tmp_path, capsys, monkeypatch):
+        # pass 0 of the benchmark's seed-0 sweep from a cold memo, with the
+        # market's slope bounds and with none: the same bytes from at most
+        # 55% of the roundings
+        (command,) = bench_workloads().price_sweep(0, 0)
+        config = tmp_path / "sweep.json"
+        config.write_text(command.config_text())
+        calls = []
+
+        def counting(n, d, cap):
+            calls.append(n)
+            return best_approximation(n, d, cap)
+
+        def sweep():
+            _rounded.cache_clear()
+            calls.clear()
+            assert main([command.name, "--config", str(config), *command.args]) == 0
+            _rounded.cache_clear()
+            return capsys.readouterr().out, len(calls)
+
+        monkeypatch.setattr(design, "best_approximation", counting)
+        bounded, bounded_calls = sweep()
+        monkeypatch.setattr(market, "unit_search", lambda f, tol, slope=None: unit_search(f, tol))
+        exact, exact_calls = sweep()
+        assert bounded == exact and 20 * bounded_calls <= 11 * exact_calls
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    def test_falling_search_rounds_one_probe_per_step(self, tol, monkeypatch):
+        # each step keeps its right probe, the chain's odd entries, rounds
+        # only it, and evaluates the objective twice
+        chain = falling_chain(tol)
+        assert falling_search(tol, 1, monkeypatch) == (chain[1::2], len(chain))
+
+    def test_narrow_brackets_round_both_probes(self, monkeypatch):
+        # at 1e-45 the first k steps are certified; the rest round both probes,
+        # as every step does without a slope bound, and so does the step the
+        # denominator cap stops.  Only the few steps whose probes lie between
+        # 4 and about 32 units of 1/_LIMIT apart evaluate the truncated probes
+        # before the exact step; narrower brackets skip them.
+        tol = F(1, 10**45)
+        chain = falling_chain(tol)
+        exact, exact_evaluations = falling_search(tol, None, monkeypatch)
+        rounded, evaluations = falling_search(tol, 1, monkeypatch)
+        assert exact[:-2] == chain and exact_evaluations == len(chain)
+        assert len(chain) <= evaluations <= len(chain) + 2 * 8
+        k = len(exact) - len(rounded)
+        assert 0 < k < len(chain) // 2
+        assert rounded == chain[1:2 * k:2] + exact[2 * k:]
+
+    def test_tie_of_rounded_probes_is_not_decided_by_truncation(self):
+        # f = -|e - x0| with x0 midway between the rounded probes of [0, hi]:
+        # the exact step sees a tie and keeps the right part, while the
+        # truncated probes' values differ, by less than 4/_LIMIT, so they must
+        # not decide the step; the one step leaves flat set.  Each hi is a
+        # rounded point of the falling chain.
+        g, big = _INVPHI
+        for hi in falling_chain(F(1, 10**9))[1::2]:
+            hn, hd = hi.as_integer_ratio()
+            c, d = (F(*_rounded(k * hn, hd * big)) for k in (big - g, g))
+            x0 = (c + d) / 2
+
+            def vee(n, m):
+                return -abs(n * x0.denominator - x0.numerator * m), m * x0.denominator
+
+            one_step = 2 * hi / 3  # the step leaves [c, hi], about 0.618*hi wide
+            exact = golden_section(vee, one_step, (0, 1), (hn, hd))
+            assert exact == ((c + hi) / 2, True)
+            assert golden_section(vee, one_step, (0, 1), (hn, hd), 1) == exact
+
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    def test_certified_step_clears_flat(self, tol):
+        falling = lambda n, m: (-n, m)  # noqa: E731
+        got = golden_section(falling, tol, (0, 1), (1, 1), 1)
+        assert got == golden_section(falling, tol, (0, 1), (1, 1)) and not got[1]
+
+    @pytest.mark.parametrize("slope", [0, 1, F(1, 10**50)], ids=str)
+    def test_constant_objective_stays_flat(self, slope):
+        # equal values are never a certified step, whatever the bound
+        constant = lambda n, m: (3, 1)  # noqa: E731
+        tol = F(1, 10**9)
+        got = golden_section(constant, tol, (0, 1), (1, 1), slope)
+        assert got == golden_section(constant, tol, (0, 1), (1, 1)) and got[1]
+
+
+def falling_search(tol, slope, monkeypatch) -> tuple:
+    """For a golden section that falls from ``e = 0``, searched with
+    ``slope`` from a cold memo: the points ``best_approximation`` returns,
+    in order, and how many times the golden section evaluates the objective."""
+    rounded = []
+    evaluations = []
+
+    def counting(n, d, cap):
+        point = best_approximation(n, d, cap)
+        rounded.append(F(*point))
+        return point
+
+    def falling(n, m):
+        evaluations.append(n)
+        return -n, m
+
+    with monkeypatch.context() as patch:
+        patch.setattr(design, "best_approximation", counting)
+        _rounded.cache_clear()
+        unit_search(falling, tol, slope)
+        _rounded.cache_clear()
+    return rounded, len(evaluations) - (_GRID + 1)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
