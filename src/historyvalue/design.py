@@ -11,7 +11,6 @@ probabilities that maximize individual and discounted aggregate gains.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -223,23 +222,7 @@ class SearchResult(namedtuple("SearchResult", "argmax value flat")):
         return float(self.argmax)
 
 
-#: Rounded probe points that :func:`_rounded` keeps.  A search to tolerance
-#: 1e-9 takes about 36 steps of :func:`golden_section` and rounds one point
-#: per certified step and two per exact step, so its chain holds 36 to 72
-#: points; a bound near that would evict a chain before the next search
-#: reuses it.
-PROBE_MEMO_SIZE = 256
 _BITS = _LIMIT.bit_length()  # 2**-_BITS < 1/_LIMIT
-
-
-@functools.lru_cache(maxsize=PROBE_MEMO_SIZE)
-def _rounded(n: int, d: int) -> tuple:
-    """The probe point ``n/d`` rounded by
-    :func:`~historyvalue.rationals.best_approximation` to a denominator of
-    at most ``_LIMIT``, as ``(num, den)``.  The point depends only on ``n``,
-    ``d`` and ``_LIMIT``, so the memo is exact; were the cap an input, it
-    would have to join the key."""
-    return best_approximation(n, d, _LIMIT)
 
 
 def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
@@ -249,12 +232,11 @@ def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
     ``(num, den)`` with ``den > 0``; ``lo`` and ``hi`` are such pairs too.
     A bracket's probes ``c = lo + (1 - 1/phi)*(hi - lo)`` and ``d = lo +
     (hi - lo)/phi`` are formed as unreduced quotients over one denominator
-    and rounded by :func:`_rounded` to a denominator of at most ``_LIMIT``;
-    the search stops early when the cap leaves no ``lo < c < d < hi``.
-    Its memo of ``PROBE_MEMO_SIZE`` points lets searches that pass through
-    the same bracket (those that start in the same grid cell and fall the
-    same way) round its probes once per process.  Every comparison is
-    cross-multiplied.  ``flat`` says that every probe gave the same value.
+    and rounded by :func:`~historyvalue.rationals.best_approximation` to a
+    denominator of at most ``_LIMIT``; the search stops early when the cap
+    leaves no ``lo < c < d < hi``.  The search keeps no state between
+    calls.  Every comparison is cross-multiplied.  ``flat`` says that every
+    probe gave the same value.
 
     ``slope``, when given, is a rational bound ``L`` on ``|f'|`` over
     ``[lo, hi]``.  Where the exact probes lie more than ``4/_LIMIT`` apart,
@@ -289,11 +271,12 @@ def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
             if diff and diff.bit_length() + margin >= ycd.bit_length() + ydd.bit_length():
                 flat = False
                 if diff > 0:
-                    hn, hd = _rounded(d, den)
+                    hn, hd = best_approximation(d, den, _LIMIT)
                 else:
-                    ln, ld = _rounded(c, den)
+                    ln, ld = best_approximation(c, den, _LIMIT)
                 continue
-        (cn, cd), (dn, dd) = _rounded(c, den), _rounded(d, den)
+        cn, cd = best_approximation(c, den, _LIMIT)
+        dn, dd = best_approximation(d, den, _LIMIT)
         if not (ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd):
             break  # interval too narrow for the denominator cap
         (yc, ycd), (yd, ydd) = f(cn, cd), f(dn, dd)
@@ -318,7 +301,9 @@ def unit_search(f, tolerance, slope=None) -> tuple:
     The result depends on ``f``'s values only through strict comparisons
     and equality, so a strictly increasing transform of ``f`` gives the
     same result, and every strictly decreasing ``f`` gives that of ``(-n,
-    m)``, each searched with or without a bound on its own slope."""
+    m)``, each searched with or without a bound on its own slope.  That
+    result depends on the tolerance alone, so a caller may keep it per
+    tolerance, as ``market._falling`` does; the search keeps nothing."""
     values = [f(k, _GRID) for k in range(_GRID + 1)]
     best = 0
     for k, (n, m) in enumerate(values):

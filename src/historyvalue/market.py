@@ -20,6 +20,7 @@ This module prices and weighs them, and re-exports the moved names.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -234,8 +235,9 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
 
     The search's result depends on its objective only through strict
     comparisons and equality of values, so every strictly decreasing
-    objective gives the same result as ``(-n, m)``: there the search runs
-    on that objective and :func:`weighted_objective` is never evaluated.
+    objective gives the same result as ``(-n, m)``: there the result is
+    :func:`_falling`'s, one search on that objective per tolerance per
+    process, and :func:`weighted_objective` is never evaluated.
     The test is exact, in
     integers: with ``d = p/q`` and ``alpha = r/s`` it is
     ``(s - 2*r)*p^t*q <= r*(q - p)*q^t``.  At ``t == 1`` it is the
@@ -262,5 +264,15 @@ def optimal_eps_weighted_sticky(delta, alpha, t: int, tolerance=Fraction(1, 10**
         return Fraction(0)
     p, q, r, s = d.numerator, d.denominator, a.numerator, a.denominator
     if (s - 2 * r) * p**t * q <= r * (q - p) * q**t:
-        return unit_search(lambda n, m: (-n, m), tol, 1)[0]
+        return _falling(tol)
     return unit_search(weighted_objective(d, a, t), tol, Fraction(t + 1, 4) / (1 - d))[0]
+
+
+@functools.lru_cache
+def _falling(tol: Fraction) -> Fraction:
+    """The argmax that :func:`~historyvalue.design.unit_search` returns to
+    ``tol`` on ``(-n, m)``, searched with slope bound 1.  The search reads
+    values only through comparisons and equality, so every strictly
+    decreasing objective gives this result, which depends on ``tol`` alone:
+    the cache, keyed by ``tol``, is exact."""
+    return unit_search(lambda n, m: (-n, m), tol, 1)[0]

@@ -204,7 +204,7 @@ def kernel_functions():
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
-                          (design, {"_rounded", "golden_section", "unit_search"}),
+                          (design, {"golden_section", "unit_search"}),
                           (market, {"weighted_objective"})):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]

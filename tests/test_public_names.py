@@ -55,7 +55,7 @@ PUBLIC = {
     ),
     "historyvalue.design": (
         "AgentOptimum", "CORPUS_CAP", "DominanceReport", "EquivalenceReport", "HI_ID", "LO_ID",
-        "MID_ID", "PROBE_MEMO_SIZE", "SearchResult", "argmax_unit_interval",
+        "MID_ID", "SearchResult", "argmax_unit_interval",
         "check_equivalence", "corpus", "golden_section", "max_social_value",
         "maximize_concave", "optimal_eps_agent", "optimal_eps_social", "random_structure",
         "split_to_ternary", "ternary_social_value", "ternary_structure", "ternary_value_i",

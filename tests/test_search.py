@@ -1,10 +1,11 @@
 """The integer golden-section search against a frozen copy of the ``Fraction``
-search it replaced (``frozen_search.py``), with its probe memo cold and warm,
-``best_approximation`` against ``Fraction.limit_denominator``, the
-search's unimodality assumption on the benchmark's sweep inputs, the
-certificate under which the weighted objective falls and the search skips
-it, the slope bound under which a step rounds only the probe it keeps, and
-the paper's claim that the seller discloses less."""
+search it replaced (``frozen_search.py``), with the market's cache of the
+falling search cold and warm, the searches one seed-0 sweep runs,
+``best_approximation`` against ``Fraction.limit_denominator``, the search's
+unimodality assumption on the benchmark's sweep inputs, the certificate
+under which the weighted objective falls and the search skips it, the slope
+bound under which a step rounds only the probe it keeps, and the paper's
+claim that the seller discloses less."""
 
 import importlib.util
 import math
@@ -30,10 +31,10 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
 )
 from historyvalue.cli import main
-from historyvalue.design import _GRID, _INVPHI, PROBE_MEMO_SIZE, _exact, _rounded
+from historyvalue.design import _GRID, _INVPHI, _LIMIT, _exact
 from historyvalue.design import golden_section, unit_search
 from historyvalue.errors import NonFiniteEvaluation
-from historyvalue.market import weighted_objective
+from historyvalue.market import _falling, weighted_objective
 from historyvalue.rationals import best_approximation
 from test_golden import CASES, golden_path, hv_stdout
 
@@ -48,47 +49,64 @@ class TestWeightedOptimum:
 
     @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
     def test_matches_frozen_search(self, tol):
-        # each search twice: with the probe memo cleared, then with every
-        # bracket of its own chain in the memo
+        # each search twice: with the falling search's cache cleared, then
+        # with its result for tol in the cache
         for d, a, t in self.POINTS:
             expected = frozen_argmax_unit_interval(
                 lambda e: ternary_weighted_surplus_sticky(e, d, a, t), tol
             ).argmax
-            _rounded.cache_clear()
+            _falling.cache_clear()
             cold = optimal_eps_weighted_sticky(d, a, t, tol)
             warm = optimal_eps_weighted_sticky(d, a, t, tol)
             assert type(cold) is F and cold == warm == expected, (d, a, t)
 
 
-class TestProbeMemo:
+class TestFallingCache:
     def test_sweep_twice_same_bytes(self):
-        _rounded.cache_clear()
+        _falling.cache_clear()
         first = hv_stdout(*CASES["sweep_grid"])
         assert hv_stdout(*CASES["sweep_grid"]) == first == golden_path("sweep_grid").read_text()
 
-    def test_bounded_after_seed0_sweep(self, tmp_path, capsys):
-        _rounded.cache_clear()
-        workloads = bench_workloads()
-        for k in range(workloads.CYCLE):
-            (command,) = workloads.price_sweep(0, k)
-            config = tmp_path / f"sweep{k}.json"
-            config.write_text(command.config_text())
-            assert main([command.name, "--config", str(config), *command.args]) == 0
-        capsys.readouterr()
-        info = _rounded.cache_info()
-        assert info.maxsize == PROBE_MEMO_SIZE and info.currsize <= PROBE_MEMO_SIZE
-        assert info.hits > 0
+    def test_second_falling_call_is_served_from_falling(self, monkeypatch):
+        # the objective falls from e = 0 at both alphas, so the second call
+        # takes the first one's result for the same tolerance, with no search
+        searches = count_searches(monkeypatch)
+        _falling.cache_clear()
+        first = optimal_eps_weighted_sticky(HALF, F(5, 12), 2)
+        assert len(searches) == 1
+        assert optimal_eps_weighted_sticky(HALF, F(9, 20), 2) == first
+        assert len(searches) == 1
+        assert _falling.cache_info().hits == 1
 
-    def test_searches_falling_from_zero_share_probes(self):
-        # the objective falls from e = 0 at both alphas, so both searches take
-        # the same all-left chain of brackets from [0, 1/64]
-        _rounded.cache_clear()
-        optimal_eps_weighted_sticky(HALF, F(5, 12), 2)
-        first = _rounded.cache_info()
-        optimal_eps_weighted_sticky(HALF, F(9, 20), 2)
-        second = _rounded.cache_info()
-        assert first.hits == 0 and first.misses > 0
-        assert second.misses == first.misses and second.hits == first.misses
+    def test_seed0_sweep_searches_each_point_once(self, tmp_path, capsys, monkeypatch):
+        # pass 0 of the benchmark's seed-0 sweep, from a cleared cache: one
+        # falling search in all, and one weighted search per row with t >= 2
+        # and alpha < 1/2 whose objective is not proven to fall
+        (command,) = bench_workloads().price_sweep(0, 0)
+        config = tmp_path / "sweep.json"
+        config.write_text(command.config_text())
+        rows = [(d, a, t) for d, a, t in sweep_rows(command) if t >= 2 and a < HALF]
+        searches = count_searches(monkeypatch)
+        _falling.cache_clear()
+        assert main([command.name, "--config", str(config), *command.args]) == 0
+        capsys.readouterr()
+        weighted = [p for p in rows if not certified(*p)]
+        assert 0 < len(weighted) < len(rows)
+        assert searches.count("falling") == 1
+        assert searches.count("weighted") == len(weighted) == len(searches) - 1
+
+
+def count_searches(monkeypatch) -> list:
+    """Patch ``market.unit_search`` to record each search it runs, as
+    "falling" for ``(-n, m)`` and "weighted" for any other objective."""
+    searches = []
+
+    def counting(f, tol, slope=None):
+        searches.append("falling" if f(1, 1) == (-1, 1) else "weighted")
+        return unit_search(f, tol, slope)
+
+    monkeypatch.setattr(market, "unit_search", counting)
+    return searches
 
 
 OBJECTIVES = {
@@ -201,10 +219,34 @@ def price_sweep_points(seed: int = 0) -> list:
     points = set()
     for k in range(workloads.CYCLE):
         (command,) = workloads.price_sweep(seed, k)
-        grid = command.config["sweep"]
-        points.update((F(d), F(a), t) for d in grid["delta_grid"] for a in grid["alpha_grid"]
-                      for t in grid["t_grid"] if t >= 2 and F(a) < HALF)
+        points.update((d, a, t) for d, a, t in sweep_rows(command) if t >= 2 and a < HALF)
     return sorted(points)
+
+
+def sweep_rows(command) -> list:
+    """The ``(delta, alpha, t)`` rows of an ``hv sweep`` command, in the
+    order it prints them."""
+    grid = command.config["sweep"]
+    return [(F(d), F(a), t) for d in grid["delta_grid"] for a in grid["alpha_grid"]
+            for t in grid["t_grid"]]
+
+
+def test_sweep_social_column_is_the_weighted_surplus():
+    # hv sweep weighs its one (seller, buyer) pair, a*B + (1 - a)*S, where
+    # it evaluated the weighted surplus a*W + (1 - 2a)*S again: equal, as
+    # B = W - S.  Every row of the seed-0 sweep at fixed masses, and pass 0's
+    # rows at the mass it prints.
+    workloads = bench_workloads()
+    passes = [sweep_rows(*workloads.price_sweep(0, k)) for k in range(workloads.CYCLE)]
+    rows = {row for rows in passes for row in rows}
+    pass0 = passes[0]
+    checks = [(e, *row) for row in sorted(rows) for e in (F(0), F(1, 3), F(987654321, 10**12), F(1))]
+    checks += [(F(float(optimal_eps_weighted_sticky(*row))).limit_denominator(10**12), *row)
+               for row in pass0]
+    assert len(rows) > 1000 and len(pass0) == 180
+    for e, d, a, t in checks:
+        seller, buyer = market.ternary_sticky_surpluses(e, d, t)
+        assert a * buyer + (1 - a) * seller == ternary_weighted_surplus_sticky(e, d, a, t)
 
 
 def rises_after_falling(values) -> bool:
@@ -246,14 +288,15 @@ def falling_chain(tol) -> list:
     """The probe points, in the order visited, of a golden section that
     falls from ``e = 0``: the bracket ``[0, 1/64]`` always keeps its left
     part.  Its probes are ``lo + (1 - 1/phi)*(hi - lo)`` and ``lo + (hi -
-    lo)/phi``, rounded by the memo's ``_rounded``, while they still
-    separate the bracket."""
+    lo)/phi``, rounded by ``best_approximation`` to a denominator of at
+    most ``_LIMIT``, while they still separate the bracket."""
     g, big = _INVPHI
     ln, ld, hn, hd = 0, _GRID, 1, _GRID
     points = []
     while (hn * ld - ln * hd) * tol.denominator > tol.numerator * ld * hd:
         width, den = hn * ld - ln * hd, ld * hd * big
-        (cn, cd), (dn, dd) = (_rounded(ln * hd * big + k * width, den) for k in (big - g, g))
+        (cn, cd), (dn, dd) = (best_approximation(ln * hd * big + k * width, den, _LIMIT)
+                              for k in (big - g, g))
         if not F(ln, ld) < F(cn, cd) < F(dn, dd) < F(hn, hd):
             break
         points += [F(cn, cd), F(dn, dd)]
@@ -402,12 +445,13 @@ class TestSlopeBound:
             return unit_search(f, tol, slope)
 
         monkeypatch.setattr(market, "unit_search", recording)
+        _falling.cache_clear()
         optimal_eps_weighted_sticky(F(10, 11), F(1, 12), 3)
         optimal_eps_weighted_sticky(*TestCertifiedFall.EQUALITY)
         assert slopes == [slope_bound(F(10, 11), 3), 1]
 
     def test_seed0_sweep_rounds_about_half_the_points(self, tmp_path, capsys, monkeypatch):
-        # pass 0 of the benchmark's seed-0 sweep from a cold memo, with the
+        # pass 0 of the benchmark's seed-0 sweep from a cleared cache, with the
         # market's slope bounds and with none: the same bytes from at most
         # 55% of the roundings
         (command,) = bench_workloads().price_sweep(0, 0)
@@ -420,10 +464,10 @@ class TestSlopeBound:
             return best_approximation(n, d, cap)
 
         def sweep():
-            _rounded.cache_clear()
+            _falling.cache_clear()
             calls.clear()
             assert main([command.name, "--config", str(config), *command.args]) == 0
-            _rounded.cache_clear()
+            _falling.cache_clear()
             return capsys.readouterr().out, len(calls)
 
         monkeypatch.setattr(design, "best_approximation", counting)
@@ -464,7 +508,7 @@ class TestSlopeBound:
         g, big = _INVPHI
         for hi in falling_chain(F(1, 10**9))[1::2]:
             hn, hd = hi.as_integer_ratio()
-            c, d = (F(*_rounded(k * hn, hd * big)) for k in (big - g, g))
+            c, d = (F(*best_approximation(k * hn, hd * big, _LIMIT)) for k in (big - g, g))
             x0 = (c + d) / 2
 
             def vee(n, m):
@@ -492,8 +536,8 @@ class TestSlopeBound:
 
 def falling_search(tol, slope, monkeypatch) -> tuple:
     """For a golden section that falls from ``e = 0``, searched with
-    ``slope`` from a cold memo: the points ``best_approximation`` returns,
-    in order, and how many times the golden section evaluates the objective."""
+    ``slope``: the points ``best_approximation`` returns, in order, and how
+    many times the golden section evaluates the objective."""
     rounded = []
     evaluations = []
 
@@ -508,9 +552,7 @@ def falling_search(tol, slope, monkeypatch) -> tuple:
 
     with monkeypatch.context() as patch:
         patch.setattr(design, "best_approximation", counting)
-        _rounded.cache_clear()
         unit_search(falling, tol, slope)
-        _rounded.cache_clear()
     return rounded, len(evaluations) - (_GRID + 1)
 
 
