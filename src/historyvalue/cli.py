@@ -282,7 +282,7 @@ def run_sweep(cfg: dict, args):
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
                 seller, buyer = market.ternary_sticky_surpluses(eps_w_frac, d, t)
-                social = a * buyer + (1 - a) * seller
+                social = market.ternary_weighted_surplus_sticky(eps_w_frac, d, a, t)
                 rows.append(
                     f"{format_decimal(d)},{format_decimal(a)},{t},"
                     f"{format_decimal(eps_b)},{format_decimal(eps_s)},{format_decimal(eps_w)},"

@@ -301,9 +301,9 @@ def unit_search(f, tolerance, slope=None) -> tuple:
     The result depends on ``f``'s values only through strict comparisons
     and equality, so a strictly increasing transform of ``f`` gives the
     same result, and every strictly decreasing ``f`` gives that of ``(-n,
-    m)``, each searched with or without a bound on its own slope.  That
-    result depends on the tolerance alone, so a caller may keep it per
-    tolerance, as ``market._falling`` does; the search keeps nothing."""
+    m)``, each searched with or without a bound on its own slope: for
+    every strictly decreasing ``f`` the result depends on the tolerance
+    alone."""
     values = [f(k, _GRID) for k in range(_GRID + 1)]
     best = 0
     for k, (n, m) in enumerate(values):

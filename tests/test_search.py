@@ -7,6 +7,7 @@ under which the weighted objective falls and the search skips it, the slope
 bound under which a step rounds only the probe it keeps, and the paper's
 claim that the seller discloses less."""
 
+import functools
 import importlib.util
 import math
 import pathlib
@@ -232,10 +233,10 @@ def sweep_rows(command) -> list:
 
 
 def test_sweep_social_column_is_the_weighted_surplus():
-    # hv sweep weighs its one (seller, buyer) pair, a*B + (1 - a)*S, where
-    # it evaluated the weighted surplus a*W + (1 - 2a)*S again: equal, as
-    # B = W - S.  Every row of the seed-0 sweep at fixed masses, and pass 0's
-    # rows at the mass it prints.
+    # the weighted surplus a*W + (1 - 2a)*S that hv sweep prints as social
+    # is a*B + (1 - a)*S of the row's (seller, buyer) pair, as B = W - S.
+    # Every row of the seed-0 sweep at fixed masses, and pass 0's rows at
+    # the mass it prints.
     workloads = bench_workloads()
     passes = [sweep_rows(*workloads.price_sweep(0, k)) for k in range(workloads.CYCLE)]
     rows = {row for rows in passes for row in rows}
@@ -361,11 +362,14 @@ class TestCertifiedFall:
 
 class TestCertifiedBranch:
     @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
-    def test_matches_full_search_on_sweep_points(self, tol):
-        for d, a, t in price_sweep_points():
-            if certified(d, a, t):
-                got = optimal_eps_weighted_sticky(d, a, t, tol)
-                assert type(got) is F and got == unit_search(weighted_objective(d, a, t), tol)[0]
+    def test_matches_full_search_on_sweep_points(self, tol, monkeypatch):
+        # every reference search walks the all-left chain from [0, 1/64]; a
+        # memo of the pure best_approximation rounds its probes once
+        points = [p for p in price_sweep_points() if certified(*p)]
+        got = {p: optimal_eps_weighted_sticky(*p, tol) for p in points}
+        monkeypatch.setattr(design, "best_approximation", functools.cache(best_approximation))
+        for point, argmax in got.items():
+            assert type(argmax) is F and argmax == unit_search(weighted_objective(*point), tol)[0]
 
     @given(point=certified_points(), tol=st.sampled_from(TOLERANCES))
     @example(point=TestCertifiedFall.EQUALITY, tol=TOLERANCES[-1])
