@@ -439,6 +439,29 @@ def verify_dominance(structure: InformationStructure, horizon: int) -> Dominance
     )
 
 
+def _verdict(structure: InformationStructure, horizon: int) -> tuple:
+    """``(two_sided, verdict)`` of :func:`verify_dominance`, decided in
+    integers and with no report built.
+
+    The base's signal-only payoff ``S / (4 D)``, ``S = sum (w_high -
+    w_low)+``, is kept by the split exactly when ``S m = (m - n) D``.  The
+    two signal-only payoffs then being equal, the split's history gain
+    beats the base's exactly when its payoff with history, ``(1 - e^i)/4 =
+    (m^i - n^i) / (4 m^i)``, beats the base's ``w = p/q``: when ``gap_i =
+    (m^i - n^i) q - 4 m^i p`` is positive.
+    """
+    base = best_equilibrium_payoffs(structure, horizon)
+    n, m = _split_mass(structure)
+    scale, weights = base.signal.integer_form
+    two_sided = _two_sided(structure.integer_likelihoods[1])
+    if sum(wh - wl for wh, wl in weights if wh > wl) * m != (m - n) * scale:
+        return two_sided, False
+    gaps = [(m**i - n**i) * w.denominator - 4 * m**i * w.numerator
+            for i, w in enumerate(base.with_history, 1)]
+    return two_sided, all(g >= 0 for g in gaps) and (
+        all(g > 0 for g in gaps[1:]) or not two_sided)
+
+
 def _two_sided(weights) -> bool:
     """Whether the integer ``(w_high, w_low)`` pairs induce beliefs strictly
     inside (0, 1/2) and inside (1/2, 1): the belief ``w_high / (w_high +

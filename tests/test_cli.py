@@ -342,7 +342,7 @@ class TestVerify:
     def test_searches_each_structure_once_and_builds_no_split(self, tmp_path, capsys,
                                                                monkeypatch):
         # the split's values are closed forms: one search per corpus
-        # structure, and no split is built
+        # structure, no split is built, and a passing corpus builds no report
         calls = []
 
         def counting(name, real):
@@ -353,7 +353,8 @@ class TestVerify:
 
         for module, name in ((design, "best_equilibrium_payoffs"),
                              (learning, "best_equilibrium_payoffs"),
-                             (design, "split_to_ternary")):
+                             (design, "split_to_ternary"),
+                             (design, "verify_dominance")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         count = 40
         cfg = write_config(tmp_path, {"corpus": {"count": count}, "horizon": 6, "seed": 0})
@@ -362,16 +363,15 @@ class TestVerify:
         assert calls == ["best_equilibrium_payoffs"] * count
 
     def test_failure_entries(self, tmp_path, capsys, monkeypatch):
-        # a report whose split loses the signal-only payoff fails
-        real = design.verify_dominance
-        reports = []
+        # a base whose agent 1 earns more with history than the split
+        # fails; the verdict and the failure's report read the same profile
+        real = design.best_equilibrium_payoffs
 
-        def failing(structure, horizon):
-            report = real(structure, horizon)
-            reports.append(report._replace(single_split=report.single_base + 1))
-            return reports[-1]
+        def raised(structure, horizon):
+            p = real(structure, horizon)
+            return p._replace(with_history=(p.with_history[0] + 1,) + p.with_history[1:])
 
-        monkeypatch.setattr(design, "verify_dominance", failing)
+        monkeypatch.setattr(design, "best_equilibrium_payoffs", raised)
         cfg = write_config(tmp_path, {"corpus": {"count": 3}, "horizon": 3, "seed": 9})
         code, out, _ = run(capsys, "verify", "--config", cfg)
         assert code == EXIT_OK
@@ -380,8 +380,10 @@ class TestVerify:
         assert [r["pass"] for r in payload["results"]] == [False] * 3
         structures = design.corpus(9, 3)
         assert [f["index"] for f in payload["failures"]] == [0, 1, 2]
-        for entry, structure, report in zip(payload["failures"], structures, reports):
+        for entry, structure in zip(payload["failures"], structures):
             assert structure_from_json(json.dumps(entry["structure"])) == structure
+            report = design.verify_dominance(structure, 3)
+            assert not report.verdict
             assert entry["dominance"] == report.to_json_dict()
 
 

@@ -122,7 +122,8 @@ class TestTernaryClosedForms:
 
     def test_value_i_matches_engine(self):
         # every reduced mass n/m with m <= 30, 0 and 1 included, at every
-        # horizon the search takes: the forms verify_dominance reads
+        # horizon the search takes: the forms verify_dominance reads, and
+        # the payoffs with history (1 - e^i)/4 that design._verdict reads
         masses = [F(n, m) for m in range(1, 31) for n in range(m + 1) if math.gcd(n, m) == 1]
         assert masses[:2] == [0, 1]
         for eps in masses:
@@ -130,6 +131,9 @@ class TestTernaryClosedForms:
             for horizon in range(HORIZON_CAP + 1):
                 p = best_equilibrium_payoffs(structure, horizon)
                 assert p.single == (1 - eps) / 4, (eps, horizon)
+                assert p.with_history == tuple(
+                    (1 - eps**i) / 4 for i in range(1, horizon + 1)
+                ), (eps, horizon)
                 assert p.history_value == tuple(
                     (eps - eps**i) / 4 for i in range(1, horizon + 1)
                 ), (eps, horizon)
@@ -264,11 +268,48 @@ class TestDominance:
     def test_bad_horizon_raises_as_old_path(self, horizon):
         with pytest.raises(Exception) as old:
             old_path_report(sym_binary(), horizon)
-        with pytest.raises(Exception) as new:
-            verify_dominance(sym_binary(), horizon)
-        assert type(new.value) is type(old.value)
-        assert isinstance(new.value, (HorizonCapExceeded, ValidationError))
-        assert str(new.value) == str(old.value)
+        for path in (verify_dominance, design._verdict):
+            with pytest.raises(Exception) as new:
+                path(sym_binary(), horizon)
+            assert type(new.value) is type(old.value)
+            assert isinstance(new.value, (HorizonCapExceeded, ValidationError))
+            assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("structure, perturb, verdict", [
+        (sym_binary(), "signal", False),
+        (sym_binary(), (1, F(1, 1000)), False),
+        (sym_binary(), (2, F(1, 1000)), False),
+        (one_sided_quarter(), (3, F(1, 1000)), False),
+        (sym_binary(), (2, F(0)), False),
+        (one_sided_quarter(), (3, F(0)), True),
+        (sym_binary(), (2, F(-1, 1000)), True),
+    ], ids=["single-lost", "agent1-above", "agent2-above", "one-sided-agent3-above",
+            "two-sided-agent2-equal", "one-sided-agent3-equal", "two-sided-agent2-below"])
+    def test_integer_verdict_on_failing_branches(self, monkeypatch, structure, perturb, verdict):
+        # no corpus structure fails: perturb the base's profile, read alike
+        # by design._verdict and the report, to reach each failing branch.
+        # "signal" swaps in a full-information signal, which loses the
+        # signal-only payoff; (i, d) sets agent i's payoff with history to
+        # the split's (1 - e^i)/4 plus d
+        real = design.best_equilibrium_payoffs
+        horizon = 3
+
+        def perturbed(s, h):
+            p = real(s, h)
+            if perturb == "signal":
+                full = validate_structure({"h": (F(1), F(0)), "l": (F(0), F(1))})
+                return p._replace(signal=induced_belief_distribution(full))
+            i, d = perturb
+            e = F(*design._split_mass(s))
+            w = list(p.with_history)
+            w[i - 1] = (1 - e**i) / 4 + d
+            return p._replace(with_history=tuple(w))
+
+        monkeypatch.setattr(design, "best_equilibrium_payoffs", perturbed)
+        report = verify_dominance(structure, horizon)
+        assert report.single_preserved == (perturb != "signal")
+        assert report.verdict is verdict
+        assert design._verdict(structure, horizon) == (report.two_sided, verdict)
 
     def test_report_serialization(self):
         report = verify_dominance(sym_binary(), 3)
@@ -296,8 +337,9 @@ def old_path_report(structure, horizon):
 
 def assert_same_report(structure, horizon):
     """``verify_dominance`` equals :func:`old_path_report` field by field,
-    each value of the same type."""
+    each value of the same type, and ``design._verdict`` decides as it does."""
     new, old = verify_dominance(structure, horizon), old_path_report(structure, horizon)
+    assert design._verdict(structure, horizon) == (old.two_sided, old.verdict), horizon
     assert new._fields == old._fields
     for name, a, b in zip(new._fields, new, old):
         assert a == b and type(a) is type(b), (name, horizon)

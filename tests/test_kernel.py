@@ -199,12 +199,13 @@ def test_finished_call_holds_no_state_table(state_tables, choices, states):
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions, the golden-section search, the ternary sticky closed
-    forms and the market's weighted objective."""
+    forms, the integer dominance verdict and the market's weighted objective."""
     for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
-                          (design, {"golden_section", "unit_search"}),
+                          (design, {"golden_section", "unit_search", "_verdict",
+                                    "_split_mass", "_two_sided", "_ternary_gain"}),
                           (market, {"weighted_objective"})):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]
