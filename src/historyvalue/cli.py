@@ -278,8 +278,9 @@ def run_sweep(cfg: dict, args):
     for d in deltas:
         for a in alphas:
             for t in ts:
-                eps_s = market.optimal_eps_seller_sticky(d, t)
+                # the weighted optimum builds MarketParams, which checks t's cap
                 eps_w = float(market.optimal_eps_weighted_sticky(d, a, t, params["tolerance"]))
+                eps_s = market.optimal_eps_seller_sticky(d, t)
                 eps_w_frac = Fraction(eps_w).limit_denominator(10**12)
                 seller, buyer = market.ternary_sticky_surpluses(eps_w_frac, d, t)
                 social = market.ternary_weighted_surplus_sticky(eps_w_frac, d, a, t)

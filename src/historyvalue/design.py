@@ -23,7 +23,7 @@ from .beliefs import (
 from .errors import CapExceeded, NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
 from .learning import best_equilibrium_payoffs, ternary_social_value  # noqa: F401
-from .rationals import HALF, best_approximation, format_decimal, format_rational
+from .rationals import best_approximation, format_decimal, format_rational
 from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
@@ -99,35 +99,23 @@ def check_equivalence(
 
     Two structures are equivalent when all interior beliefs of both sit
     on the same side of 1/2 (weakly) and the conclusive mass on the
-    opposite side matches.  The verdict is cross-validated by comparing
-    the signal-only payoff and per-agent history gains up to ``horizon``.
+    opposite side matches.  The condition is decided on the two induced
+    distributions' integer forms: "identical" is their equality, an
+    interior belief lies above 1/2 when ``w_high > w_low > 0``
+    (:func:`_above`) and below it when ``0 < w_high < w_low``
+    (:func:`_below`), and the conclusive masses are :func:`_mass_at`.  The
+    verdict is cross-validated by comparing the signal-only payoff and
+    per-agent history gains up to ``horizon``.
     """
     da = induced_belief_distribution(a)
     db = induced_belief_distribution(b)
-
-    def conclusive_high_mass(dist):
-        return sum(wh for bel, wh, _ in dist.atoms if bel == 1)
-
-    def conclusive_low_mass(dist):
-        return sum(wl for bel, _, wl in dist.atoms if bel == 0)
-
-    def interior(dist):
-        return [bel for bel in dist.beliefs() if 0 < bel < 1]
-
+    fa, fb = da.integer_form, db.integer_form
     condition = "none"
-    if da.atoms == db.atoms:
+    if da == db:
         condition = "identical"
-    elif (
-        all(x <= HALF for x in interior(da))
-        and all(x <= HALF for x in interior(db))
-        and conclusive_high_mass(da) == conclusive_high_mass(db)
-    ):
+    elif not _above(fa[1] + fb[1]) and _mass_at(fa, 1) == _mass_at(fb, 1):
         condition = "low-side"
-    elif (
-        all(x >= HALF for x in interior(da))
-        and all(x >= HALF for x in interior(db))
-        and conclusive_low_mass(da) == conclusive_low_mass(db)
-    ):
+    elif not _below(fa[1] + fb[1]) and _mass_at(fa, 0) == _mass_at(fb, 0):
         condition = "high-side"
 
     pa = best_equilibrium_payoffs(a, horizon)
@@ -462,12 +450,32 @@ def _verdict(structure: InformationStructure, horizon: int) -> tuple:
         all(g > 0 for g in gaps[1:]) or not two_sided)
 
 
+def _below(weights) -> bool:
+    """Whether some integer ``(w_high, w_low)`` pair induces a belief
+    ``w_high / (w_high + w_low)`` inside (0, 1/2): ``0 < w_high < w_low``."""
+    return any(0 < wh < wl for wh, wl in weights)
+
+
+def _above(weights) -> bool:
+    """Whether some integer ``(w_high, w_low)`` pair induces a belief
+    inside (1/2, 1): ``w_high > w_low > 0``."""
+    return any(wh > wl > 0 for wh, wl in weights)
+
+
 def _two_sided(weights) -> bool:
     """Whether the integer ``(w_high, w_low)`` pairs induce beliefs strictly
-    inside (0, 1/2) and inside (1/2, 1): the belief ``w_high / (w_high +
-    w_low)`` lies in (0, 1/2) when ``0 < w_high < w_low`` and in (1/2, 1)
-    when ``w_high > w_low > 0``."""
-    return any(0 < wh < wl for wh, wl in weights) and any(wh > wl > 0 for wh, wl in weights)
+    inside (0, 1/2) and inside (1/2, 1)."""
+    return _below(weights) and _above(weights)
+
+
+def _mass_at(form, belief: int) -> Fraction:
+    """The conclusive mass on ``belief``, 1 or 0, of the integer form ``(D,
+    pairs)``: the sum of ``w_high`` over the pairs with ``w_low == 0``, or
+    of ``w_low`` over those with ``w_high == 0``, over ``D``."""
+    scale, pairs = form
+    if belief:
+        return Fraction(sum(wh for wh, wl in pairs if not wl), scale)
+    return Fraction(sum(wl for wh, wl in pairs if not wh), scale)
 
 
 # -- random corpus -------------------------------------------------------------

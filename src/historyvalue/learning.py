@@ -84,7 +84,7 @@ from .errors import (
     TooManyIndifferenceNodes,
     ValidationError,
 )
-from .rationals import HALF, QUARTER, format_decimal, format_rational
+from .rationals import QUARTER, format_decimal, format_rational
 from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 
 #: Horizon cap of the tree engine: the fixed rules, the tie-break search
@@ -100,15 +100,16 @@ ACTION1 = "action1"
 ACTION0 = "action0"
 FOLLOW_SIGNAL = "follow-signal"
 
-# The one action each rule allows at a tie, given the tied agent's private
-# belief.  Following the signal sends an exactly uninformative one to 1.
+# The actions each rule allows a tied agent, indexed by whether its private
+# belief is at least 1/2 (``w_high >= w_low``): one action for a fixed rule.
+# Following the signal sends an exactly uninformative one to 1.
 _RULES = {
-    ACTION1: lambda private: (1,),
-    ACTION0: lambda private: (0,),
-    FOLLOW_SIGNAL: lambda private: (1,) if private >= HALF else (0,),
+    ACTION1: ((1,), (1,)),
+    ACTION0: ((0,), (0,)),
+    FOLLOW_SIGNAL: ((0,), (1,)),
 }
 # The search allows both.
-_BOTH = lambda private: (1, 0)  # noqa: E731
+_BOTH = ((1, 0), (1, 0))
 
 
 class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
@@ -195,10 +196,12 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
     agents below the public node of reduced reach ``(a, b)``, entry ``i``
     in integers over ``4 * D^(i+1)``, in the node's own units.
 
-    ``game`` is ``(atoms, D, choices)``: the signal's ``(private, w_high,
-    w_low)``, weights integers over ``D``, and the actions
-    ``choices(private)`` allows a tied agent.  A signal reaches ``(ph, pl) =
-    (a * w_high, b * w_low)``; entry 0 sums ``ph - pl`` over ``ph > pl``.
+    ``game`` is ``(weights, D, choices)``: the signal's integer form, its
+    ``(w_high, w_low)`` pairs over ``D``, and the rule's actions, where
+    ``choices[w_high >= w_low]`` are those a tied agent whose private belief
+    is below 1/2 (index 0) or at least 1/2 (index 1) may take.  A signal
+    reaches ``(ph, pl) = (a * w_high, b * w_low)``; entry 0 sums ``ph - pl``
+    over ``ph > pl``.
     Each allowed action gives an action-1 and an action-0 child ``(ch,
     cl)``, ``g`` times the reduced node ``(ch / g, cl / g)``: the rest is
     the largest, over the actions, of the children's ``g * V(ch / g, cl /
@@ -209,10 +212,10 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
     found = states.get(key)
     if found is not None:
         return found
-    atoms, scale, choices = game
+    weights, scale, choices = game
     h1 = l1 = h0 = l0 = 0
-    tied, th, tl = None, 0, 0
-    for private, wh, wl in atoms:
+    tied = th = tl = 0
+    for wh, wl in weights:
         ph = a * wh
         pl = b * wl
         # The composed belief ph / (ph + pl) against 1/2, without dividing.
@@ -226,10 +229,10 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
             # at most one signal ties, as distinct signals have distinct
             # w_high / w_low; a second would drop the first's reach, which
             # the node check catches
-            tied, th, tl = private, ph, pl
+            tied, th, tl = wh >= wl, ph, pl
     rest = ()
     if r > 1:
-        for action in choices(tied) if th else (1,):
+        for action in choices[tied] if th else (1,):
             sides = ((h1 + th, l1 + tl), (h0, l0)) if action else ((h1, l1), (h0 + th, l0 + tl))
             total = [0] * (r - 1)
             for ch, cl in _check_node((a, b), sides, scale):
@@ -249,15 +252,14 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
 
 def _payoffs(signal: BeliefDistribution, horizon: int, choices) -> tuple:
     """The first ``horizon`` agents' payoffs, lexicographically best over the
-    actions ``choices(private)`` allows each tied agent: :func:`_best` at
-    the root, with a state table of its own that goes when the call
-    returns, and agent ``j + 1``'s payoff one ``Fraction`` over ``4 *
-    D^(j+1)``."""
+    actions ``choices`` allows each tied agent (a value of ``_RULES``, or
+    ``_BOTH``): :func:`_best` at the root on the signal's integer form, with
+    a state table of its own that goes when the call returns, and agent ``j
+    + 1``'s payoff one ``Fraction`` over ``4 * D^(j+1)``."""
     if not horizon:
         return ()
     scale, weights = signal.integer_form
-    atoms = tuple((private, wh, wl) for (private, _, _), (wh, wl) in zip(signal.atoms, weights))
-    root = _best(1, 1, horizon, (atoms, scale, choices), {})
+    root = _best(1, 1, horizon, (weights, scale, choices), {})
     return tuple(Fraction(v, 4 * scale ** (j + 1)) for j, v in enumerate(root))
 
 
@@ -320,7 +322,10 @@ class BoundedValue(namedtuple("BoundedValue", "value error_bound")):
 def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
     """Fewest agents ``N >= 1`` whose discounted tail bound ``d^N / 4`` is
     within ``tolerance`` (each per-agent gain lies in [0, 1/4]), up to
-    ``HORIZON_CAP``, the cap of the search that sums them."""
+    ``HORIZON_CAP``, the cap of the search that sums them.  ``delta`` must
+    lie in (0, 1) and ``tolerance`` above 0."""
+    delta = open_unit(delta, DISCOUNT)
+    tolerance = positive(tolerance, "tolerance")
     depth = 1
     while QUARTER * delta**depth > tolerance:
         depth += 1
@@ -336,14 +341,18 @@ def truncation_horizon(delta: Fraction, tolerance: Fraction) -> int:
 
 def truncated_payoffs(structure: InformationStructure, delta: Fraction, tolerance: Fraction) -> tuple:
     """Best equilibrium payoffs of the first ``N = truncation_horizon(delta,
-    tolerance)`` agents, and ``d^N / 4``, the tail of a series of terms in [0, 1/4]."""
-    depth = truncation_horizon(delta, tolerance)
-    return best_equilibrium_payoffs(structure, depth), QUARTER * delta**depth
+    tolerance)`` agents, and ``d^N / 4``, the tail of a series of terms in
+    [0, 1/4], an exact ``Fraction``."""
+    d = open_unit(delta, DISCOUNT)
+    depth = truncation_horizon(d, tolerance)
+    return best_equilibrium_payoffs(structure, depth), QUARTER * d**depth
 
 
 def discounted(terms, delta: Fraction) -> Fraction:
-    """``(1-d) * sum d^(i-1) * term_i``, the discounted average of ``terms``."""
-    return (1 - delta) * sum(delta**i * x for i, x in enumerate(terms))
+    """``(1-d) * sum d^(i-1) * term_i``, the discounted average of ``terms``,
+    for ``d`` in (0, 1)."""
+    d = open_unit(delta, DISCOUNT)
+    return (1 - d) * sum(d**i * x for i, x in enumerate(terms))
 
 
 def _block_prices(gains, t: int) -> tuple:

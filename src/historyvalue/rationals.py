@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .errors import CapExceeded, DegenerateParameter, ParseError, ValidationError
 
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 #: Parameter names as errors give them.

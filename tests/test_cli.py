@@ -481,6 +481,11 @@ class TestCaps:
         code, out, err = run(capsys, "sweep", "--config", cfg)
         assert code == EXIT_CAP and out == ""
         assert err == f"cap exceeded: stickiness {cap + 1} exceeds cap {cap}\n"
+        # past a float's range too: the cap is checked before any float root
+        cfg = write_config(tmp_path, {"sweep": {**sweep, "t_grid": [10**400]}})
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == EXIT_CAP and out == ""
+        assert err == f"cap exceeded: stickiness {10**400} exceeds cap {cap}\n"
         cfg = write_config(tmp_path, {"sweep": {**sweep, "t_grid": [1, cap]}})
         code, out, _ = run(capsys, "sweep", "--config", cfg)
         assert code == EXIT_OK and out.splitlines()[2].startswith(f"0.5,0.5,{cap},")

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -463,6 +465,55 @@ def frozen_two_sided(structure):
 FROZEN_CORPORA = [(0, 1000), (7, 1000), (101, 1000, 6, 12), (303, 1000, 6, 30)]
 
 
+#: Hand-made tables, and whether each is two-sided.
+TWO_SIDED_HAND_CASES = [
+    # conclusive atoms only, and with the atom at exactly 1/2
+    ({"hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
+    ({"hi": (F(2, 3), F(0)), "mid": (F(1, 3), F(1, 3)), "lo": (F(0), F(2, 3))}, False),
+    # beliefs 1/2 alone, and 0 with a null signal
+    ({"a": (HALF, HALF), "b": (HALF, HALF)}, False),
+    ({"z": (F(0), F(0)), "hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
+    # an interior belief on one side only, next to 0, 1/2 or 1
+    ({"hi": (HALF, F(0)), "mid": (F(1, 4), F(1, 4)), "a": (F(1, 4), F(3, 4))}, False),
+    ({"lo": (F(0), HALF), "a": (F(1), HALF)}, False),
+    ({"a": (F(1, 3), F(1, 3)), "b": (F(2, 3), F(1, 3)), "lo": (F(0), F(1, 3))}, False),
+    # interior beliefs on both sides, with and without 1/2, 0 and 1
+    ({"a": (F(2, 3), F(1, 3)), "b": (F(1, 3), F(2, 3))}, True),
+    ({"a": (HALF, F(1, 6)), "b": (F(1, 3), F(1, 3)), "c": (F(1, 6), HALF)}, True),
+    ({"hi": (F(1, 4), F(0)), "lo": (F(0), F(1, 4)), "a": (HALF, F(1, 4)),
+      "b": (F(1, 4), HALF)}, True),
+]
+
+
+def frozen_condition(a, b) -> tuple:
+    """``check_equivalence``'s condition as it was decided on the induced
+    ``Fraction`` atoms, and whether the interior beliefs of both sit weakly on
+    one side of 1/2, whatever the conclusive masses."""
+    da, db = induced_belief_distribution(a), induced_belief_distribution(b)
+
+    def conclusive_high_mass(dist):
+        return sum(wh for bel, wh, _ in dist.atoms if bel == 1)
+
+    def conclusive_low_mass(dist):
+        return sum(wl for bel, _, wl in dist.atoms if bel == 0)
+
+    interior = [bel for dist in (da, db) for bel in dist.beliefs() if 0 < bel < 1]
+    low = all(x <= HALF for x in interior)
+    high = all(x >= HALF for x in interior)
+    if da.atoms == db.atoms:
+        return "identical", low or high
+    if low and conclusive_high_mass(da) == conclusive_high_mass(db):
+        return "low-side", True
+    if high and conclusive_low_mass(da) == conclusive_low_mass(db):
+        return "high-side", True
+    return "none", low or high
+
+
+def mirrored(table):
+    """``table`` with the two states swapped: each belief ``b`` becomes ``1 - b``."""
+    return {s: (pl, ph) for s, (ph, pl) in table.items()}
+
+
 def assert_same_structure(new, old):
     # an InformationStructure is a namedtuple: == compares field by field
     assert new == old
@@ -502,24 +553,29 @@ class TestIntegerBuilders:
             found[expected] += 1
         assert min(found.values()) > 0  # the corpus has both kinds
 
-    @pytest.mark.parametrize("table, expected", [
-        # conclusive atoms only, and with the atom at exactly 1/2
-        ({"hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
-        ({"hi": (F(2, 3), F(0)), "mid": (F(1, 3), F(1, 3)), "lo": (F(0), F(2, 3))}, False),
-        # beliefs 1/2 alone, and 0 with a null signal
-        ({"a": (HALF, HALF), "b": (HALF, HALF)}, False),
-        ({"z": (F(0), F(0)), "hi": (F(1), F(0)), "lo": (F(0), F(1))}, False),
-        # an interior belief on one side only, next to 0, 1/2 or 1
-        ({"hi": (HALF, F(0)), "mid": (F(1, 4), F(1, 4)), "a": (F(1, 4), F(3, 4))}, False),
-        ({"lo": (F(0), HALF), "a": (F(1), HALF)}, False),
-        ({"a": (F(1, 3), F(1, 3)), "b": (F(2, 3), F(1, 3)), "lo": (F(0), F(1, 3))}, False),
-        # interior beliefs on both sides, with and without 1/2, 0 and 1
-        ({"a": (F(2, 3), F(1, 3)), "b": (F(1, 3), F(2, 3))}, True),
-        ({"a": (HALF, F(1, 6)), "b": (F(1, 3), F(1, 3)), "c": (F(1, 6), HALF)}, True),
-        ({"hi": (F(1, 4), F(0)), "lo": (F(0), F(1, 4)), "a": (HALF, F(1, 4)),
-          "b": (F(1, 4), HALF)}, True),
-    ], ids=repr)
+    @pytest.mark.parametrize("table, expected", TWO_SIDED_HAND_CASES, ids=repr)
     def test_two_sided_hand_cases(self, table, expected):
         s = validate_structure(table)
         assert frozen_two_sided(s) is expected
         assert verify_dominance(s, 2).two_sided is expected
+
+    def test_equivalence_condition_matches_frozen(self):
+        # each corpus structure with its split and its next neighbour, and
+        # every pair of the hand-made tables and their mirror images; the
+        # condition does not read the horizon, so horizon 0 keeps this cheap
+        pairs = []
+        for args in FROZEN_CORPORA:
+            structures = corpus(*args)
+            pairs += [(s, split_to_ternary(s)) for s in structures]
+            pairs += zip(structures, structures[1:])
+        hand = [validate_structure(t) for table, _ in TWO_SIDED_HAND_CASES
+                for t in (table, mirrored(table))]
+        pairs += itertools.product(hand, repeat=2)
+        found = collections.Counter()
+        for a, b in pairs:
+            expected, one_sided = frozen_condition(a, b)
+            assert check_equivalence(a, b, 0).condition == expected, (a, b)
+            found[expected] += 1
+            found["masses differ"] += expected == "none" and one_sided
+        assert all(found[k] for k in ("identical", "low-side", "high-side", "none",
+                                      "masses differ")), found

@@ -109,7 +109,13 @@ def oracle_best(structure, horizon) -> tuple:
     return tuple(best for best, _ in oracle(structure, horizon))
 
 
-RULES = {rule: learning._RULES[rule] for rule in (ACTION1, ACTION0, FOLLOW_SIGNAL)}
+# The oracle's own rules, on the tied agent's private ``Fraction`` belief,
+# apart from the library's, which are data on the integer form.
+RULES = {
+    ACTION1: lambda private: (1,),
+    ACTION0: lambda private: (0,),
+    FOLLOW_SIGNAL: lambda private: (1,) if private >= HALF else (0,),
+}
 
 
 def mirror(p, q):
@@ -186,7 +192,8 @@ class TestKernelMatchesFractionEngine:
         assert_matches_oracle(structure, learning.HORIZON_CAP)
 
 
-@pytest.mark.parametrize("choices, states", [(BOTH, 68), (RULES[ACTION1], 27)],
+@pytest.mark.parametrize("choices, states",
+                         [(learning._BOTH, 68), (learning._RULES[ACTION1], 27)],
                          ids=["search", "action1"])
 def test_finished_call_holds_no_state_table(state_tables, choices, states):
     # the table lives as long as the call: once the payoffs are returned,
@@ -199,13 +206,15 @@ def test_finished_call_holds_no_state_table(state_tables, choices, states):
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions, the golden-section search, the ternary sticky closed
-    forms, the integer dominance verdict and the market's weighted objective."""
+    forms, the integer dominance verdict and equivalence condition, and the
+    market's weighted objective."""
     for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
-                          (design, {"golden_section", "unit_search", "_verdict",
-                                    "_split_mass", "_two_sided", "_ternary_gain"}),
+                          (design, {"golden_section", "unit_search", "_verdict", "_split_mass",
+                                    "_below", "_above", "_two_sided", "_mass_at",
+                                    "_ternary_gain"}),
                           (market, {"weighted_objective"})):
         tree = ast.parse(pathlib.Path(module.__file__).read_text())
         found = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in names]

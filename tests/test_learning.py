@@ -371,6 +371,17 @@ class TestOneWalk:
                             callers.add((path.name, fn.name))
         assert callers == {("learning.py", "truncated_payoffs")}
 
+    def test_only_beliefs_reads_atoms_and_rules_are_data(self):
+        # outside beliefs, a distribution is read through its integer form,
+        # and a tie rule is a table of actions, not a function of a belief
+        readers = [path.name for path in pathlib.Path(learning.__file__).parent.glob("*.py")
+                   if path.name != "beliefs.py" and any(
+                       isinstance(node, ast.Attribute) and node.attr == "atoms"
+                       for node in ast.walk(ast.parse(path.read_text())))]
+        assert readers == []
+        for choices in (*learning._RULES.values(), learning._BOTH):
+            assert not callable(choices) and not any(map(callable, choices)), choices
+
 
 class TestPrefixPruning:
     @pytest.mark.parametrize("horizon", [4, 6])

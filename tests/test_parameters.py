@@ -43,6 +43,7 @@ from historyvalue import (
     validate_structure,
 )
 from historyvalue.beliefs import as_belief
+from historyvalue.learning import discounted, truncated_payoffs, truncation_horizon
 from historyvalue.errors import DegenerateParameter, ParseError, ValidationError
 from historyvalue.rationals import parse_rational
 
@@ -74,6 +75,9 @@ DELTA_CALLS = {
     "optimal_seller_sticky": lambda d: optimal_eps_seller_sticky(d, 2),
     "optimal_weighted": lambda d: optimal_eps_weighted(d, F(1, 3)),
     "optimal_weighted_sticky": lambda d: optimal_eps_weighted_sticky(d, F(1, 3), 2),
+    "truncation_horizon": lambda d: truncation_horizon(d, F(1, 100)),
+    "truncated_payoffs": lambda d: truncated_payoffs(sym_binary(), d, F(1, 100)),
+    "discounted": lambda d: discounted([F(1, 8), F(1, 4)], d),
 }
 
 ALPHA_CALLS = {
@@ -130,6 +134,8 @@ TOLERANCE_CALLS = {
     "sticky_surpluses_ternary": lambda tol: sticky_surpluses(
         ternary_structure(HALF), MarketParams(HALF, F(1, 3), 2), tol
     ),
+    "truncation_horizon": lambda tol: truncation_horizon(HALF, tol),
+    "truncated_payoffs": lambda tol: truncated_payoffs(sym_binary(), HALF, tol),
 }
 
 
