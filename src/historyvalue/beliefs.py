@@ -3,7 +3,8 @@
 The world has two states, low and high, with a uniform prior.  An
 information structure is a finite signal alphabet together with the
 likelihood of each signal in each state.  Beliefs are probabilities of
-the high state, represented exactly as ``Fraction``.
+the high state.  The records store integers over a common scale; their
+``Fraction`` fields are read-only views, built on each read.
 
 Every operation here is pure and introduces no rounding.
 """
@@ -39,17 +40,26 @@ def as_belief(value) -> Fraction:
     return closed_unit(value, "belief")
 
 
-class InformationStructure(namedtuple("InformationStructure",
-                                      "signals like_high like_low integer_likelihoods")):
+class InformationStructure(namedtuple("InformationStructure", "signals integer_likelihoods")):
     """Finite signal alphabet with per-state exact likelihoods.
 
-    ``like_high[k]`` / ``like_low[k]`` are the probabilities of signal
-    ``signals[k]`` in the high / low state.  Each column sums to one.
-    ``integer_likelihoods`` is ``(D, ((D * like_high[k], D * like_low[k]),
-    ...))``, the same columns as integers over ``D``, the lcm of their
-    denominators.  Construct via :func:`structure_from_integers`, or via
-    :func:`validate_structure` from a table of rationals.
+    ``integer_likelihoods`` is ``(D, ((w_high, w_low), ...))``: signal
+    ``signals[k]`` has probability ``w_high / D`` in the high state and
+    ``w_low / D`` in the low one, over ``D`` the lcm of the denominators.
+    Each column sums to ``D``; ``like_high`` and ``like_low`` are its
+    ``Fraction`` views.  Construct via :func:`structure_from_integers`, or
+    via :func:`validate_structure` from a table of rationals.
     """
+
+    @property
+    def like_high(self) -> tuple:
+        scale, weights = self.integer_likelihoods
+        return tuple(Fraction(wh, scale) for wh, _ in weights)
+
+    @property
+    def like_low(self) -> tuple:
+        scale, weights = self.integer_likelihoods
+        return tuple(Fraction(wl, scale) for _, wl in weights)
 
     def likelihoods(self, signal):
         try:
@@ -98,13 +108,8 @@ def structure_from_integers(signals, scale: int, weights) -> InformationStructur
             "expected 1"
         )
     g = math.gcd(scale, *itertools.chain.from_iterable(weights))
-    scale //= g
-    weights = tuple((wh // g, wl // g) for wh, wl in weights)
     return InformationStructure(
-        signals,
-        tuple(Fraction(wh, scale) for wh, _ in weights),
-        tuple(Fraction(wl, scale) for _, wl in weights),
-        (scale, weights),
+        signals, (scale // g, tuple((wh // g, wl // g) for wh, wl in weights))
     )
 
 
@@ -158,20 +163,16 @@ def compose_beliefs(a, b) -> Fraction:
     return num / den
 
 
-class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form")):
+class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
     """Distribution of a posterior belief, with per-state signal weights.
 
-    ``atoms`` is a sorted tuple of ``(belief, weight_high, weight_low)``:
-    the probability of landing on each belief in each state.  Both weight
-    columns sum to one, and each atom satisfies
-    ``belief = weight_high / (weight_high + weight_low)`` (uniform prior).
-
-    ``integer_form`` is ``(D, ((D * weight_high, D * weight_low), ...))``:
-    the weights as integers over ``D``, the lcm of their denominators, in
-    atom order.  It is canonical, so equality and the hash read it alone:
-    two distributions are equal, and hash alike, exactly when their integer
-    forms are equal, and a distribution never equals a plain tuple.
-    Construct via :meth:`from_weights`.
+    ``integer_form`` is ``(D, ((w_high, w_low), ...))``, one pair per atom
+    in increasing order of its belief ``w_high / (w_high + w_low)``
+    (uniform prior): the atom's probabilities in each state as integers
+    over ``D``, the lcm of their denominators.  ``atoms`` is its view as
+    ``(belief, weight_high, weight_low)`` ``Fraction``s.  The form is
+    canonical, so equality and the hash read it alone, and a distribution
+    never equals a plain tuple.  Construct via :meth:`from_weights`.
     """
 
     __slots__ = ()
@@ -179,11 +180,17 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form"))
     def __eq__(self, other):
         return isinstance(other, BeliefDistribution) and self.integer_form == other.integer_form
 
-    def __ne__(self, other):  # tuple's own != would compare the atoms too
+    def __ne__(self, other):  # tuple's own != would find ``(form,)`` equal
         return not self == other
 
     def __hash__(self):
         return hash(self.integer_form)
+
+    @property
+    def atoms(self) -> tuple:
+        scale, pairs = self.integer_form
+        return tuple((Fraction(wh, wh + wl), Fraction(wh, scale), Fraction(wl, scale))
+                     for wh, wl in pairs)
 
     @classmethod
     def from_weights(cls, weights) -> "BeliefDistribution":
@@ -203,10 +210,9 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "atoms integer_form"))
                 raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
             old_h, old_l = sums.get(belief, (0, 0))
             sums[belief] = (old_h + wh, old_l + wl)
-        atoms = tuple(sorted((belief, wh, wl) for belief, (wh, wl) in sums.items()))
-        form = integer_weights((wh, wl) for _, wh, wl in atoms)
+        form = integer_weights(pair for _, pair in sorted(sums.items()))
         _check_columns(*form)
-        return cls(atoms, form)
+        return cls(form)
 
     def beliefs(self):
         return tuple(a[0] for a in self.atoms)
@@ -266,19 +272,24 @@ def _merged_distribution(scale: int, pairs) -> BeliefDistribution:
 
     Built in integers: both merged columns must sum to ``scale`` (else
     :class:`ValidationError`), and dividing them and ``scale`` by their gcd
-    gives the canonical integer form.  Each merged pair's belief is its
-    reduced ratio ``h / (h + l)``, so every atom is consistent by
-    construction.
+    gives the canonical integer form, in the order of :func:`_by_belief`.
     """
     merged = merge_beliefs(pairs)
     _check_columns(scale, merged.values())
     g = math.gcd(scale, *(w for pair in merged.values() for w in pair))
-    scale //= g
-    entries = sorted((Fraction(h, h + l), wh // g, wl // g) for (h, l), (wh, wl) in merged.items())
     return BeliefDistribution(
-        tuple((belief, Fraction(wh, scale), Fraction(wl, scale)) for belief, wh, wl in entries),
-        (scale, tuple((wh, wl) for _, wh, wl in entries)),
+        (scale // g, tuple((wh // g, wl // g) for wh, wl in _by_belief(merged)))
     )
+
+
+def _by_belief(merged: dict) -> list:
+    """:func:`merge_beliefs`'s values in increasing order of their beliefs
+    ``h / (h + l)``.  Distinct reduced beliefs over at most ``N`` differ by
+    at least ``1/N**2``, so with ``2**B > N**2`` the key ``h * 2**B // (h +
+    l)`` orders them exactly."""
+    bits = 2 * max(h + l for h, l in merged).bit_length()
+    return [pair for _, pair in sorted(((h << bits) // (h + l), pair)
+                                       for (h, l), pair in merged.items())]
 
 
 def induced_belief_distribution(structure: InformationStructure) -> BeliefDistribution:

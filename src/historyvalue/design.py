@@ -170,10 +170,13 @@ def optimal_eps_seller_sticky(delta, t: int) -> float:
     Root of a quadratic in ``e^t``; reduces to the dynamic formula at t=1.
     Where ``4 * d^t`` is below the rounding of ``b^2`` (``d^t`` may even
     underflow to 0), the difference ``b - sqrt(b^2 - 4 d^t)`` is 0 and the
-    root is its limit ``1/b`` to double precision.
+    root is its limit ``1/b`` to double precision.  From ``t = 2^60`` on,
+    where ``b^2`` or ``t`` may overflow a float, it is 1.0: with ``2 <= b <=
+    t + 1`` the result lies in ``[(t+1)^(-1/t), 1]``, above ``1 - 2^-54``.
     """
     d = float(open_unit(delta, DISCOUNT))
-    int_at_least(t, 1, "stickiness")
+    if int_at_least(t, 1, "stickiness") >= 2**60:
+        return 1.0
     dt = d**t
     b = t + 1 - (t - 1) * dt
     gap = b - math.sqrt(b * b - 4 * dt)

@@ -5,7 +5,8 @@ integer pairs.  Its oracle is the validated constructor,
 ``BeliefDistribution.from_weights``, on the same weights as
 ``Fraction``s; the two must agree atom for atom and in the integer form.
 Equality and hashing read the integer form, so they must agree with
-equality of the atoms.
+equality of the atoms.  The builder orders the beliefs on an integer key,
+which must give the ``Fraction`` order, and builds no ``Fraction``.
 """
 
 import itertools
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from historyvalue import beliefs
+from historyvalue import beliefs, design
 from historyvalue.beliefs import (
     BeliefDistribution,
+    compose_distributions,
     iid_chain,
     induced_belief_distribution,
     merge_beliefs,
@@ -130,13 +132,86 @@ class TestBuilder:
         assert proc.stdout.split() == ["ValidationError"] * 4 + ["NonStochastic"]
 
 
+def fraction_order(merged) -> list:
+    """``merged``'s values in the order of their ``Fraction`` beliefs."""
+    return [merged[h, l] for h, l in sorted(merged, key=lambda hl: F(hl[0], sum(hl)))]
+
+
+def farey_neighbours(q: int):
+    """Reduced ``(h, l)`` pairs of the beliefs ``a/b < c/d`` next to each
+    other among denominators up to ``q``: they differ by ``1/(b d)``."""
+    a, b, c, d = 0, 1, 1, q
+    while c <= q:
+        yield (a, b - a), (c, d - c)
+        k = (q + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
+class TestBeliefOrder:
+    def test_integer_key_gives_the_fraction_order_on_long_chains(self, monkeypatch):
+        # i.i.d. chains of twelve draws, one with denominators near 10**6,
+        # whose weights reach hundreds of bits
+        merge = beliefs.merge_beliefs
+        seen = []
+
+        def recording(pairs):
+            seen.append(merge(pairs))
+            return seen[-1]
+
+        monkeypatch.setattr(beliefs, "merge_beliefs", recording)
+        wide = validate_structure({"a": (F(1, 1000003), F(999, 1000033)),
+                                   "b": (F(700001, 1000003), F(1, 1000033)),
+                                   "c": (F(300001, 1000003), F(999033, 1000033))})
+        for s in corpus(303, 1000, 6, 30)[771:774] + [wide]:
+            assert len(tuple(iid_chain(induced_belief_distribution(s), 12))) == 12
+        assert max(h + l for merged in seen for h, l in merged).bit_length() > 400
+        for merged in seen:
+            assert beliefs._by_belief(merged) == fraction_order(merged)
+
+    @pytest.mark.parametrize("q", [2, 3, 12, 97, 2**64 + 13, 10**80 + 7], ids=repr)
+    def test_integer_key_separates_the_closest_beliefs(self, q):
+        # neighbours among denominators up to q, next to 0 and mirrored next
+        # to 1, differ by about 1/q**2, the least gap the key must resolve;
+        # ratios of Fibonacci numbers are neighbours too
+        pairs = list(itertools.islice(farey_neighbours(q), 100))
+        pairs += [((l2, h2), (l1, h1)) for (h1, l1), (h2, l2) in pairs]
+        fib = [1, 1]
+        while len(fib) < 300:
+            fib.append(fib[-1] + fib[-2])
+        pairs += [((fib[k], fib[k + 1] - fib[k]), (fib[k + 1], fib[k + 2] - fib[k + 1]))
+                  for k in range(1, len(fib) - 2)]
+        for pair in pairs:
+            for merged in ({hl: hl for hl in pair}, {hl: hl for hl in reversed(pair)}):
+                assert beliefs._by_belief(merged) == fraction_order(merged)
+
+
+def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
+    # a corpus, its induced and composed distributions and its verdicts are
+    # decided in integers; a read of a view is what builds the Fractions
+    built = []
+
+    class Counting(F):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(beliefs, "Fraction", Counting)
+    structures = design.corpus(0, 200)
+    for structure in structures:
+        dist = induced_belief_distribution(structure)
+        compose_distributions(dist, dist)
+        design._verdict(structure, 6)
+    assert built == []
+    assert len(structures[0].like_high) == len(built) > 0  # the counter sees a view's read
+
+
 class TestEqualityAndHash:
     def test_equal_exactly_when_atoms_equal(self):
-        dists = list(itertools.islice(corpus_distributions(), 240))
+        dists = [(dist, dist.atoms) for dist in itertools.islice(corpus_distributions(), 240)]
         equal_pairs = 0
-        for a, b in itertools.product(dists, repeat=2):
-            assert (a == b) is (a.atoms == b.atoms)
-            assert (a != b) is (a.atoms != b.atoms)
+        for (a, atoms_a), (b, atoms_b) in itertools.product(dists, repeat=2):
+            assert (a == b) is (atoms_a == atoms_b)
+            assert (a != b) is (atoms_a != atoms_b)
             if a == b:
                 assert hash(a) == hash(b)
                 equal_pairs += a is not b

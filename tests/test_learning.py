@@ -372,11 +372,13 @@ class TestOneWalk:
         assert callers == {("learning.py", "truncated_payoffs")}
 
     def test_only_beliefs_reads_atoms_and_rules_are_data(self):
-        # outside beliefs, a distribution is read through its integer form,
-        # and a tie rule is a table of actions, not a function of a belief
+        # outside beliefs, a distribution and a structure are read through
+        # their integer forms, not their Fraction views, and a tie rule is a
+        # table of actions, not a function of a belief
+        views = {"atoms", "like_high", "like_low"}
         readers = [path.name for path in pathlib.Path(learning.__file__).parent.glob("*.py")
                    if path.name != "beliefs.py" and any(
-                       isinstance(node, ast.Attribute) and node.attr == "atoms"
+                       isinstance(node, ast.Attribute) and node.attr in views
                        for node in ast.walk(ast.parse(path.read_text())))]
         assert readers == []
         for choices in (*learning._RULES.values(), learning._BOTH):

@@ -224,6 +224,37 @@ class TestOptima:
             expected = float(root ** (decimal.Decimal(1) / t))
         assert optimal_eps_seller_sticky(delta, t) == pytest.approx(expected, rel=1e-13)
 
+    @staticmethod
+    def frozen_seller_sticky(delta, t):
+        """``optimal_eps_seller_sticky`` as it was before a huge ``t``
+        returned its limit."""
+        d = float(delta)
+        dt = d**t
+        b = t + 1 - (t - 1) * dt
+        gap = b - math.sqrt(b * b - 4 * dt)
+        root = gap / (2 * dt) if gap else 1 / b
+        return root ** (1.0 / t)
+
+    def test_seller_sticky_bits_match_frozen(self):
+        # every delta with denominator at most 12 and every t up to 1200,
+        # underflowing d^t included: the sweep's and market's bytes stay
+        deltas = sorted({F(n, m) for m in range(2, 13) for n in range(1, m)})
+        for delta in deltas:
+            got = [optimal_eps_seller_sticky(delta, t).hex() for t in range(1, 1201)]
+            assert got == [self.frozen_seller_sticky(delta, t).hex() for t in range(1, 1201)]
+
+    @pytest.mark.parametrize("t", [2**60, 2**100, 13 * 10**153, 14 * 10**153, 2**1024, 2**1100],
+                             ids=["2^60", "2^100", "13e153", "14e153", "2^1024", "2^1100"])
+    @pytest.mark.parametrize("delta", [F(1, 12), HALF, F(11, 12), 1 - F(1, 2**53)], ids=str)
+    def test_seller_sticky_huge_t_is_its_limit(self, delta, t):
+        # b^2 overflowed to inf from 14e153 on (ZeroDivisionError), and t
+        # itself no longer converted to a float past 2^1024 (OverflowError);
+        # the limit (1/b)^(1/t) rounds to 1, as the old formula gave below
+        assert optimal_eps_seller_sticky(delta, t) == 1.0
+        if t <= 13 * 10**153:
+            assert self.frozen_seller_sticky(delta, t) == 1.0
+        assert self.frozen_seller_sticky(delta, 2**59) < 1.0
+
     def test_weighted_interior(self):
         assert optimal_eps_weighted(HALF, F(1, 4)) == pytest.approx(
             2 - math.sqrt(3), abs=1e-12

@@ -1,10 +1,14 @@
 """The library's records are immutable namedtuples: fields that reject
 assignment, a ``Name(field=value, ...)`` repr, equality and hashing by
 value, ``MarketParams`` checked however it is built, and
-``BeliefDistribution`` compared by its integer form alone.  Importing the
-CLI loads neither ``dataclasses`` nor ``inspect``."""
+``BeliefDistribution`` compared by its integer form alone.  The belief
+records store only integers; their ``Fraction`` views equal what the eager
+builders gave.  Importing the CLI loads neither ``dataclasses`` nor
+``inspect``."""
 
+import itertools
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,10 +17,17 @@ from pathlib import Path
 import pytest
 
 from historyvalue import beliefs, design, learning, market
-from historyvalue.beliefs import BeliefDistribution, validate_structure
+from historyvalue.beliefs import (
+    BeliefDistribution,
+    InformationStructure,
+    iid_chain,
+    induced_belief_distribution,
+    validate_structure,
+)
 from historyvalue.errors import CapExceeded, DegenerateParameter, ValidationError
 from historyvalue.learning import BoundedValue
 from historyvalue.market import MarketParams
+from test_design import FROZEN_CORPORA, TWO_SIDED_HAND_CASES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HALF = F(1, 2)
@@ -150,17 +161,103 @@ class TestBeliefDistribution:
     FORM = (3, ((2, 1), (1, 2)))
 
     def test_equality_and_hash_read_the_integer_form_alone(self):
-        # the atoms of neither record agree with its form, nor are they hashable
-        a = BeliefDistribution([["x"]], self.FORM)
-        b = BeliefDistribution((("y",),), (3, ((2, 1), (1, 2))))
-        assert a == b and not a != b and hash(a) == hash(b)
-        assert a != BeliefDistribution([["x"]], (3, ((1, 2), (2, 1))))
+        # two records built apart from equal forms, out of belief order: the
+        # comparison neither checks the form nor reads the atoms view
+        a = BeliefDistribution(self.FORM)
+        b = BeliefDistribution((3, ((2, 1), (1, 2))))
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(self.FORM) != hash((self.FORM,))
+        assert a != BeliefDistribution((3, ((1, 2), (2, 1))))
+        assert a != (self.FORM,) and (self.FORM,) != a
 
     def test_never_equal_to_a_tuple(self):
         dist = beliefs.induced_belief_distribution(design.ternary_structure(F(1, 3)))
         for other in (tuple(dist), (dist.atoms, dist.integer_form), dist.integer_form):
             assert dist != other and other != dist
             assert not dist == other and not other == dist
+
+
+# -- the Fraction views against the eager builders they replaced --------------
+
+
+def frozen_likelihoods(scale, weights) -> tuple:
+    """``like_high`` and ``like_low`` as ``structure_from_integers`` built
+    them eagerly, before they became views."""
+    g = math.gcd(scale, *itertools.chain.from_iterable(weights))
+    scale //= g
+    weights = tuple((wh // g, wl // g) for wh, wl in weights)
+    return tuple(F(wh, scale) for wh, _ in weights), tuple(F(wl, scale) for _, wl in weights)
+
+
+def frozen_atoms(scale, pairs) -> tuple:
+    """``atoms`` as ``_merged_distribution`` built them eagerly, sorted on
+    their ``Fraction`` beliefs, before they became a view."""
+    merged = {}
+    for wh, wl in pairs:
+        if wh or wl:
+            g = math.gcd(wh, wl)
+            h, l = merged.get((wh // g, wl // g), (0, 0))
+            merged[wh // g, wl // g] = (h + wh, l + wl)
+    g = math.gcd(scale, *(w for pair in merged.values() for w in pair))
+    scale //= g
+    entries = sorted((F(h, h + l), wh // g, wl // g) for (h, l), (wh, wl) in merged.items())
+    return tuple((belief, F(wh, scale), F(wl, scale)) for belief, wh, wl in entries)
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """``(view, frozen)`` for each structure and distribution built in the
+    test: its views as read, and what the eager builder gave on its input."""
+    seen = []
+    build_structure, build_distribution = beliefs.structure_from_integers, beliefs._merged_distribution
+
+    def structure(signals, scale, weights):
+        weights = tuple(weights)
+        built = build_structure(signals, scale, weights)
+        seen.append(((built.like_high, built.like_low), frozen_likelihoods(scale, weights)))
+        return built
+
+    def distribution(scale, pairs):
+        pairs = tuple(pairs)
+        built = build_distribution(scale, pairs)
+        seen.append((built.atoms, frozen_atoms(scale, pairs)))
+        return built
+
+    for module in (beliefs, design):
+        monkeypatch.setattr(module, "structure_from_integers", structure)
+    monkeypatch.setattr(beliefs, "_merged_distribution", distribution)
+    return seen
+
+
+class TestViews:
+    def test_records_store_only_integers(self):
+        assert InformationStructure._fields == ("signals", "integer_likelihoods")
+        assert BeliefDistribution._fields == ("integer_form",)
+        assert BeliefDistribution.__slots__ == ()
+
+    def test_views_equal_the_eager_builders(self, pinned):
+        # every corpus structure and hand table with its induced distribution,
+        # and i.i.d. chains of eight draws on the tables and a corpus sample
+        structures = [s for args in FROZEN_CORPORA for s in design.corpus(*args)]
+        hand = [validate_structure(table) for table, _ in TWO_SIDED_HAND_CASES]
+        for s in structures + hand:
+            induced_belief_distribution(s)
+        for s in structures[::100] + hand:
+            assert len(tuple(iid_chain(induced_belief_distribution(s), 8))) == 8
+        count = len(structures) + len(hand)
+        assert len(pinned) == 2 * count + 7 * (len(structures[::100]) + len(hand))
+        for view, frozen in pinned:
+            assert view == frozen
+            assert all(type(q) is F for q in itertools.chain.from_iterable(view))
+
+    def test_views_reject_assignment(self):
+        structure, distribution, *_ = make_records()
+        for record, name in ((structure, "like_high"), (structure, "like_low"),
+                             (distribution, "atoms")):
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            assert getattr(record, name) == before
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
