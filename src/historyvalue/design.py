@@ -230,19 +230,25 @@ def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
     probe gave the same value.
 
     ``slope``, when given, is a rational bound ``L`` on ``|f'|`` over
-    ``[lo, hi]``.  Where the exact probes lie more than ``4/_LIMIT`` apart,
-    a step then evaluates ``f`` at both exact probes truncated to ``_BITS``
-    binary digits.  If the two values differ by more than ``4*L/_LIMIT``,
-    it decides from them and rounds only the probe it keeps; otherwise it
-    takes the exact step.  The result is the same as without ``slope``:
-    each rounded probe lies within ``1/(2*_LIMIT)`` of its exact point, so
-    the gap keeps ``lo < c < d < hi``, and each truncated probe lies within
-    ``2/_LIMIT`` of the rounded one, so the two differences of values
-    differ by less than ``4*L/_LIMIT`` and have the same sign.  That step
-    compares unequal values, so it clears ``flat`` as the exact step would.
-    The test on the difference compares bit lengths (``2**(k-1) <= x <
-    2**k`` for an ``x >= 1`` of ``k`` bits gives ``margin``), so it forms
-    no product of the values and passes only where the exact test would.
+    ``[lo, hi]`` (``L = 0`` takes only exact steps).  Where the exact
+    probes lie more than ``4/_LIMIT`` apart, a step then truncates both to
+    ``_BITS`` binary digits.  Where the value test below can pass there,
+    it evaluates ``f`` at both; if the two values differ by more than
+    ``4*L/_LIMIT``, it decides from them and rounds only the probe it
+    keeps.  Otherwise it takes the exact step.  The result is the same as
+    without ``slope``: each rounded probe lies within ``1/(2*_LIMIT)`` of
+    its exact point, so the gap keeps ``lo < c < d < hi``, and each
+    truncated probe lies within ``2/_LIMIT`` of the rounded one, so the two
+    differences of values differ by less than ``4*L/_LIMIT`` and have the
+    same sign.  That step compares unequal values, so it clears ``flat`` as
+    the exact step would.  The value test compares bit lengths, so it forms
+    no product of the values: as ``x >= 2**(k-1)`` for an ``x`` of ``k``
+    bits and ``y <= 2**bit_length(y - 1)``, it passes only where the values
+    differ by at least ``2**-(margin+1) > 4*L/_LIMIT``.  Truncated probes
+    ``dq - cq`` units of ``2**-_BITS`` apart give values at most ``L*(dq -
+    cq)*2**-_BITS`` apart, so the test cannot pass unless ``dq - cq`` is at
+    least ``least = ceil(2**(_BITS-margin-1)/L)``, and below that the step
+    evaluates nothing before the exact step.
     """
     g, big = _INVPHI
     tn, td = tol.numerator, tol.denominator
@@ -250,22 +256,28 @@ def golden_section(f, tol: Fraction, lo: tuple, hi: tuple, slope=None) -> tuple:
     hn, hd = hi
     first = None
     flat = True
-    if slope is not None:  # |diff|*_LIMIT*Ld > 4*Ln*ycd*ydd once |diff| has this many more bits
+    least = None
+    if slope:  # |diff|*_LIMIT*Ld > 4*Ln*ycd*ydd once |diff| has this many more bits
         margin = (_LIMIT * slope.denominator).bit_length() - (4 * slope.numerator).bit_length() - 2
+        shift = _BITS - margin - 1
+        least = -(-(slope.denominator << max(shift, 0)) // (slope.numerator << max(-shift, 0)))
     while (width := hn * ld - ln * hd) * td > tn * ld * hd:
         base, den = ln * hd * big, ld * hd * big
         c, d = base + (big - g) * width, base + g * width  # the exact probes, over den
-        if slope is not None and (2 * g - big) * width * _LIMIT > 4 * den:
-            yc, ycd = f((c << _BITS) // den, 1 << _BITS)
-            yd, ydd = f((d << _BITS) // den, 1 << _BITS)
-            diff = yc * ydd - yd * ycd
-            if diff and diff.bit_length() + margin >= ycd.bit_length() + ydd.bit_length():
-                flat = False
-                if diff > 0:
-                    hn, hd = best_approximation(d, den, _LIMIT)
-                else:
-                    ln, ld = best_approximation(c, den, _LIMIT)
-                continue
+        if least is not None and (2 * g - big) * width * _LIMIT > 4 * den:
+            cq, dq = (c << _BITS) // den, (d << _BITS) // den
+            if dq - cq >= least:
+                yc, ycd = f(cq, 1 << _BITS)
+                yd, ydd = f(dq, 1 << _BITS)
+                diff = yc * ydd - yd * ycd
+                bits = (ycd - 1).bit_length() + (ydd - 1).bit_length()
+                if diff and diff.bit_length() + margin >= bits:
+                    flat = False
+                    if diff > 0:
+                        hn, hd = best_approximation(d, den, _LIMIT)
+                    else:
+                        ln, ld = best_approximation(c, den, _LIMIT)
+                    continue
         cn, cd = best_approximation(c, den, _LIMIT)
         dn, dd = best_approximation(d, den, _LIMIT)
         if not (ln * cd < cn * ld and cn * dd < dn * cd and dn * hd < hn * dd):

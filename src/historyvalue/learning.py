@@ -36,6 +36,10 @@ children's summed: no table is enumerated whole.  A fixed rule allows
 one action, so the same recursion gives ``simulate_equilibrium``.  Each
 call keeps its own table of finished states, dropped when it returns,
 and raises :class:`TooManyIndifferenceNodes` past ``MAX_STATES`` of them.
+A node where no signal ties and every signal takes one action is an
+information cascade: history stops moving, its one child is the node
+itself, and its payoffs are a closed form that is neither recursed
+below nor stored.
 
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
 ``functools.lru_cache`` of finished searches: an entry is the finished
@@ -207,6 +211,9 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
     the largest, over the actions, of the children's ``g * V(ch / g, cl /
     g, r - 1)`` summed.  ``states`` is the call's table of finished
     vectors; past ``MAX_STATES`` it raises :class:`TooManyIndifferenceNodes`.
+    A cascade, a node with ``r > 1``, no tie and one side empty, has the
+    one child ``(a * D, b * D)``, so ``V = (x, x * D, ..., x * D^(r-1))``
+    with ``x = h1 - l1``: returned after the node check, and not stored.
     """
     key = a, b, r
     found = states.get(key)
@@ -230,6 +237,13 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
             # w_high / w_low; a second would drop the first's reach, which
             # the node check catches
             tied, th, tl = wh >= wl, ph, pl
+    if r > 1 and not th and not (h1 and l0):
+        # a cascade: one side is empty, so the one child is the node times D
+        _check_node((a, b), ((h1, l1), (h0, l0)), scale)
+        found = [h1 - l1]
+        for _ in range(1, r):
+            found.append(found[-1] * scale)
+        return tuple(found)
     rest = ()
     if r > 1:
         for action in choices[tied] if th else (1,):

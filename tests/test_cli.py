@@ -491,17 +491,18 @@ class TestCaps:
         assert code == EXIT_OK and out.splitlines()[2].startswith(f"0.5,0.5,{cap},")
 
     def test_search_states(self, tmp_path, capsys, empty_memo, monkeypatch):
-        # the fixture's search at horizon 7 takes 68 states; its social
-        # value needs 4 agents, a smaller search
+        # the fixture's search at horizon 7 stores 54 states, its cascade
+        # nodes not among them; its social value needs 4 agents, a smaller
+        # search
         cfg = write_config(tmp_path, {"horizon": 7, "delta": "1/4", "tolerance": "1/1000",
                                       "structure": {"signals": [
             {"id": "a", "pH": "1/2", "pL": "1/6"}, {"id": "b", "pH": "1/3", "pL": "1/3"},
             {"id": "c", "pH": "1/6", "pL": "1/2"}]}})
-        monkeypatch.setattr(learning, "MAX_STATES", 67)
+        monkeypatch.setattr(learning, "MAX_STATES", 53)
         code, out, err = run(capsys, "value", "--config", cfg)
         assert code == EXIT_CAP and out == ""
-        assert err == "cap exceeded: 68 public-belief states exceed 67\n"
-        monkeypatch.setattr(learning, "MAX_STATES", 68)
+        assert err == "cap exceeded: 54 public-belief states exceed 53\n"
+        monkeypatch.setattr(learning, "MAX_STATES", 54)
         code, out, _ = run(capsys, "value", "--config", cfg)
         assert code == EXIT_OK and len(json.loads(out)["agents"]) == 7
 

@@ -193,7 +193,7 @@ class TestKernelMatchesFractionEngine:
 
 
 @pytest.mark.parametrize("choices, states",
-                         [(learning._BOTH, 68), (learning._RULES[ACTION1], 27)],
+                         [(learning._BOTH, 54), (learning._RULES[ACTION1], 19)],
                          ids=["search", "action1"])
 def test_finished_call_holds_no_state_table(state_tables, choices, states):
     # the table lives as long as the call: once the payoffs are returned,

@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -170,18 +171,23 @@ def exhaustive_best(structure, horizon):
 
 def frozen_states(structure, horizon):
     """Oracle: the ``(public belief, agents left)`` pairs the search reaches
-    on the frozen engine, from the root with ``horizon`` agents left, every
-    tie taking either action."""
+    and stores on the frozen engine, from the root with ``horizon`` agents
+    left, every tie taking either action.  A cascade, a pair with more than
+    one agent left, no tie point and one child, is neither counted nor
+    visited below."""
     atoms = induced_belief_distribution(structure).atoms
     seen = set()
 
     def visit(public, reach, left):
         if (public, left) in seen:
             return
-        seen.add((public, left))
         if left == 1:
+            seen.add((public, left))
             return
-        _, _, points = frozen_advance({public: reach}, atoms, FROZEN_RULES[ACTION1])
+        _, nxt, points = frozen_advance({public: reach}, atoms, FROZEN_RULES[ACTION1])
+        if not points and len(nxt) == 1:
+            return
+        seen.add((public, left))
         for assignment in itertools.product((1, 0), repeat=len(points)):
             choose = table_chooser(dict(zip(points, assignment)))
             _, nxt, _ = frozen_advance({public: reach}, atoms, choose)
@@ -421,7 +427,7 @@ class TestPrefixPruning:
         # the search needs exactly the states the frozen engine reaches: a
         # cap of that many passes, one fewer raises with the count
         count = len(frozen_states(structure, horizon))
-        assert count == {7: 68, 6: 23}[horizon]
+        assert count == {7: 54, 6: 17}[horizon]
         monkeypatch.setattr(learning, "MAX_STATES", count)
         got = best_equilibrium_payoffs(structure, horizon).with_history
         assert got == fresh_search(structure, horizon)
@@ -474,6 +480,83 @@ class TestPrefixPruning:
         assert str(fresh.value) == "3 public-belief states exceed 2"
         # at horizon 1 the root is the one state
         assert best_equilibrium_payoffs(fixture(), 1).with_history == fresh_search(fixture(), 1)
+
+
+def unshortcut_best(a, b, r, game, states):
+    """The engine's ``_best`` as it was before the cascade shortcut: it
+    recurses below, and stores, every node."""
+    key = a, b, r
+    found = states.get(key)
+    if found is not None:
+        return found
+    weights, scale, choices = game
+    h1 = l1 = h0 = l0 = 0
+    tied = th = tl = 0
+    for wh, wl in weights:
+        ph = a * wh
+        pl = b * wl
+        if ph > pl:
+            h1 += ph
+            l1 += pl
+        elif ph < pl:
+            h0 += ph
+            l0 += pl
+        elif ph:
+            tied, th, tl = wh >= wl, ph, pl
+    rest = ()
+    if r > 1:
+        for action in choices[tied] if th else (1,):
+            sides = ((h1 + th, l1 + tl), (h0, l0)) if action else ((h1, l1), (h0 + th, l0 + tl))
+            total = [0] * (r - 1)
+            for ch, cl in _check_node((a, b), sides, scale):
+                if ch or cl:
+                    g = math.gcd(ch, cl)
+                    for i, v in enumerate(unshortcut_best(ch // g, cl // g, r - 1, game, states)):
+                        total[i] += g * v
+            rest = max(rest, tuple(total))
+    states[key] = found = (h1 - l1, *rest)
+    return found
+
+
+def is_cascade(a, b, weights):
+    """Whether no signal ties at the node ``(a, b)`` and every signal it
+    reaches takes one action."""
+    sides = {(a * wh > b * wl) - (a * wh < b * wl) for wh, wl in weights if a * wh or b * wl}
+    return len(sides) == 1 and 0 not in sides
+
+
+class TestCascade:
+    @pytest.mark.parametrize("choices", [learning._BOTH, *learning._RULES.values()],
+                             ids=["search", *learning._RULES])
+    def test_payoffs_match_the_engine_without_the_shortcut(self, choices):
+        horizon = learning.HORIZON_CAP
+        for structure in corpus(7, 300):
+            signal = induced_belief_distribution(structure)
+            scale, weights = signal.integer_form
+            root = unshortcut_best(1, 1, horizon, (weights, scale, choices), {})
+            expected = tuple(F(v, 4 * scale ** (j + 1)) for j, v in enumerate(root))
+            assert learning._payoffs(signal, horizon, choices) == expected, structure
+
+    def test_no_cascade_is_stored_above_the_last_agent(self, state_tables):
+        last = 0
+        for structure in corpus(7, 100):
+            signal = induced_belief_distribution(structure)
+            learning._payoffs(signal, 8, learning._BOTH)
+            _, weights = signal.integer_form
+            keys = state_tables[-1]
+            assert not [k for k in keys if k[2] > 1 and is_cascade(*k[:2], weights)], structure
+            last += sum(r == 1 and is_cascade(a, b, weights) for a, b, r in keys)
+        # cascades are reached: the last agent's are still stored
+        assert len(state_tables) == 100 and last > 0
+
+    @pytest.mark.parametrize("horizon", range(3, learning.HORIZON_CAP + 1))
+    def test_full_information_stores_only_its_root(self, state_tables, horizon):
+        # the first action reveals the state, and every node below cascades
+        signal = induced_belief_distribution(ternary_structure(0))
+        payoffs = learning._payoffs(signal, horizon, learning._BOTH)
+        assert payoffs == (F(1, 4),) * horizon
+        (table,) = state_tables
+        assert list(table) == [(1, 1, horizon)]
 
 
 def fresh_search(structure, horizon):
@@ -770,6 +853,14 @@ class TestNodeInvariant:
         assert _check_node((1, 1), ROOT_CHILDREN, 6) is ROOT_CHILDREN
         # a node of reach (1, 0) over D = 6 sends all its weight one way
         _check_node((1, 0), ((6, 0), (0, 0)), 6)
+
+    def test_cascade_node_is_checked(self):
+        # the node (1, 0) sends every signal to action 1, a cascade, but its
+        # weights sum to 3, not D = 4: it raises, and nothing is stored
+        states = {}
+        with pytest.raises(InvariantViolation):
+            learning._best(1, 0, 3, (((2, 1), (1, 2)), 4, learning._BOTH), states)
+        assert states == {}
 
     @pytest.mark.parametrize("children", [((3, 1), (1, 3)), ((5, 3), (1, 4)), ((5, 3), (0, 3))],
                              ids=["tie-dropped", "low-over", "high-short"])

@@ -487,21 +487,32 @@ class TestSlopeBound:
         chain = falling_chain(tol)
         assert falling_search(tol, 1, monkeypatch) == (chain[1::2], len(chain))
 
-    def test_narrow_brackets_round_both_probes(self, monkeypatch):
+    @pytest.mark.parametrize("j", [0, 3, 60, -2, -70])
+    def test_narrow_brackets_round_both_probes(self, monkeypatch, j):
         # at 1e-45 the first k steps are certified; the rest round both probes,
         # as every step does without a slope bound, and so does the step the
-        # denominator cap stops.  Only the few steps whose probes lie between
-        # 4 and about 32 units of 1/_LIMIT apart evaluate the truncated probes
-        # before the exact step; narrower brackets skip them.
+        # denominator cap stops.  No step evaluates both the truncated and the
+        # exact probes: on -L*e with L = 2**j, margin = 133 - 3 - 2 - j and
+        # the value test cannot pass unless the truncated probes lie at least
+        # ceil(2**(133 - margin - 1) / L) = 16 units of 2**-133 apart, and
+        # with power-of-two denominators it passes wherever they do.
         tol = F(1, 10**45)
         chain = falling_chain(tol)
         exact, exact_evaluations = falling_search(tol, None, monkeypatch)
-        rounded, evaluations = falling_search(tol, 1, monkeypatch)
+        rounded, evaluations = falling_search(tol, F(2)**j, monkeypatch, F(2)**j)
         assert exact[:-2] == chain and exact_evaluations == len(chain)
-        assert len(chain) <= evaluations <= len(chain) + 2 * 8
+        assert evaluations == len(chain)
         k = len(exact) - len(rounded)
         assert 0 < k < len(chain) // 2
         assert rounded == chain[1:2 * k:2] + exact[2 * k:]
+        g, big = _INVPHI
+
+        def truncated(x):
+            return x.numerator * 2**133 // x.denominator
+
+        his = [F(1, _GRID), *chain[1::2]]  # each step's bracket is [0, hi]
+        assert k == sum(truncated(F(g, big) * hi) - truncated(F(big - g, big) * hi) >= 16
+                        for hi in his)
 
     def test_tie_of_rounded_probes_is_not_decided_by_truncation(self):
         # f = -|e - x0| with x0 midway between the rounded probes of [0, hi]:
@@ -538,12 +549,13 @@ class TestSlopeBound:
         assert got == golden_section(constant, tol, (0, 1), (1, 1)) and got[1]
 
 
-def falling_search(tol, slope, monkeypatch) -> tuple:
-    """For a golden section that falls from ``e = 0``, searched with
-    ``slope``: the points ``best_approximation`` returns, in order, and how
-    many times the golden section evaluates the objective."""
+def falling_search(tol, slope, monkeypatch, rate=1) -> tuple:
+    """For a golden section on ``-rate * e``, which falls from ``e = 0``,
+    searched with ``slope``: the points ``best_approximation`` returns, in
+    order, and how many times the golden section evaluates the objective."""
     rounded = []
     evaluations = []
+    rate = F(rate)
 
     def counting(n, d, cap):
         point = best_approximation(n, d, cap)
@@ -552,7 +564,7 @@ def falling_search(tol, slope, monkeypatch) -> tuple:
 
     def falling(n, m):
         evaluations.append(n)
-        return -n, m
+        return -n * rate.numerator, m * rate.denominator
 
     with monkeypatch.context() as patch:
         patch.setattr(design, "best_approximation", counting)
