@@ -84,11 +84,11 @@ def structure_from_integers(signals, scale: int, weights) -> InformationStructur
 
     Raises ``EmptyAlphabet`` for no signals, ``NegativeLikelihood`` for a
     negative weight and ``NonStochastic`` unless both weight columns sum to
-    ``scale``; a ``scale`` below 1, a weight that is not an ``int`` and a
-    count of weight pairs other than that of signals are a
-    ``ValidationError``.  ``scale`` and the weights are divided by their
-    gcd, which gives the canonical ``integer_likelihoods``: the weights over
-    the lcm of the likelihoods' denominators.
+    ``scale``; a ``scale`` below 1, an entry that is not a pair, a weight
+    that is not an ``int`` and a count of weight pairs other than that of
+    signals are a ``ValidationError``.  ``scale`` and the weights are
+    divided by their gcd, which gives the canonical ``integer_likelihoods``:
+    the weights over the lcm of the likelihoods' denominators.
     """
     signals, weights = tuple(signals), tuple(weights)
     if not signals:
@@ -96,7 +96,8 @@ def structure_from_integers(signals, scale: int, weights) -> InformationStructur
     if len(weights) != len(signals):
         raise ValidationError(f"{len(signals)} signals but {len(weights)} weight pairs")
     int_at_least(scale, 1, "scale")
-    for s, (wh, wl) in zip(signals, weights):
+    for s, pair in zip(signals, weights):
+        wh, wl = _pair(pair, f"signal {s!r}")
         if type(wh) is not int or type(wl) is not int:  # nor a bool nor a Fraction
             raise ValidationError(f"signal {s!r} weights are not integers: {wh!r}, {wl!r}")
         if wh < 0 or wl < 0:
@@ -199,8 +200,8 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
         belief (``"1/2"`` and ``"0.5"``); anything else is a
         :class:`ValidationError`."""
         sums = {}
-        for belief, (wh, wl) in weights.items():
-            wh, wl = (rational(w, f"atom {belief} weight") for w in (wh, wl))
+        for belief, pair in weights.items():
+            wh, wl = (rational(w, f"atom {belief} weight") for w in _pair(pair, f"atom {belief}"))
             if wh == 0 and wl == 0:
                 continue
             belief = rational(belief, "atom belief")
@@ -218,7 +219,9 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
         return tuple(a[0] for a in self.atoms)
 
     def unconditional(self, belief) -> Fraction:
-        """Probability of the atom under the uniform prior."""
+        """Probability of the atom at ``belief`` under the uniform prior, 0
+        where there is none; ``belief`` is read by :func:`as_belief`."""
+        belief = as_belief(belief)
         for b, wh, wl in self.atoms:
             if b == belief:
                 return (wh + wl) / 2
@@ -227,6 +230,15 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
     def mean(self) -> Fraction:
         """Unconditional expected belief; always 1/2 by Bayes plausibility."""
         return sum(((wh + wl) / 2) * b for b, wh, wl in self.atoms)
+
+
+def _pair(pair, name: str) -> tuple:
+    """``pair`` as ``(w_high, w_low)``, else :class:`ValidationError`."""
+    try:
+        wh, wl = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} needs a (w_high, w_low) pair") from None
+    return wh, wl
 
 
 def integer_weights(pairs) -> tuple:

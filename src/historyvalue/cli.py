@@ -246,11 +246,10 @@ def run_verify(cfg: dict, args) -> dict:
     results = []
     failures = []
     for idx, structure in enumerate(structures):
-        two_sided, verdict = design._verdict(structure, params["horizon"])
-        entry = {"index": idx, "two_sided": two_sided, "pass": verdict}
-        if not verdict:
+        report = design.verify_dominance(structure, params["horizon"])
+        entry = {"index": idx, "two_sided": report.two_sided, "pass": report.verdict}
+        if not entry["pass"]:
             entry["structure"] = json.loads(structure_to_json(structure))
-            report = design.verify_dominance(structure, params["horizon"])
             entry["dominance"] = report.to_json_dict()
             failures.append(entry)
         results.append(entry)

@@ -23,8 +23,9 @@ from .beliefs import (
 from .errors import CapExceeded, NonFiniteEvaluation, ValidationError
 # ternary_social_value lives in learning, next to social_value; design re-exports it.
 from .learning import best_equilibrium_payoffs, ternary_social_value  # noqa: F401
+from .learning import _payoff_form
 from .rationals import best_approximation, format_decimal, format_rational
-from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
+from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive, rational
 
 LO_ID, MID_ID, HI_ID = "lo", "mid", "hi"
 
@@ -340,11 +341,12 @@ def maximize_concave(f, tolerance, lo=0, hi=1) -> SearchResult:
     points that ``Fraction.limit_denominator(10**40)`` gives, so when ``f``
     returns exact values the bracket shrinks without any floating-point
     noise; the returned point is within ``tolerance`` of the true argmax
-    for unimodal ``f``.  A reversed bracket, ``lo > hi``, raises
-    :class:`ValidationError`.
+    for unimodal ``f``.  A bracket end that is not a rational (NaN,
+    infinity, a bool, text that does not parse) and a reversed bracket,
+    ``lo > hi``, raise :class:`ValidationError`.
     """
-    lo = Fraction(lo)
-    hi = Fraction(hi)
+    lo = rational(lo, "bracket end lo")
+    hi = rational(hi, "bracket end hi")
     tol = positive(tolerance, "tolerance")
     if lo > hi:
         raise ValidationError(f"bracket reversed: lo {lo} > hi {hi}")
@@ -362,34 +364,94 @@ def argmax_unit_interval(f, tolerance) -> SearchResult:
 # -- dominance verification ----------------------------------------------------
 
 
-class DominanceReport(namedtuple("DominanceReport", "eps single_base single_split "
-                                                    "base_values split_values two_sided")):
-    """Exact comparison of a structure against its ternary split of uninformative
-    mass ``eps``: per-agent history gains ``base_values`` and ``split_values``, and
-    ``two_sided`` when the original has beliefs strictly on both sides of 1/2."""
+class DominanceReport(namedtuple("DominanceReport", "split_mass base two_sided")):
+    """Exact comparison of a structure against its ternary split.
+
+    The record stores integers and the base's search: ``split_mass`` is the
+    split's uninformative mass ``e = n/m`` as ``(n, m)``, ``base`` the
+    structure's :class:`~historyvalue.learning.PayoffProfile`, and
+    ``two_sided`` says that the structure has beliefs strictly on both sides
+    of 1/2.  ``eps``, the signal-only payoffs ``single_base`` and
+    ``single_split``, and the per-agent history gains ``base_values`` and
+    ``split_values`` are read-only ``Fraction`` views, built on each read;
+    the split's are the closed forms ``(1 - e)/4`` and ``(e - e^i)/4``.
+    ``single_preserved``, ``dominates``, ``strict`` and ``verdict`` are
+    decided in integers by :meth:`_decision` and build no ``Fraction``.
+    """
 
     __slots__ = ()
 
     @property
+    def eps(self) -> Fraction:
+        return Fraction(*self.split_mass)
+
+    @property
+    def single_base(self) -> Fraction:
+        return self.base.single
+
+    @property
+    def single_split(self) -> Fraction:
+        n, m = self.split_mass
+        return Fraction(m - n, 4 * m)
+
+    @property
+    def base_values(self) -> tuple:
+        return self.base.history_value
+
+    @property
+    def split_values(self) -> tuple:
+        n, m = self.split_mass
+        return tuple(_ternary_gain(n, m, i) for i in range(1, self.base.horizon + 1))
+
+    def _decision(self) -> tuple:
+        """``(single_preserved, dominates, strict)``, in integers.
+
+        With the base's signal-only payoff ``S / (4 D)``
+        (:func:`~historyvalue.learning._payoff_form`, the sum that gives
+        ``base.single``), the split's ``(m - n) / (4 m)`` exceeds it by
+        ``lost / (4 m D)``, ``lost = (m - n) D - S m``: the split keeps the
+        payoff exactly when ``lost == 0``.  With agent ``i``'s payoff with
+        history ``p/q``, the split's gain ``(n m^(i-1) - n^i) / (4 m^i)``
+        minus the base's ``p/q - S / (4 D)`` has the sign of
+
+            gap_i = (n m^(i-1) - n^i) D q - (4 p D - S q) m^i
+                  = ((m^i - n^i) D - lost m^(i-1)) q - 4 m^i p D,
+
+        whether or not the payoff is kept; where it is, ``gap_i = D ((m^i -
+        n^i) q - 4 m^i p)`` compares the split's payoff with history ``(1 -
+        e^i)/4`` with the base's.  The powers are kept agent by agent.  The
+        split dominates when it keeps the payoff and no gap is negative; it
+        is strict when every gap from agent 2 on is positive.
+        """
+        n, m = self.split_mass
+        total, scale = _payoff_form(self.base.signal)
+        lost = (m - n) * scale - total * m
+        gaps = []
+        m_prev, n_i = 1, 1  # m^(i-1) and n^i
+        for w in self.base.with_history:
+            p, q = w.as_integer_ratio()
+            m_i, n_i = m_prev * m, n_i * n
+            gaps.append(((m_i - n_i) * scale - lost * m_prev) * q - 4 * m_i * p * scale)
+            m_prev = m_i
+        return not lost, not lost and all(g >= 0 for g in gaps), all(g > 0 for g in gaps[1:])
+
+    @property
     def single_preserved(self) -> bool:
-        return self.single_base == self.single_split
+        return self._decision()[0]
 
     @property
     def dominates(self) -> bool:
-        return self.single_preserved and all(
-            s >= b for b, s in zip(self.base_values, self.split_values)
-        )
+        return self._decision()[1]
 
     @property
     def strict(self) -> bool:
         """Strict improvement for every agent i >= 2."""
-        return all(
-            s > b for b, s in zip(self.base_values[1:], self.split_values[1:])
-        )
+        return self._decision()[2]
 
     @property
     def verdict(self) -> bool:
-        return self.dominates and (self.strict or not self.two_sided)
+        _, dominates, strict = self._decision()
+        return dominates and (strict or not self.two_sided)
 
     def to_json_dict(self) -> dict:
         return {
@@ -426,43 +488,14 @@ def verify_dominance(structure: InformationStructure, horizon: int) -> Dominance
     """Compare ``structure`` with its split, agent by agent, exactly.
 
     Only ``structure`` is searched.  The split is the ternary structure of
-    mass ``e = n/m`` (:func:`_split_mass`), whose values are closed forms
-    in integers: signal-only payoff ``(1 - e)/4`` and history gains
-    ``(e - e^i)/4`` (:func:`_ternary_gain`), equal to the engine's.
+    mass ``n/m`` (:func:`_split_mass`), whose values are closed forms in
+    integers, equal to the engine's, so the report holds the base's
+    profile and the split's ``(n, m)`` and builds no ``Fraction``: its
+    verdict is decided in integers, and its views are built on read.
     """
     base = best_equilibrium_payoffs(structure, horizon)
-    n, m = _split_mass(structure)
-    return DominanceReport(
-        eps=Fraction(n, m),
-        single_base=base.single,
-        single_split=Fraction(m - n, 4 * m),
-        base_values=base.history_value,
-        split_values=tuple(_ternary_gain(n, m, i) for i in range(1, base.horizon + 1)),
-        two_sided=_two_sided(structure.integer_likelihoods[1]),
-    )
-
-
-def _verdict(structure: InformationStructure, horizon: int) -> tuple:
-    """``(two_sided, verdict)`` of :func:`verify_dominance`, decided in
-    integers and with no report built.
-
-    The base's signal-only payoff ``S / (4 D)``, ``S = sum (w_high -
-    w_low)+``, is kept by the split exactly when ``S m = (m - n) D``.  The
-    two signal-only payoffs then being equal, the split's history gain
-    beats the base's exactly when its payoff with history, ``(1 - e^i)/4 =
-    (m^i - n^i) / (4 m^i)``, beats the base's ``w = p/q``: when ``gap_i =
-    (m^i - n^i) q - 4 m^i p`` is positive.
-    """
-    base = best_equilibrium_payoffs(structure, horizon)
-    n, m = _split_mass(structure)
-    scale, weights = base.signal.integer_form
-    two_sided = _two_sided(structure.integer_likelihoods[1])
-    if sum(wh - wl for wh, wl in weights if wh > wl) * m != (m - n) * scale:
-        return two_sided, False
-    gaps = [(m**i - n**i) * w.denominator - 4 * m**i * w.numerator
-            for i, w in enumerate(base.with_history, 1)]
-    return two_sided, all(g >= 0 for g in gaps) and (
-        all(g > 0 for g in gaps[1:]) or not two_sided)
+    return DominanceReport(_split_mass(structure), base,
+                           _two_sided(structure.integer_likelihoods[1]))
 
 
 def _below(weights) -> bool:

@@ -156,12 +156,19 @@ class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
         return "\n".join(lines) + "\n"
 
 
-def _expected_payoff(dist) -> Fraction:
-    """Payoff of acting on a belief drawn from ``dist``: each belief above
-    1/2 earns ``(b - 1/2) * (w_high + w_low) / 2 = (w_high - w_low) / 4``,
-    summed on the integer form, where ``b > 1/2`` is ``w_high > w_low``."""
+def _payoff_form(dist) -> tuple:
+    """``(S, D)``, the payoff ``S / (4 D)`` of acting on a belief drawn from
+    ``dist``: each belief above 1/2 earns ``(b - 1/2) * (w_high + w_low) / 2
+    = (w_high - w_low) / 4``, summed to ``S`` on the integer form over ``D``,
+    where ``b > 1/2`` is ``w_high > w_low``."""
     scale, weights = dist.integer_form
-    return Fraction(sum(wh - wl for wh, wl in weights if wh > wl), 4 * scale)
+    return sum(wh - wl for wh, wl in weights if wh > wl), scale
+
+
+def _expected_payoff(dist) -> Fraction:
+    """:func:`_payoff_form` as a ``Fraction``."""
+    total, scale = _payoff_form(dist)
+    return Fraction(total, 4 * scale)
 
 
 def single_signal_payoff(structure: InformationStructure) -> Fraction:

@@ -78,6 +78,8 @@ class TestValidate:
             (validate_structure, {"a": (True, True)}),
             (BeliefDistribution.from_weights, {HALF: (1, -1)}),
             (BeliefDistribution.from_weights, {2: (2, -1), -1: (-1, 2)}),
+            (BeliefDistribution.from_weights, {HALF: (1, 1, 1)}),
+            (BeliefDistribution.from_weights, {HALF: 3}),
         ],
         ids=repr,
     )
@@ -121,6 +123,11 @@ class TestIntegerBuilder:
             NegativeLikelihood, "signal 'b' has a negative likelihood")
         assert raised(structure_from_integers, *BAD_COLUMNS[2][0]) == (
             NonStochastic, "columns sum to 1/2 (high) and 1/3 (low), expected 1")
+        for pair in ((1, 1, 0), (1,), 5):
+            assert raised(structure_from_integers, ("a",), 1, (pair,)) == (
+                ValidationError, "signal 'a' needs a (w_high, w_low) pair")
+            assert raised(BeliefDistribution.from_weights, {HALF: pair}) == (
+                ValidationError, "atom 1/2 needs a (w_high, w_low) pair")
 
     @pytest.mark.parametrize("args", [
         (("a",), 1, ((F(1), 1),)),
@@ -130,6 +137,9 @@ class TestIntegerBuilder:
         (("a",), F(1), ((1, 1),)),
         (("a",), True, ((1, 1),)),
         (("a", "b"), 1, ((1, 1),)),
+        (("a",), 1, ((1, 1, 0),)),
+        (("a",), 1, ((1,),)),
+        (("a",), 1, (5,)),
     ], ids=repr)
     def test_malformed_input_is_validation_error(self, args):
         error_type, _ = raised(structure_from_integers, *args)
@@ -253,6 +263,9 @@ class TestIidDistribution:
         eps = F(2, 5)
         d = iid_belief_distribution(ternary_structure(eps), i)
         assert d.unconditional(HALF) == eps**i
+        assert d.unconditional("1/2") == d.unconditional("0.5") == eps**i
+        with pytest.raises(ValidationError, match="belief outside"):
+            d.unconditional("3/2")
 
     def test_base_case(self):
         s = sym_binary()

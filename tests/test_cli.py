@@ -341,8 +341,8 @@ class TestVerify:
 
     def test_searches_each_structure_once_and_builds_no_split(self, tmp_path, capsys,
                                                                monkeypatch):
-        # the split's values are closed forms: one search per corpus
-        # structure, no split is built, and a passing corpus builds no report
+        # the split's values are closed forms: one report and one search per
+        # corpus structure, and no split is built
         calls = []
 
         def counting(name, real):
@@ -360,7 +360,7 @@ class TestVerify:
         cfg = write_config(tmp_path, {"corpus": {"count": count}, "horizon": 6, "seed": 0})
         code, out, _ = run(capsys, "verify", "--config", cfg)
         assert code == EXIT_OK and json.loads(out)["all_pass"] is True
-        assert calls == ["best_equilibrium_payoffs"] * count
+        assert calls == ["verify_dominance", "best_equilibrium_payoffs"] * count
 
     def test_failure_entries(self, tmp_path, capsys, monkeypatch):
         # a base whose agent 1 earns more with history than the split

@@ -124,8 +124,8 @@ class TestTernaryClosedForms:
 
     def test_value_i_matches_engine(self):
         # every reduced mass n/m with m <= 30, 0 and 1 included, at every
-        # horizon the search takes: the forms verify_dominance reads, and
-        # the payoffs with history (1 - e^i)/4 that design._verdict reads
+        # horizon the search takes: the forms verify_dominance's views read,
+        # and the payoffs with history (1 - e^i)/4 its decision compares with
         masses = [F(n, m) for m in range(1, 31) for n in range(m + 1) if math.gcd(n, m) == 1]
         assert masses[:2] == [0, 1]
         for eps in masses:
@@ -201,10 +201,26 @@ class TestMaximizeConcave:
         with pytest.raises(NonFiniteEvaluation):
             maximize_concave(lambda e: float("nan"), F(1, 100))
 
-    @pytest.mark.parametrize("lo, hi", [(1, 0), (F(1, 2), F(1, 3)), (F(-1, 10**40), F(-1, 10**39))])
-    def test_reversed_bracket_raises(self, lo, hi):
-        with pytest.raises(ValidationError, match="bracket reversed"):
+    @pytest.mark.parametrize("lo, hi, message", [
+        (1, 0, "bracket reversed"),
+        (F(1, 2), F(1, 3), "bracket reversed"),
+        (F(-1, 10**40), F(-1, 10**39), "bracket reversed"),
+        (float("nan"), 1, "bracket end lo is not a rational"),
+        (0, float("nan"), "bracket end hi is not a rational"),
+        (float("-inf"), 1, "bracket end lo is not a rational"),
+        (0, float("inf"), "bracket end hi is not a rational"),
+        ("x", 1, "bracket end lo is not a rational"),
+        (0, "x", "bracket end hi is not a rational"),
+        ("2/3", "1/3", "bracket reversed"),
+    ])
+    def test_bad_bracket_raises(self, lo, hi, message):
+        with pytest.raises(ValidationError, match=message):
             maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6), lo, hi)
+
+    def test_bracket_ends_may_be_text(self):
+        text = maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6), "1/3", "2/3")
+        assert text == maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6),
+                                        F(1, 3), F(2, 3))
 
     def test_point_bracket_is_the_point(self):
         got = maximize_concave(lambda e: ternary_value_i(e, 2), F(1, 10**6), F(1, 3), F(1, 3))
@@ -270,37 +286,43 @@ class TestDominance:
     def test_bad_horizon_raises_as_old_path(self, horizon):
         with pytest.raises(Exception) as old:
             old_path_report(sym_binary(), horizon)
-        for path in (verify_dominance, design._verdict):
-            with pytest.raises(Exception) as new:
-                path(sym_binary(), horizon)
-            assert type(new.value) is type(old.value)
-            assert isinstance(new.value, (HorizonCapExceeded, ValidationError))
-            assert str(new.value) == str(old.value)
+        with pytest.raises(Exception) as new:
+            verify_dominance(sym_binary(), horizon)
+        assert type(new.value) is type(old.value)
+        assert isinstance(new.value, (HorizonCapExceeded, ValidationError))
+        assert str(new.value) == str(old.value)
 
-    @pytest.mark.parametrize("structure, perturb, verdict", [
-        (sym_binary(), "signal", False),
-        (sym_binary(), (1, F(1, 1000)), False),
-        (sym_binary(), (2, F(1, 1000)), False),
-        (one_sided_quarter(), (3, F(1, 1000)), False),
-        (sym_binary(), (2, F(0)), False),
-        (one_sided_quarter(), (3, F(0)), True),
-        (sym_binary(), (2, F(-1, 1000)), True),
-    ], ids=["single-lost", "agent1-above", "agent2-above", "one-sided-agent3-above",
-            "two-sided-agent2-equal", "one-sided-agent3-equal", "two-sided-agent2-below"])
-    def test_integer_verdict_on_failing_branches(self, monkeypatch, structure, perturb, verdict):
-        # no corpus structure fails: perturb the base's profile, read alike
-        # by design._verdict and the report, to reach each failing branch.
-        # "signal" swaps in a full-information signal, which loses the
+    @pytest.mark.parametrize("structure, perturb, kept, strict, verdict", [
+        (sym_binary(), "full-information", False, True, False),
+        (sym_binary(), "uninformative", False, False, False),
+        (sym_binary(), (1, F(1, 1000)), True, True, False),
+        (sym_binary(), (2, F(1, 1000)), True, False, False),
+        (one_sided_quarter(), (3, F(1, 1000)), True, False, False),
+        (sym_binary(), (2, F(0)), True, False, False),
+        (one_sided_quarter(), (3, F(0)), True, False, True),
+        (sym_binary(), (2, F(-1, 1000)), True, True, True),
+    ], ids=["single-lost-strict", "single-lost-not-strict", "agent1-above", "agent2-above",
+            "one-sided-agent3-above", "two-sided-agent2-equal", "one-sided-agent3-equal",
+            "two-sided-agent2-below"])
+    def test_integer_verdict_on_failing_branches(self, monkeypatch, structure, perturb, kept,
+                                                 strict, verdict):
+        # no corpus structure fails: perturb the base's profile, which the
+        # report's views and its decision both read, to reach each failing
+        # branch.  A signal name swaps in that signal, which loses the
         # signal-only payoff; (i, d) sets agent i's payoff with history to
         # the split's (1 - e^i)/4 plus d
         real = design.best_equilibrium_payoffs
         horizon = 3
+        signals = {
+            "full-information": {"h": (F(1), F(0)), "l": (F(0), F(1))},
+            "uninformative": {"u": (F(1), F(1))},
+        }
 
         def perturbed(s, h):
             p = real(s, h)
-            if perturb == "signal":
-                full = validate_structure({"h": (F(1), F(0)), "l": (F(0), F(1))})
-                return p._replace(signal=induced_belief_distribution(full))
+            if perturb in signals:
+                swapped = validate_structure(signals[perturb])
+                return p._replace(signal=induced_belief_distribution(swapped))
             i, d = perturb
             e = F(*design._split_mass(s))
             w = list(p.with_history)
@@ -309,9 +331,10 @@ class TestDominance:
 
         monkeypatch.setattr(design, "best_equilibrium_payoffs", perturbed)
         report = verify_dominance(structure, horizon)
-        assert report.single_preserved == (perturb != "signal")
-        assert report.verdict is verdict
-        assert design._verdict(structure, horizon) == (report.two_sided, verdict)
+        frozen = frozen_report(*(getattr(report, name) for name in OLD_FIELDS))
+        for name in DECISIONS:
+            assert getattr(report, name) is getattr(frozen, name), name
+        assert (report.single_preserved, report.strict, report.verdict) == (kept, strict, verdict)
 
     def test_report_serialization(self):
         report = verify_dominance(sym_binary(), 3)
@@ -321,13 +344,31 @@ class TestDominance:
         assert report.to_csv().splitlines()[2].startswith("2,0/1,1/18")
 
 
+#: ``DominanceReport``'s fields before they became views, and its decisions.
+OLD_FIELDS = ("eps", "single_base", "single_split", "base_values", "split_values", "two_sided")
+DECISIONS = ("single_preserved", "dominates", "strict", "verdict")
+OldReport = collections.namedtuple("OldReport", OLD_FIELDS + DECISIONS)
+
+
+def frozen_report(eps, single_base, single_split, base_values, split_values, two_sided):
+    """The six old fields with the four decisions as ``DominanceReport``'s
+    properties computed them, by comparing ``Fraction``s."""
+    single_preserved = single_base == single_split
+    dominates = single_preserved and all(s >= b for b, s in zip(base_values, split_values))
+    strict = all(s > b for b, s in zip(base_values[1:], split_values[1:]))
+    verdict = dominates and (strict or not two_sided)
+    return OldReport(eps, single_base, single_split, base_values, split_values, two_sided,
+                     single_preserved, dominates, strict, verdict)
+
+
 def old_path_report(structure, horizon):
     """``verify_dominance`` as it was before the split's values were read in
-    closed form: the split built and searched like the base."""
+    closed form: the split built and searched like the base, and the
+    decisions taken on ``Fraction``s (:func:`frozen_report`)."""
     split = split_to_ternary(structure)
     base = best_equilibrium_payoffs(structure, horizon)
     after = best_equilibrium_payoffs(split, horizon)
-    return DominanceReport(
+    return frozen_report(
         eps=uninformative_mass(split),
         single_base=base.single,
         single_split=after.single,
@@ -338,12 +379,13 @@ def old_path_report(structure, horizon):
 
 
 def assert_same_report(structure, horizon):
-    """``verify_dominance`` equals :func:`old_path_report` field by field,
-    each value of the same type, and ``design._verdict`` decides as it does."""
+    """``verify_dominance``'s views equal :func:`old_path_report`'s fields by
+    name, each value of the same type, and its decisions equal the old
+    ones."""
     new, old = verify_dominance(structure, horizon), old_path_report(structure, horizon)
-    assert design._verdict(structure, horizon) == (old.two_sided, old.verdict), horizon
-    assert new._fields == old._fields
-    for name, a, b in zip(new._fields, new, old):
+    assert DominanceReport._fields == ("split_mass", "base", "two_sided")
+    for name in OldReport._fields:
+        a, b = getattr(new, name), getattr(old, name)
         assert a == b and type(a) is type(b), (name, horizon)
         if isinstance(a, tuple):
             assert all(type(x) is F for x in a + b), (name, horizon)

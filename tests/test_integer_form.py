@@ -186,8 +186,9 @@ class TestBeliefOrder:
 
 
 def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
-    # a corpus, its induced and composed distributions and its verdicts are
-    # decided in integers; a read of a view is what builds the Fractions
+    # a corpus, its induced and composed distributions and its dominance
+    # reports and verdicts are decided in integers in beliefs and design; a
+    # read of a view is what builds the Fractions
     built = []
 
     class Counting(F):
@@ -196,13 +197,17 @@ def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
             return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(beliefs, "Fraction", Counting)
+    monkeypatch.setattr(design, "Fraction", Counting)
     structures = design.corpus(0, 200)
+    reports = []
     for structure in structures:
         dist = induced_belief_distribution(structure)
         compose_distributions(dist, dist)
-        design._verdict(structure, 6)
+        reports.append(design.verify_dominance(structure, 6))
+        assert reports[-1].verdict
     assert built == []
     assert len(structures[0].like_high) == len(built) > 0  # the counter sees a view's read
+    assert reports[0].eps and built[-1] == reports[0].split_mass  # and a report's view
 
 
 class TestEqualityAndHash:

@@ -206,13 +206,14 @@ def test_finished_call_holds_no_state_table(state_tables, choices, states):
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions and its exact belief order, the golden-section search, the ternary sticky closed
-    forms, the integer dominance verdict and equivalence condition, and the
+    forms, the dominance report's integer decision and the equivalence condition, and the
     market's weighted objective."""
-    for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel"}),
+    for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel",
+                                      "_payoff_form"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_by_belief", "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),
-                          (design, {"golden_section", "unit_search", "_verdict", "_split_mass",
+                          (design, {"golden_section", "unit_search", "_decision", "_split_mass",
                                     "_below", "_above", "_two_sided", "_mass_at",
                                     "_ternary_gain"}),
                           (market, {"weighted_objective"})):

@@ -3,8 +3,9 @@ assignment, a ``Name(field=value, ...)`` repr, equality and hashing by
 value, ``MarketParams`` checked however it is built, and
 ``BeliefDistribution`` compared by its integer form alone.  The belief
 records store only integers; their ``Fraction`` views equal what the eager
-builders gave.  Importing the CLI loads neither ``dataclasses`` nor
-``inspect``."""
+builders gave, and ``DominanceReport`` stores the split's integer mass
+and the base's profile, its ``Fraction`` fields views too.  Importing the
+CLI loads neither ``dataclasses`` nor ``inspect``."""
 
 import itertools
 import json
@@ -234,6 +235,7 @@ class TestViews:
         assert InformationStructure._fields == ("signals", "integer_likelihoods")
         assert BeliefDistribution._fields == ("integer_form",)
         assert BeliefDistribution.__slots__ == ()
+        assert design.DominanceReport._fields == ("split_mass", "base", "two_sided")
 
     def test_views_equal_the_eager_builders(self, pinned):
         # every corpus structure and hand table with its induced distribution,
@@ -252,8 +254,11 @@ class TestViews:
 
     def test_views_reject_assignment(self):
         structure, distribution, *_ = make_records()
-        for record, name in ((structure, "like_high"), (structure, "like_low"),
-                             (distribution, "atoms")):
+        report = design.verify_dominance(structure, 3)
+        views = [(structure, "like_high"), (structure, "like_low"), (distribution, "atoms")]
+        views += [(report, name) for name in ("eps", "single_base", "single_split",
+                                              "base_values", "split_values")]
+        for record, name in views:
             before = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
