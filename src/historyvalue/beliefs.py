@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import (
@@ -123,7 +124,7 @@ def validate_structure(table) -> InformationStructure:
     structure is built by :func:`structure_from_integers` from the
     likelihoods as integers over the lcm of their denominators.
     """
-    signals = tuple(table or ())
+    signals = tuple(_mapping(table or {}, "a structure", "{signal: (p_high, p_low)}"))
     pairs = []
     for s in signals:
         try:
@@ -200,7 +201,7 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
         belief (``"1/2"`` and ``"0.5"``); anything else is a
         :class:`ValidationError`."""
         sums = {}
-        for belief, pair in weights.items():
+        for belief, pair in _mapping(weights, "a distribution", "{belief: (w_high, w_low)}").items():
             wh, wl = (rational(w, f"atom {belief} weight") for w in _pair(pair, f"atom {belief}"))
             if wh == 0 and wl == 0:
                 continue
@@ -230,6 +231,13 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
     def mean(self) -> Fraction:
         """Unconditional expected belief; always 1/2 by Bayes plausibility."""
         return sum(((wh + wl) / 2) * b for b, wh, wl in self.atoms)
+
+
+def _mapping(table, name: str, form: str):
+    """``table`` if it is a mapping, else :class:`ValidationError`."""
+    if not isinstance(table, Mapping):
+        raise ValidationError(f"{name} needs a {form} mapping, not {type(table).__name__}")
+    return table
 
 
 def _pair(pair, name: str) -> tuple:

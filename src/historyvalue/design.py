@@ -410,16 +410,18 @@ class DominanceReport(namedtuple("DominanceReport", "split_mass base two_sided")
         (:func:`~historyvalue.learning._payoff_form`, the sum that gives
         ``base.single``), the split's ``(m - n) / (4 m)`` exceeds it by
         ``lost / (4 m D)``, ``lost = (m - n) D - S m``: the split keeps the
-        payoff exactly when ``lost == 0``.  With agent ``i``'s payoff with
-        history ``p/q``, the split's gain ``(n m^(i-1) - n^i) / (4 m^i)``
-        minus the base's ``p/q - S / (4 D)`` has the sign of
+        payoff exactly when ``lost == 0``.  Agent ``i``'s payoff with history
+        is ``p/q``, ``p`` the base's ``integer_payoffs[i-1]`` and ``q = 4
+        D^i``, not necessarily reduced.  The split's gain ``(n m^(i-1) -
+        n^i) / (4 m^i)`` minus the base's ``p/q - S / (4 D)`` has the sign of
 
             gap_i = (n m^(i-1) - n^i) D q - (4 p D - S q) m^i
                   = ((m^i - n^i) D - lost m^(i-1)) q - 4 m^i p D,
 
         whether or not the payoff is kept; where it is, ``gap_i = D ((m^i -
         n^i) q - 4 m^i p)`` compares the split's payoff with history ``(1 -
-        e^i)/4`` with the base's.  The powers are kept agent by agent.  The
+        e^i)/4`` with the base's.  As ``q > 0``, the sign does not depend on
+        whether ``p/q`` is reduced.  The powers are kept agent by agent.  The
         split dominates when it keeps the payoff and no gap is negative; it
         is strict when every gap from agent 2 on is positive.
         """
@@ -427,10 +429,9 @@ class DominanceReport(namedtuple("DominanceReport", "split_mass base two_sided")
         total, scale = _payoff_form(self.base.signal)
         lost = (m - n) * scale - total * m
         gaps = []
-        m_prev, n_i = 1, 1  # m^(i-1) and n^i
-        for w in self.base.with_history:
-            p, q = w.as_integer_ratio()
-            m_i, n_i = m_prev * m, n_i * n
+        m_prev, n_i, q = 1, 1, 4  # m^(i-1), n^i and 4 D^i
+        for p in self.base.integer_payoffs:
+            m_i, n_i, q = m_prev * m, n_i * n, q * scale
             gaps.append(((m_i - n_i) * scale - lost * m_prev) * q - 4 * m_i * p * scale)
             m_prev = m_i
         return not lost, not lost and all(g >= 0 for g in gaps), all(g > 0 for g in gaps[1:])

@@ -62,9 +62,11 @@ by the whole process and has no setting.
 The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
 a node's children are integers over ``D`` in the node's own units: ties
-are decided by exact integer equality, equal public beliefs share one
-state under their reduced integer ratio, and each agent's payoff is one
-``Fraction``, built at the root.
+are decided by exact integer equality, and equal public beliefs share one
+state under their reduced integer ratio.  The root's vector is what
+:class:`PayoffProfile` stores, agent ``i``'s payoff in integers over
+``4 * D^i``; a ``Fraction`` is built only when one of the record's views
+is read.
 """
 
 from __future__ import annotations
@@ -116,20 +118,27 @@ _RULES = {
 _BOTH = ((1, 0), (1, 0))
 
 
-class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
+class PayoffProfile(namedtuple("PayoffProfile", "signal integer_payoffs")):
     """Per-agent value accounting for one structure and horizon.
 
-    ``signal`` is the belief distribution of one private signal and
-    ``with_history[i-1]`` the equilibrium payoff of agent ``i``; the rest
-    is derived.  ``single`` is the signal-only payoff,
+    The record stores the engine's integers: ``signal`` is the belief
+    distribution of one private signal, and ``integer_payoffs[i-1]`` agent
+    ``i``'s equilibrium payoff in integers over ``4 D^i``, ``D`` the scale
+    of ``signal``'s integer form, as :func:`_payoffs` returns them.  The
+    rest are ``Fraction`` views, each built on its first read and kept:
+    ``with_history[i-1]`` the payoff, ``single`` the signal-only payoff,
     ``history_value[i-1]`` the gain from history, ``with_history - single``,
-    and ``benchmark[i-1]`` the payoff from observing ``i`` signals
-    directly, composed the first time it is read.
+    and ``benchmark[i-1]`` the payoff from observing ``i`` signals directly.
     """
 
     @property
     def horizon(self) -> int:
-        return len(self.with_history)
+        return len(self.integer_payoffs)
+
+    @functools.cached_property
+    def with_history(self) -> tuple:
+        scale = self.signal.integer_form[0]
+        return tuple(Fraction(v, 4 * scale**i) for i, v in enumerate(self.integer_payoffs, 1))
 
     @functools.cached_property
     def single(self) -> Fraction:
@@ -137,7 +146,11 @@ class PayoffProfile(namedtuple("PayoffProfile", "signal with_history")):
 
     @functools.cached_property
     def history_value(self) -> tuple:
-        return tuple(v - self.single for v in self.with_history)
+        """Agent ``i``'s gain ``(v - S D^(i-1)) / (4 D^i)``, on the payoff
+        ``v`` and the signal-only ``S / (4 D)`` of :func:`_payoff_form`."""
+        total, scale = _payoff_form(self.signal)
+        return tuple(Fraction(v - total * scale ** (i - 1), 4 * scale**i)
+                     for i, v in enumerate(self.integer_payoffs, 1))
 
     @functools.cached_property
     def benchmark(self) -> tuple:
@@ -275,13 +288,13 @@ def _payoffs(signal: BeliefDistribution, horizon: int, choices) -> tuple:
     """The first ``horizon`` agents' payoffs, lexicographically best over the
     actions ``choices`` allows each tied agent (a value of ``_RULES``, or
     ``_BOTH``): :func:`_best` at the root on the signal's integer form, with
-    a state table of its own that goes when the call returns, and agent ``j
-    + 1``'s payoff one ``Fraction`` over ``4 * D^(j+1)``."""
+    a state table of its own that goes when the call returns.  Agent ``j +
+    1``'s payoff is an integer over ``4 * D^(j+1)``, the form
+    :class:`PayoffProfile` stores."""
     if not horizon:
         return ()
     scale, weights = signal.integer_form
-    root = _best(1, 1, horizon, (weights, scale, choices), {})
-    return tuple(Fraction(v, 4 * scale ** (j + 1)) for j, v in enumerate(root))
+    return _best(1, 1, horizon, (weights, scale, choices), {})
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:

@@ -80,6 +80,9 @@ class TestValidate:
             (BeliefDistribution.from_weights, {2: (2, -1), -1: (-1, 2)}),
             (BeliefDistribution.from_weights, {HALF: (1, 1, 1)}),
             (BeliefDistribution.from_weights, {HALF: 3}),
+            (BeliefDistribution.from_weights, [(1, 1)]),
+            (BeliefDistribution.from_weights, None),
+            (validate_structure, 5),
         ],
         ids=repr,
     )
@@ -87,6 +90,12 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             build(table)
         assert not isinstance(err.value, NegativeLikelihood)
+
+    def test_malformed_container_message(self):
+        assert raised(validate_structure, 5) == (
+            ValidationError, "a structure needs a {signal: (p_high, p_low)} mapping, not int")
+        assert raised(BeliefDistribution.from_weights, [(1, 1)]) == (
+            ValidationError, "a distribution needs a {belief: (w_high, w_low)} mapping, not list")
 
 
 #: (integer builder arguments, the same structure as a table of rationals)

@@ -369,7 +369,7 @@ class TestVerify:
 
         def raised(structure, horizon):
             p = real(structure, horizon)
-            return p._replace(with_history=(p.with_history[0] + 1,) + p.with_history[1:])
+            return p._replace(integer_payoffs=(p.integer_payoffs[0] + 1, *p.integer_payoffs[1:]))
 
         monkeypatch.setattr(design, "best_equilibrium_payoffs", raised)
         cfg = write_config(tmp_path, {"corpus": {"count": 3}, "horizon": 3, "seed": 9})

@@ -295,12 +295,12 @@ class TestDominance:
     @pytest.mark.parametrize("structure, perturb, kept, strict, verdict", [
         (sym_binary(), "full-information", False, True, False),
         (sym_binary(), "uninformative", False, False, False),
-        (sym_binary(), (1, F(1, 1000)), True, True, False),
-        (sym_binary(), (2, F(1, 1000)), True, False, False),
-        (one_sided_quarter(), (3, F(1, 1000)), True, False, False),
-        (sym_binary(), (2, F(0)), True, False, False),
-        (one_sided_quarter(), (3, F(0)), True, False, True),
-        (sym_binary(), (2, F(-1, 1000)), True, True, True),
+        (sym_binary(), (1, 1), True, True, False),
+        (sym_binary(), (2, 1), True, False, False),
+        (one_sided_quarter(), (3, 1), True, False, False),
+        (sym_binary(), (2, 0), True, False, False),
+        (one_sided_quarter(), (3, 0), True, False, True),
+        (sym_binary(), (2, -1), True, True, True),
     ], ids=["single-lost-strict", "single-lost-not-strict", "agent1-above", "agent2-above",
             "one-sided-agent3-above", "two-sided-agent2-equal", "one-sided-agent3-equal",
             "two-sided-agent2-below"])
@@ -309,8 +309,9 @@ class TestDominance:
         # no corpus structure fails: perturb the base's profile, which the
         # report's views and its decision both read, to reach each failing
         # branch.  A signal name swaps in that signal, which loses the
-        # signal-only payoff; (i, d) sets agent i's payoff with history to
-        # the split's (1 - e^i)/4 plus d
+        # signal-only payoff, with every agent earning 1/4; (i, d) sets agent
+        # i's payoff with history to the split's (1 - e^i)/4 plus d units of
+        # 1/(4 D^i), the base's integer_payoffs
         real = design.best_equilibrium_payoffs
         horizon = 3
         signals = {
@@ -321,13 +322,17 @@ class TestDominance:
         def perturbed(s, h):
             p = real(s, h)
             if perturb in signals:
-                swapped = validate_structure(signals[perturb])
-                return p._replace(signal=induced_belief_distribution(swapped))
+                swapped = induced_belief_distribution(validate_structure(signals[perturb]))
+                scale = swapped.integer_form[0]
+                quarters = tuple(scale**k for k in range(1, h + 1))
+                return p._replace(signal=swapped, integer_payoffs=quarters)
             i, d = perturb
             e = F(*design._split_mass(s))
-            w = list(p.with_history)
-            w[i - 1] = (1 - e**i) / 4 + d
-            return p._replace(with_history=tuple(w))
+            split = (1 - e**i) * p.signal.integer_form[0] ** i
+            assert split.denominator == 1  # whole units here: e's denominator divides D
+            v = list(p.integer_payoffs)
+            v[i - 1] = split.numerator + d
+            return p._replace(integer_payoffs=tuple(v))
 
         monkeypatch.setattr(design, "best_equilibrium_payoffs", perturbed)
         report = verify_dominance(structure, horizon)

@@ -10,6 +10,7 @@ which must give the ``Fraction`` order, and builds no ``Fraction``.
 """
 
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from historyvalue import beliefs, design
+from historyvalue import beliefs, design, learning
 from historyvalue.beliefs import (
     BeliefDistribution,
     compose_distributions,
@@ -28,6 +29,7 @@ from historyvalue.beliefs import (
     structure_from_json,
     validate_structure,
 )
+from historyvalue.cli import EXIT_OK, main
 from historyvalue.design import corpus, split_to_ternary
 from historyvalue.errors import NonStochastic, ValidationError
 from historyvalue.learning import best_equilibrium_payoffs
@@ -185,10 +187,11 @@ class TestBeliefOrder:
                 assert beliefs._by_belief(merged) == fraction_order(merged)
 
 
-def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
-    # a corpus, its induced and composed distributions and its dominance
-    # reports and verdicts are decided in integers in beliefs and design; a
-    # read of a view is what builds the Fractions
+def test_verify_path_builds_no_fraction(monkeypatch, empty_memo, tmp_path, capsys):
+    # hv verify on a passing corpus, and the corpus's induced and composed
+    # distributions, searches and dominance reports and verdicts, are decided
+    # in integers in beliefs, learning and design; a read of a view is what
+    # builds the Fractions
     built = []
 
     class Counting(F):
@@ -196,8 +199,14 @@ def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
             built.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(beliefs, "Fraction", Counting)
-    monkeypatch.setattr(design, "Fraction", Counting)
+    for module in (beliefs, learning, design):
+        monkeypatch.setattr(module, "Fraction", Counting)
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps({"corpus": {"count": 200}, "horizon": 6, "seed": 0}))
+    assert main(["verify", "--config", str(config)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert built == []
+    empty_memo.cache_clear()
     structures = design.corpus(0, 200)
     reports = []
     for structure in structures:
@@ -208,6 +217,8 @@ def test_verify_path_builds_no_fraction(monkeypatch, empty_memo):
     assert built == []
     assert len(structures[0].like_high) == len(built) > 0  # the counter sees a view's read
     assert reports[0].eps and built[-1] == reports[0].split_mass  # and a report's view
+    before = len(built)
+    assert len(reports[0].base.with_history) == len(built) - before == 6  # and a profile's
 
 
 class TestEqualityAndHash:

@@ -429,7 +429,7 @@ class TestPrefixPruning:
         count = len(frozen_states(structure, horizon))
         assert count == {7: 54, 6: 17}[horizon]
         monkeypatch.setattr(learning, "MAX_STATES", count)
-        got = best_equilibrium_payoffs(structure, horizon).with_history
+        got = best_equilibrium_payoffs(structure, horizon).integer_payoffs
         assert got == fresh_search(structure, horizon)
         empty_memo.cache_clear()
         monkeypatch.setattr(learning, "MAX_STATES", count - 1)
@@ -479,7 +479,7 @@ class TestPrefixPruning:
         assert fresh.value.count == 3
         assert str(fresh.value) == "3 public-belief states exceed 2"
         # at horizon 1 the root is the one state
-        assert best_equilibrium_payoffs(fixture(), 1).with_history == fresh_search(fixture(), 1)
+        assert best_equilibrium_payoffs(fixture(), 1).integer_payoffs == fresh_search(fixture(), 1)
 
 
 def unshortcut_best(a, b, r, game, states):
@@ -534,8 +534,7 @@ class TestCascade:
             signal = induced_belief_distribution(structure)
             scale, weights = signal.integer_form
             root = unshortcut_best(1, 1, horizon, (weights, scale, choices), {})
-            expected = tuple(F(v, 4 * scale ** (j + 1)) for j, v in enumerate(root))
-            assert learning._payoffs(signal, horizon, choices) == expected, structure
+            assert learning._payoffs(signal, horizon, choices) == root, structure
 
     def test_no_cascade_is_stored_above_the_last_agent(self, state_tables):
         last = 0
@@ -554,13 +553,15 @@ class TestCascade:
         # the first action reveals the state, and every node below cascades
         signal = induced_belief_distribution(ternary_structure(0))
         payoffs = learning._payoffs(signal, horizon, learning._BOTH)
-        assert payoffs == (F(1, 4),) * horizon
+        assert payoffs == (1,) * horizon  # 1/4 each, over 4 * D^i with D = 1
+        assert learning.PayoffProfile(signal, payoffs).with_history == (F(1, 4),) * horizon
         (table,) = state_tables
         assert list(table) == [(1, 1, horizon)]
 
 
 def fresh_search(structure, horizon):
-    """The first ``horizon`` best payoffs of a new engine call, outside the memo."""
+    """The first ``horizon`` best payoffs of a new engine call, outside the
+    memo, in the integers that ``PayoffProfile.integer_payoffs`` stores."""
     return learning._payoffs(induced_belief_distribution(structure), horizon, learning._BOTH)
 
 
@@ -575,7 +576,7 @@ class TestSearchMemo:
         for structure in CORPUS:
             expected = fresh_search(structure, learning.HORIZON_CAP)
             for horizon in range(learning.HORIZON_CAP + 1)[::order]:
-                got = best_equilibrium_payoffs(structure, horizon).with_history
+                got = best_equilibrium_payoffs(structure, horizon).integer_payoffs
                 assert got == expected[:horizon], (structure, horizon)
 
     def test_stays_within_bound(self, empty_memo):
@@ -620,15 +621,16 @@ class TestSearchMemo:
         structure = validate_structure({"s0": (F(0), F(1, 4)), "s1": (F(1, 6), F(1, 4)),
                                         "s2": (F(1, 2), F(1, 2)), "s3": (F(1, 3), F(0))})
         before = learning._search.cache_info()
-        rule = simulate_equilibrium(structure, 4, ACTION1).with_history
+        rule = simulate_equilibrium(structure, 4, ACTION1).integer_payoffs
         assert learning._search.cache_info() == before
-        best = best_equilibrium_payoffs(structure, 4).with_history
+        best = best_equilibrium_payoffs(structure, 4).integer_payoffs
         assert best == fresh_search(structure, 4) != rule
         # and the search is never served to the fixed rule
         info = learning._search.cache_info()
-        assert simulate_equilibrium(structure, 4, ACTION1).with_history == rule
+        served = simulate_equilibrium(structure, 4, ACTION1)
+        assert served.integer_payoffs == rule
         assert learning._search.cache_info() == info
-        assert rule == frozen_simulate(structure, 4, ACTION1)
+        assert served.with_history == frozen_simulate(structure, 4, ACTION1)
 
     def test_failed_search_is_not_reused(self, empty_memo, monkeypatch):
         # every node past the root fails its check, on every search
@@ -646,11 +648,11 @@ class TestSearchMemo:
             info = empty_memo.cache_info()
             assert (info.hits, info.misses, info.currsize) == (0, misses, 1)
         monkeypatch.undo()
-        assert best_equilibrium_payoffs(fixture(), 3).with_history == fresh_search(fixture(), 3)
+        assert best_equilibrium_payoffs(fixture(), 3).integer_payoffs == fresh_search(fixture(), 3)
         entry = empty_memo(induced_belief_distribution(fixture()), 3)
         info = empty_memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 4, 2)
-        assert entry.with_history == fresh_search(fixture(), 3)
+        assert entry.integer_payoffs == fresh_search(fixture(), 3)
 
     def test_search_failing_once_is_recomputed(self, empty_memo, monkeypatch):
         check = learning._check_node
@@ -667,7 +669,7 @@ class TestSearchMemo:
         with pytest.raises(InvariantViolation, match="injected"):
             best_equilibrium_payoffs(fixture(), 3)
         assert empty_memo.cache_info().currsize == 1  # the failure is not stored
-        got = best_equilibrium_payoffs(fixture(), 3).with_history
+        got = best_equilibrium_payoffs(fixture(), 3).integer_payoffs
         assert got == fresh_search(fixture(), 3) and len(failures) == 1
         assert empty_memo.cache_info().currsize == 2
 
@@ -872,7 +874,33 @@ class TestNodeInvariant:
         assert not isinstance(err.value, ValidationError)
 
 
+def fraction_views(signal, integers) -> tuple:
+    """``(with_history, single, history_value)`` as ``PayoffProfile`` built
+    them when it stored ``Fraction``s: agent ``j + 1``'s payoff one
+    ``Fraction(v, 4 * D^(j+1))`` of the engine's integers, and the gains
+    ``with_history - single``."""
+    scale = signal.integer_form[0]
+    with_history = tuple(F(v, 4 * scale ** (j + 1)) for j, v in enumerate(integers))
+    single = learning._expected_payoff(signal)
+    return with_history, single, tuple(v - single for v in with_history)
+
+
 class TestPayoffProfile:
+    @pytest.mark.parametrize("rule", [None, *learning._RULES], ids=["search", *learning._RULES])
+    def test_views_match_the_fraction_builder(self, empty_memo, rule):
+        choices = learning._RULES.get(rule, learning._BOTH)
+        for structure in [*corpus(7, 60), fixture(), full_info(), no_info()]:
+            signal = induced_belief_distribution(structure)
+            for horizon in range(learning.HORIZON_CAP + 1):
+                if rule is None:
+                    p = best_equilibrium_payoffs(structure, horizon)
+                else:
+                    p = simulate_equilibrium(structure, horizon, rule)
+                got = p.with_history, p.single, p.history_value
+                expected = fraction_views(signal, learning._payoffs(signal, horizon, choices))
+                assert got == expected, (structure, horizon)
+                assert all(type(q) is F for q in (p.single, *p.with_history, *p.history_value))
+
     def test_benchmark_composed_on_first_read_only(self, empty_memo, monkeypatch):
         calls, payoffs = [], []
         compose = beliefs.compose_distributions
@@ -908,7 +936,7 @@ class TestPayoffProfile:
             assert p.single == p.with_history[0], structure
 
     def test_fields_are_signal_and_payoffs(self):
-        assert learning.PayoffProfile._fields == ("signal", "with_history")
+        assert learning.PayoffProfile._fields == ("signal", "integer_payoffs")
 
 
 def test_no_assert_statements_in_library():
