@@ -97,13 +97,19 @@ def structure_from_integers(signals, scale: int, weights) -> InformationStructur
     if len(weights) != len(signals):
         raise ValidationError(f"{len(signals)} signals but {len(weights)} weight pairs")
     int_at_least(scale, 1, "scale")
+    high = low = 0
     for s, pair in zip(signals, weights):
-        wh, wl = _pair(pair, f"signal {s!r}")
+        # each message, the signal's label included, is built only to raise
+        try:
+            wh, wl = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"signal {s!r} needs a (w_high, w_low) pair") from None
         if type(wh) is not int or type(wl) is not int:  # nor a bool nor a Fraction
             raise ValidationError(f"signal {s!r} weights are not integers: {wh!r}, {wl!r}")
         if wh < 0 or wl < 0:
             raise NegativeLikelihood(f"signal {s!r} has a negative likelihood")
-    high, low = _column_sums(weights)
+        high += wh
+        low += wl
     if high != scale or low != scale:
         raise NonStochastic(
             f"columns sum to {Fraction(high, scale)} (high) and {Fraction(low, scale)} (low), "
@@ -212,8 +218,8 @@ class BeliefDistribution(namedtuple("BeliefDistribution", "integer_form")):
                 raise ValidationError(f"atom {belief} inconsistent with weights ({wh}, {wl})")
             old_h, old_l = sums.get(belief, (0, 0))
             sums[belief] = (old_h + wh, old_l + wl)
-        form = integer_weights(pair for _, pair in sorted(sums.items()))
-        _check_columns(*form)
+        scale, pairs = form = integer_weights(pair for _, pair in sorted(sums.items()))
+        _check_columns(scale, *_column_sums(pairs))
         return cls(form)
 
     def beliefs(self):
@@ -264,10 +270,10 @@ def _column_sums(pairs) -> tuple:
     return sum(wh for wh, _ in pairs), sum(wl for _, wl in pairs)
 
 
-def _check_columns(scale: int, pairs):
-    """Raise :class:`ValidationError` unless both columns of the integer
-    pairs sum to ``scale``, that is the weights to one."""
-    if _column_sums(pairs) != (scale, scale):
+def _check_columns(scale: int, high: int, low: int):
+    """Raise :class:`ValidationError` unless both column sums ``high`` and
+    ``low`` of integer pairs are ``scale``, that is the weights sum to one."""
+    if high != scale or low != scale:
         raise ValidationError("belief-distribution weights do not sum to one")
 
 
@@ -295,8 +301,11 @@ def _merged_distribution(scale: int, pairs) -> BeliefDistribution:
     gives the canonical integer form, in the order of :func:`_by_belief`.
     """
     merged = merge_beliefs(pairs)
-    _check_columns(scale, merged.values())
-    g = math.gcd(scale, *(w for pair in merged.values() for w in pair))
+    # one flat copy of the merged weights, each w_high at an even place,
+    # gives both column sums and the gcd
+    flat = list(itertools.chain.from_iterable(merged.values()))
+    _check_columns(scale, sum(flat[::2]), sum(flat[1::2]))
+    g = math.gcd(scale, *flat)
     return BeliefDistribution(
         (scale // g, tuple((wh // g, wl // g) for wh, wl in _by_belief(merged)))
     )

@@ -39,7 +39,9 @@ and raises :class:`TooManyIndifferenceNodes` past ``MAX_STATES`` of them.
 A node where no signal ties and every signal takes one action is an
 information cascade: history stops moving, its one child is the node
 itself, and its payoffs are a closed form that is neither recursed
-below nor stored.
+below nor stored.  The last agent's payoff is homogeneous in the reach,
+so a node with two agents left sums it for each child in place: below
+the root, no state with one agent left is stored either.
 
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
 ``functools.lru_cache`` of finished searches: an entry is the finished
@@ -63,10 +65,13 @@ The tree itself is computed in integers.  With ``D`` the lcm of the
 denominators of the signal's weights (the ``D`` of its integer form),
 a node's children are integers over ``D`` in the node's own units: ties
 are decided by exact integer equality, and equal public beliefs share one
-state under their reduced integer ratio.  The root's vector is what
-:class:`PayoffProfile` stores, agent ``i``'s payoff in integers over
-``4 * D^i``; a ``Fraction`` is built only when one of the record's views
-is read.
+state under their reduced integer ratio.  A payoff vector is packed into
+one ``int``, each agent's entry in a slot of :func:`_layout`'s fixed width,
+the first agent's on top: a child's share is one multiply-add, the
+lexicographic maximum one integer comparison and a cascade one product.
+The root's vector, unpacked, is what :class:`PayoffProfile` stores, agent
+``i``'s payoff in integers over ``4 * D^i``; a ``Fraction`` is built only
+when one of the record's views is read.
 """
 
 from __future__ import annotations
@@ -98,8 +103,9 @@ from .rationals import DISCOUNT, closed_unit, int_at_least, open_unit, positive
 HORIZON_CAP = 12
 #: Bound on the public-belief states one call of the tree engine stores.
 MAX_STATES = 100_000
-#: Signal distributions whose search ``best_equilibrium_payoffs`` keeps.
-SEARCH_MEMO_SIZE = 64
+#: Signal distributions whose search ``best_equilibrium_payoffs`` keeps: as
+#: many as a corpus of ``design.CORPUS_CAP`` structures has.
+SEARCH_MEMO_SIZE = 1024
 
 # Fixed tie-break rules.
 ACTION1 = "action1"
@@ -215,31 +221,35 @@ def _check_node(node, children, scale: int):
     return children
 
 
-def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
+def _best(a: int, b: int, r: int, game, states: dict) -> int:
     """``V(a, b, r)``: the lexicographically best payoffs of the next ``r``
     agents below the public node of reduced reach ``(a, b)``, entry ``i``
-    in integers over ``4 * D^(i+1)``, in the node's own units.
+    in integers over ``4 * D^(i+1)``, in the node's own units, packed as
+    :func:`_layout` says.
 
-    ``game`` is ``(weights, D, choices)``: the signal's integer form, its
-    ``(w_high, w_low)`` pairs over ``D``, and the rule's actions, where
+    ``game`` is ``(weights, D, choices, W, cascades)``: the signal's integer
+    form, its ``(w_high, w_low)`` pairs over ``D``, the rule's actions, where
     ``choices[w_high >= w_low]`` are those a tied agent whose private belief
-    is below 1/2 (index 0) or at least 1/2 (index 1) may take.  A signal
-    reaches ``(ph, pl) = (a * w_high, b * w_low)``; entry 0 sums ``ph - pl``
-    over ``ph > pl``.
+    is below 1/2 (index 0) or at least 1/2 (index 1) may take, and the
+    layout.  A signal reaches ``(ph, pl) = (a * w_high, b * w_low)``; entry
+    0 sums ``ph - pl`` over ``ph > pl``.
     Each allowed action gives an action-1 and an action-0 child ``(ch,
     cl)``, ``g`` times the reduced node ``(ch / g, cl / g)``: the rest is
     the largest, over the actions, of the children's ``g * V(ch / g, cl /
-    g, r - 1)`` summed.  ``states`` is the call's table of finished
-    vectors; past ``MAX_STATES`` it raises :class:`TooManyIndifferenceNodes`.
-    A cascade, a node with ``r > 1``, no tie and one side empty, has the
-    one child ``(a * D, b * D)``, so ``V = (x, x * D, ..., x * D^(r-1))``
-    with ``x = h1 - l1``: returned after the node check, and not stored.
+    g, r - 1)`` summed.  ``V(ch, cl, 1)``, the sum of the positive ``ch *
+    w_high - cl * w_low``, is homogeneous, so at ``r == 2`` it is summed in
+    place, with no gcd, recursion or state.  ``states`` is the call's table
+    of finished vectors; past ``MAX_STATES`` it raises
+    :class:`TooManyIndifferenceNodes`.  A cascade, a node with ``r > 1``,
+    no tie and one side empty, has the one child ``(a * D, b * D)``, so
+    ``V = (x, x * D, ..., x * D^(r-1))``, ``x * cascades[r]`` with ``x = h1
+    - l1``: returned after the node check, and not stored.
     """
     key = a, b, r
     found = states.get(key)
     if found is not None:
         return found
-    weights, scale, choices = game
+    weights, scale, choices, width, cascades = game
     h1 = l1 = h0 = l0 = 0
     tied = th = tl = 0
     for wh, wl in weights:
@@ -260,41 +270,69 @@ def _best(a: int, b: int, r: int, game, states: dict) -> tuple:
     if r > 1 and not th and not (h1 and l0):
         # a cascade: one side is empty, so the one child is the node times D
         _check_node((a, b), ((h1, l1), (h0, l0)), scale)
-        found = [h1 - l1]
-        for _ in range(1, r):
-            found.append(found[-1] * scale)
-        return tuple(found)
-    rest = ()
+        return (h1 - l1) * cascades[r]
+    rest = 0
     if r > 1:
         for action in choices[tied] if th else (1,):
             sides = ((h1 + th, l1 + tl), (h0, l0)) if action else ((h1, l1), (h0 + th, l0 + tl))
-            total = [0] * (r - 1)
+            total = 0
             for ch, cl in _check_node((a, b), sides, scale):
-                if ch or cl:
+                if r == 2:  # the last agent below the child, V(ch, cl, 1)
+                    for wh, wl in weights:
+                        if (x := ch * wh - cl * wl) > 0:
+                            total += x
+                elif ch or cl:
                     g = math.gcd(ch, cl)
-                    for i, v in enumerate(_best(ch // g, cl // g, r - 1, game, states)):
-                        total[i] += g * v
-            rest = max(rest, tuple(total))
+                    total += g * _best(ch // g, cl // g, r - 1, game, states)
+            rest = max(rest, total)
     if len(states) >= MAX_STATES:
         count = len(states) + 1
         raise TooManyIndifferenceNodes(
             f"{count} public-belief states exceed {MAX_STATES}", count=count
         )
-    states[key] = found = (h1 - l1, *rest)
+    states[key] = found = ((h1 - l1) << width * (r - 1)) + rest
     return found
+
+
+@functools.lru_cache(maxsize=SEARCH_MEMO_SIZE)
+def _layout(scale: int, horizon: int) -> tuple:
+    """``(W, cascades)``, the packing of :func:`_best`'s vectors over ``D =
+    scale`` to ``horizon`` agents: ``r`` entries are one ``int``, entry ``i``
+    shifted by ``W * (r - 1 - i)``, and ``cascades[r]`` packs ``(1, D, ...,
+    D^(r-1))``.  With ``W`` the bit length of ``D^horizon``, every entry
+    fits its slot:
+
+    * a node at depth ``k`` has reach ``a, b <= D^k``, as a child's reach
+      is at most its node's times ``D`` and the gcd only shrinks it;
+    * entry ``i`` of ``V(a, b, r)`` is at most ``a * D^(i+1)``: entry 0 sums
+      ``ph - pl <= ph``; each child's entry ``i - 1``, times its gcd, is at
+      most ``ch * D^i``, and the children's ``ch`` sum to ``a * D``;
+    * ``k + i < horizon``, so every entry is at most ``D^horizon``.
+
+    So sums never carry from one slot into the next, and the order of the
+    integers is the lexicographic order of the vectors.
+    """
+    width = (scale**horizon).bit_length()
+    cascades = [0]
+    for r in range(horizon):
+        cascades.append((cascades[-1] << width) + scale**r)
+    return width, tuple(cascades)
 
 
 def _payoffs(signal: BeliefDistribution, horizon: int, choices) -> tuple:
     """The first ``horizon`` agents' payoffs, lexicographically best over the
     actions ``choices`` allows each tied agent (a value of ``_RULES``, or
     ``_BOTH``): :func:`_best` at the root on the signal's integer form, with
-    a state table of its own that goes when the call returns.  Agent ``j +
-    1``'s payoff is an integer over ``4 * D^(j+1)``, the form
-    :class:`PayoffProfile` stores."""
+    a state table of its own that goes when the call returns, unpacked from
+    its slots.  Agent ``j + 1``'s payoff is an integer over ``4 *
+    D^(j+1)``, the form :class:`PayoffProfile` stores."""
     if not horizon:
         return ()
     scale, weights = signal.integer_form
-    return _best(1, 1, horizon, (weights, scale, choices), {})
+    width, cascades = _layout(scale, horizon)
+    root = _best(1, 1, horizon, (weights, scale, choices, width, cascades), {})
+    mask = (1 << width) - 1
+    return tuple([(root >> width * j) & mask for j in range(horizon - 1, -1, -1)])
 
 
 def simulate_equilibrium(structure: InformationStructure, horizon: int, rule=ACTION1) -> PayoffProfile:

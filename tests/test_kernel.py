@@ -193,7 +193,7 @@ class TestKernelMatchesFractionEngine:
 
 
 @pytest.mark.parametrize("choices, states",
-                         [(learning._BOTH, 54), (learning._RULES[ACTION1], 19)],
+                         [(learning._BOTH, 39), (learning._RULES[ACTION1], 15)],
                          ids=["search", "action1"])
 def test_finished_call_holds_no_state_table(state_tables, choices, states):
     # the table lives as long as the call: once the payoffs are returned,
@@ -208,8 +208,8 @@ def kernel_functions():
     distributions and its exact belief order, the golden-section search, the ternary sticky closed
     forms, the dominance report's integer decision and the equivalence condition, and the
     market's weighted objective."""
-    for module, names in ((learning, {"_best", "_check_node", "_payoffs", "_sticky_kernel",
-                                      "_payoff_form"}),
+    for module, names in ((learning, {"_best", "_check_node", "_layout", "_payoffs",
+                                      "_sticky_kernel", "_payoff_form"}),
                           (beliefs, {"merge_beliefs", "integer_weights", "_merged_distribution",
                                      "_by_belief", "_column_sums", "_check_columns"}),
                           (rationals, {"best_approximation"}),

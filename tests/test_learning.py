@@ -25,7 +25,7 @@ from historyvalue import (
 )
 from historyvalue.beliefs import induced_belief_distribution, structure_from_json, structure_to_json
 from historyvalue.cli import EXIT_OK, main
-from historyvalue.design import corpus, split_to_ternary
+from historyvalue.design import CORPUS_CAP, corpus, split_to_ternary
 from historyvalue.errors import (
     HistoryValueError,
     HorizonCapExceeded,
@@ -174,7 +174,8 @@ def frozen_states(structure, horizon):
     and stores on the frozen engine, from the root with ``horizon`` agents
     left, every tie taking either action.  A cascade, a pair with more than
     one agent left, no tie point and one child, is neither counted nor
-    visited below."""
+    visited below, and a pair with one agent left is counted only at the
+    root: below it, the last agent is summed in its parent."""
     atoms = induced_belief_distribution(structure).atoms
     seen = set()
 
@@ -182,7 +183,8 @@ def frozen_states(structure, horizon):
         if (public, left) in seen:
             return
         if left == 1:
-            seen.add((public, left))
+            if horizon == 1:
+                seen.add((public, left))
             return
         _, nxt, points = frozen_advance({public: reach}, atoms, FROZEN_RULES[ACTION1])
         if not points and len(nxt) == 1:
@@ -427,7 +429,7 @@ class TestPrefixPruning:
         # the search needs exactly the states the frozen engine reaches: a
         # cap of that many passes, one fewer raises with the count
         count = len(frozen_states(structure, horizon))
-        assert count == {7: 54, 6: 17}[horizon]
+        assert count == {7: 39, 6: 12}[horizon]
         monkeypatch.setattr(learning, "MAX_STATES", count)
         got = best_equilibrium_payoffs(structure, horizon).integer_payoffs
         assert got == fresh_search(structure, horizon)
@@ -536,17 +538,27 @@ class TestCascade:
             root = unshortcut_best(1, 1, horizon, (weights, scale, choices), {})
             assert learning._payoffs(signal, horizon, choices) == root, structure
 
-    def test_no_cascade_is_stored_above_the_last_agent(self, state_tables):
-        last = 0
+    def test_no_cascade_is_stored_above_the_last_agent(self, state_tables, monkeypatch):
+        check, checked = learning._check_node, []
+
+        def recording(node, children, scale):
+            checked.append(node)
+            return check(node, children, scale)
+
+        monkeypatch.setattr(learning, "_check_node", recording)
+        reached = 0
         for structure in corpus(7, 100):
             signal = induced_belief_distribution(structure)
+            del checked[:]
             learning._payoffs(signal, 8, learning._BOTH)
             _, weights = signal.integer_form
             keys = state_tables[-1]
             assert not [k for k in keys if k[2] > 1 and is_cascade(*k[:2], weights)], structure
-            last += sum(r == 1 and is_cascade(a, b, weights) for a, b, r in keys)
-        # cascades are reached: the last agent's are still stored
-        assert len(state_tables) == 100 and last > 0
+            # nor the last agent's nodes: each is summed in its parent
+            assert all(r > 1 for _, _, r in keys), structure
+            reached += sum(is_cascade(a, b, weights) for a, b in checked)
+        # cascades are reached: the node check meets them
+        assert len(state_tables) == 100 and reached > 0
 
     @pytest.mark.parametrize("horizon", range(3, learning.HORIZON_CAP + 1))
     def test_full_information_stores_only_its_root(self, state_tables, horizon):
@@ -594,6 +606,21 @@ class TestSearchMemo:
         assert all(empty_memo(k, 2) is e for k, e in zip(keys[3:], entries[3:]))
         assert empty_memo.cache_info().misses == bound + 3
         assert all(empty_memo(k, 2) is not e for k, e in zip(keys[:3], entries[:3]))
+
+    def test_holds_a_whole_corpus(self):
+        assert learning._search.cache_info().maxsize == learning.SEARCH_MEMO_SIZE >= CORPUS_CAP
+
+    def test_verify_searches_each_distribution_once(self, empty_memo, tmp_path, capsys):
+        # a corpus of 1000 structures repeats distributions; each is searched
+        # once, and every repeat is served
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"horizon": 6, "seed": 0, "corpus": {"count": 1000}}))
+        assert main(["verify", "--config", str(config)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["all_pass"]
+        distinct = set(map(induced_belief_distribution, corpus(0, 1000)))
+        info = empty_memo.cache_info()
+        assert len(distinct) < 1000
+        assert (info.misses, info.hits) == (len(distinct), 1000 - len(distinct))
 
     def test_equal_and_relabelled_structures_share_an_entry(self, empty_memo, monkeypatch):
         text = ('{"signals": [{"id": "a", "pH": "1/2", "pL": "1/6"}, '
@@ -860,8 +887,9 @@ class TestNodeInvariant:
         # the node (1, 0) sends every signal to action 1, a cascade, but its
         # weights sum to 3, not D = 4: it raises, and nothing is stored
         states = {}
+        game = (((2, 1), (1, 2)), 4, learning._BOTH, *learning._layout(4, 3))
         with pytest.raises(InvariantViolation):
-            learning._best(1, 0, 3, (((2, 1), (1, 2)), 4, learning._BOTH), states)
+            learning._best(1, 0, 3, game, states)
         assert states == {}
 
     @pytest.mark.parametrize("children", [((3, 1), (1, 3)), ((5, 3), (1, 4)), ((5, 3), (0, 3))],
