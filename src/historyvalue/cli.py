@@ -136,11 +136,7 @@ def _rat_entry(q) -> dict:
 
 
 def _bounded_entry(v) -> dict:
-    return {
-        "rational": format_rational(v.value),
-        "decimal": format_decimal(v.value),
-        "error_bound": format_decimal(v.error_bound),
-    }
+    return {**_rat_entry(v.value), "error_bound": format_decimal(v.error_bound)}
 
 
 def _relaxed(series, tolerance):

@@ -57,8 +57,9 @@ class TooManyIndifferenceNodes(CapExceeded):
     """The public-belief tree would need more states than ``learning.MAX_STATES``.
 
     A state is a reduced public node and the number of agents left below
-    it; ``count`` is the number of states the call would have stored.  A
-    cascade node with more than one agent left is never stored.
+    it; ``count`` is the number of states the call would have stored.
+    Every stored state has at least two agents left, and a cascade node is
+    never stored.
     """
 
     def __init__(self, message, count=None):

@@ -40,8 +40,11 @@ A node where no signal ties and every signal takes one action is an
 information cascade: history stops moving, its one child is the node
 itself, and its payoffs are a closed form that is neither recursed
 below nor stored.  The last agent's payoff is homogeneous in the reach,
-so a node with two agents left sums it for each child in place: below
-the root, no state with one agent left is stored either.
+so a node with two agents left sums it for each child in place.  The
+first agent acts on its signal alone, so at horizon 1 its payoff is
+:func:`_payoff_form`'s sum and no tree is built: every stored state has
+at least two agents left.  Each computed node is checked once, cascades
+included: every action's children sum to the node's reach times ``D``.
 
 ``best_equilibrium_payoffs`` draws its results from :func:`_search`, a
 ``functools.lru_cache`` of finished searches: an entry is the finished
@@ -233,6 +236,7 @@ def _best(a: int, b: int, r: int, game, states: dict) -> int:
     is below 1/2 (index 0) or at least 1/2 (index 1) may take, and the
     layout.  A signal reaches ``(ph, pl) = (a * w_high, b * w_low)``; entry
     0 sums ``ph - pl`` over ``ph > pl``.
+    ``r >= 2``: :func:`_payoffs` reads one agent off the signal alone.
     Each allowed action gives an action-1 and an action-0 child ``(ch,
     cl)``, ``g`` times the reduced node ``(ch / g, cl / g)``: the rest is
     the largest, over the actions, of the children's ``g * V(ch / g, cl /
@@ -240,10 +244,12 @@ def _best(a: int, b: int, r: int, game, states: dict) -> int:
     w_high - cl * w_low``, is homogeneous, so at ``r == 2`` it is summed in
     place, with no gcd, recursion or state.  ``states`` is the call's table
     of finished vectors; past ``MAX_STATES`` it raises
-    :class:`TooManyIndifferenceNodes`.  A cascade, a node with ``r > 1``,
-    no tie and one side empty, has the one child ``(a * D, b * D)``, so
-    ``V = (x, x * D, ..., x * D^(r-1))``, ``x * cascades[r]`` with ``x = h1
-    - l1``: returned after the node check, and not stored.
+    :class:`TooManyIndifferenceNodes`.  Every action's children have the
+    same two sums, so the node is checked once, on the action-1 children.
+    A cascade, a node with no tie and one side empty, has the one child
+    ``(a * D, b * D)``, so ``V = (x, x * D, ..., x * D^(r-1))``, ``x *
+    cascades[r]`` with ``x = h1 - l1``: returned after the node check, and
+    not stored.
     """
     key = a, b, r
     found = states.get(key)
@@ -267,24 +273,23 @@ def _best(a: int, b: int, r: int, game, states: dict) -> int:
             # w_high / w_low; a second would drop the first's reach, which
             # the node check catches
             tied, th, tl = wh >= wl, ph, pl
-    if r > 1 and not th and not (h1 and l0):
+    # every action's children sum to the same two totals: check them once
+    up = _check_node((a, b), ((h1 + th, l1 + tl), (h0, l0)), scale)
+    if not th and not (h1 and l0):
         # a cascade: one side is empty, so the one child is the node times D
-        _check_node((a, b), ((h1, l1), (h0, l0)), scale)
         return (h1 - l1) * cascades[r]
     rest = 0
-    if r > 1:
-        for action in choices[tied] if th else (1,):
-            sides = ((h1 + th, l1 + tl), (h0, l0)) if action else ((h1, l1), (h0 + th, l0 + tl))
-            total = 0
-            for ch, cl in _check_node((a, b), sides, scale):
-                if r == 2:  # the last agent below the child, V(ch, cl, 1)
-                    for wh, wl in weights:
-                        if (x := ch * wh - cl * wl) > 0:
-                            total += x
-                elif ch or cl:
-                    g = math.gcd(ch, cl)
-                    total += g * _best(ch // g, cl // g, r - 1, game, states)
-            rest = max(rest, total)
+    for action in choices[tied] if th else (1,):
+        total = 0
+        for ch, cl in up if action else ((h1, l1), (h0 + th, l0 + tl)):
+            if r == 2:  # the last agent below the child, V(ch, cl, 1)
+                for wh, wl in weights:
+                    if (x := ch * wh - cl * wl) > 0:
+                        total += x
+            elif ch or cl:
+                g = math.gcd(ch, cl)
+                total += g * _best(ch // g, cl // g, r - 1, game, states)
+        rest = max(rest, total)
     if len(states) >= MAX_STATES:
         count = len(states) + 1
         raise TooManyIndifferenceNodes(
@@ -324,10 +329,13 @@ def _payoffs(signal: BeliefDistribution, horizon: int, choices) -> tuple:
     actions ``choices`` allows each tied agent (a value of ``_RULES``, or
     ``_BOTH``): :func:`_best` at the root on the signal's integer form, with
     a state table of its own that goes when the call returns, unpacked from
-    its slots.  Agent ``j + 1``'s payoff is an integer over ``4 *
-    D^(j+1)``, the form :class:`PayoffProfile` stores."""
-    if not horizon:
-        return ()
+    its slots.  Agent 1 acts on its signal alone under every rule, so at
+    horizon 1 its payoff is :func:`_payoff_form`'s sum and :func:`_best`
+    is not called: every state it stores has at least two agents left.
+    Agent ``j + 1``'s payoff is an integer over ``4 * D^(j+1)``, the form
+    :class:`PayoffProfile` stores."""
+    if horizon < 2:  # agent 1 acts on its signal alone, under every rule
+        return (_payoff_form(signal)[0],) if horizon else ()
     scale, weights = signal.integer_form
     width, cascades = _layout(scale, horizon)
     root = _best(1, 1, horizon, (weights, scale, choices, width, cascades), {})

@@ -7,7 +7,9 @@ round-trip bit-exactly; decimals are rendered alongside for humans.
 Each parameter range is checked by one function here: the open unit
 interval (discount factor, welfare weight), the closed one (uninformative
 mass, beliefs), positive rationals (tolerance), any rational (likelihoods)
-and integers with a floor (horizon, stickiness, agent index, counts).
+and integers with a floor (horizon, stickiness, agent index, counts).  The
+four rational checks convert through one helper, :func:`_fraction`, so each
+rejects a bool, NaN and infinity alike: ``True`` is not the mass 1.
 :func:`best_approximation` is ``Fraction.limit_denominator`` on integers.
 """
 
@@ -43,47 +45,49 @@ def parse_rational(text) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
 
 
-def rational(value, name: str) -> Fraction:
-    """``value`` as a Fraction, else :class:`ValidationError`; a bool is not one."""
+def _fraction(value):
+    """``value`` as a Fraction, or ``None`` for a bool, NaN, infinity or
+    anything else ``Fraction()`` rejects.  A Fraction is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if not isinstance(value, bool):
         try:
             return Fraction(value)
         except _NOT_RATIONAL:
             pass
-    raise ValidationError(f"{name} is not a rational: {value!r}")
+    return None
+
+
+def rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction, else :class:`ValidationError`."""
+    x = _fraction(value)
+    if x is None:
+        raise ValidationError(f"{name} is not a rational: {value!r}")
+    return x
 
 
 def open_unit(value, name: str) -> Fraction:
     """``value`` as a Fraction strictly inside (0, 1), else
-    :class:`DegenerateParameter`; NaN and infinity are out of range too."""
-    try:
-        x = Fraction(value)
-        if 0 < x.numerator < x.denominator:
-            return x
-    except _NOT_RATIONAL:
-        pass
+    :class:`DegenerateParameter`."""
+    x = _fraction(value)
+    if x is not None and 0 < x.numerator < x.denominator:
+        return x
     raise DegenerateParameter(f"{name} must lie in (0, 1): {value}")
 
 
 def closed_unit(value, name: str) -> Fraction:
     """``value`` as a Fraction in [0, 1], else :class:`ValidationError`."""
-    try:
-        x = Fraction(value)
-        if 0 <= x.numerator <= x.denominator:
-            return x
-    except _NOT_RATIONAL:
-        pass
+    x = _fraction(value)
+    if x is not None and 0 <= x.numerator <= x.denominator:
+        return x
     raise ValidationError(f"{name} outside [0, 1]: {value}")
 
 
 def positive(value, name: str) -> Fraction:
     """``value`` as a Fraction greater than 0, else :class:`ValidationError`."""
-    try:
-        x = Fraction(value)
-        if x.numerator > 0:
-            return x
-    except _NOT_RATIONAL:
-        pass
+    x = _fraction(value)
+    if x is not None and x.numerator > 0:
+        return x
     raise ValidationError(f"{name} must be positive: {value}")
 
 

@@ -203,6 +203,51 @@ def test_finished_call_holds_no_state_table(state_tables, choices, states):
     assert len(table) == states and gc.get_referrers(table) == [state_tables]
 
 
+@pytest.mark.parametrize("choices, nodes",
+                         [(learning._BOTH, 51), (learning._RULES[ACTION1], 19)],
+                         ids=["search", "action1"])
+def test_each_computed_node_is_checked_once(monkeypatch, choices, nodes):
+    # every action's children have the same two sums, so a node is checked
+    # once, cascade or not, and a node served from the state table not again
+    best, check, computed, checked = learning._best, learning._check_node, [], []
+
+    def computing(a, b, r, game, states):
+        if (a, b, r) not in states:
+            computed.append((a, b))
+        return best(a, b, r, game, states)
+
+    def recording(node, children, scale):
+        checked.append(node)
+        return check(node, children, scale)
+
+    monkeypatch.setattr(learning, "_best", computing)
+    monkeypatch.setattr(learning, "_check_node", recording)
+    learning._payoffs(induced_belief_distribution(mirror(HALF, F(1, 6))), 7, choices)
+    assert checked == computed and len(checked) == nodes
+
+
+@pytest.mark.parametrize("rule", [None, *learning._RULES], ids=["search", *learning._RULES])
+def test_first_agent_needs_no_tree(empty_memo, monkeypatch, rule):
+    # agent 1 acts on its signal alone under every rule: at horizons 0 and 1
+    # the payoffs are the signal-only sum, and no node is computed
+    def no_tree(*_args):
+        raise AssertionError("no tree below horizon 2")
+
+    monkeypatch.setattr(learning, "_best", no_tree)
+    choices = learning._BOTH if rule is None else learning._RULES[rule]
+    for structure in [mirror(HALF, F(1, 6)), *corpus(7, 30)]:
+        signal = induced_belief_distribution(structure)
+        total, _ = learning._payoff_form(signal)
+        for horizon, expected in ((0, ()), (1, (total,))):
+            assert learning._payoffs(signal, horizon, choices) == expected
+            if rule is None:
+                profile = best_equilibrium_payoffs(structure, horizon)
+            else:
+                profile = simulate_equilibrium(structure, horizon, rule)
+            assert profile.integer_payoffs == expected
+            assert profile.with_history == (profile.single,) * horizon
+
+
 def kernel_functions():
     """Function nodes of the integer kernels: the tree, the builder of belief
     distributions and its exact belief order, the golden-section search, the ternary sticky closed

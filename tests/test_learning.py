@@ -480,7 +480,7 @@ class TestPrefixPruning:
         assert empty_memo.cache_info()[:2] == (0, 1)  # computed: one miss
         assert fresh.value.count == 3
         assert str(fresh.value) == "3 public-belief states exceed 2"
-        # at horizon 1 the root is the one state
+        # at horizon 1 no state is stored: agent 1 acts on its signal alone
         assert best_equilibrium_payoffs(fixture(), 1).integer_payoffs == fresh_search(fixture(), 1)
 
 

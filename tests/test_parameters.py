@@ -2,7 +2,7 @@
 
 The discount factor and the welfare weight must lie in (0, 1), the
 uninformative mass in [0, 1] and a tolerance above 0; horizons,
-stickiness, agent indices and counts must be ints.  A bad value of any kind, NaN and infinity included, raises
+stickiness, agent indices and counts must be ints.  A bad value of any kind, NaN, infinity and a bool included, raises
 a ``ValidationError`` (exit 3 in the CLI), never a bare ``ValueError``,
 ``OverflowError``, ``TypeError`` or ``ZeroDivisionError``.
 """
@@ -42,7 +42,7 @@ from historyvalue import (
     ternary_weighted_surplus_sticky,
     validate_structure,
 )
-from historyvalue.beliefs import as_belief
+from historyvalue.beliefs import as_belief, compose_beliefs, posterior
 from historyvalue.learning import discounted, truncated_payoffs, truncation_horizon
 from historyvalue.errors import DegenerateParameter, ParseError, ValidationError
 from historyvalue.rationals import parse_rational
@@ -52,7 +52,8 @@ NAN = float("nan")
 INF = float("inf")
 
 OPEN_BAD = [0, 1, F(-1, 2), 2, NAN, INF, -INF]
-CLOSED_BAD = [F(-1, 2), F(3, 2), NAN, INF]
+# True and False are not the mass or belief 1 and 0
+CLOSED_BAD = [F(-1, 2), F(3, 2), NAN, INF, True, False]
 
 
 def sym_binary():
@@ -141,7 +142,7 @@ TOLERANCE_CALLS = {
 
 class TestTolerance:
     @pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
-    @pytest.mark.parametrize("tol", [0, F(-1, 100), NAN, INF], ids=repr)
+    @pytest.mark.parametrize("tol", [0, F(-1, 100), NAN, INF, True, False], ids=repr)
     def test_rejected(self, name, tol):
         with pytest.raises(ValidationError, match="tolerance must be positive"):
             TOLERANCE_CALLS[name](tol)
@@ -149,6 +150,14 @@ class TestTolerance:
     @pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
     def test_accepted(self, name):
         TOLERANCE_CALLS[name](F(1, 100))
+
+
+BELIEF_CALLS = {
+    "as_belief": as_belief,
+    "posterior": lambda b: posterior(b, "s1", sym_binary()),
+    "compose_beliefs": lambda b: compose_beliefs(b, HALF),
+    "unconditional": lambda b: iid_belief_distribution(sym_binary(), 1).unconditional(b),
+}
 
 
 class TestClosedUnitParameters:
@@ -163,10 +172,16 @@ class TestClosedUnitParameters:
     def test_eps_accepted(self, name, eps):
         EPS_CALLS[name](eps)
 
+    @pytest.mark.parametrize("name", sorted(BELIEF_CALLS))
     @pytest.mark.parametrize("belief", CLOSED_BAD, ids=repr)
-    def test_belief_rejected(self, belief):
-        with pytest.raises(ValidationError, match="belief"):
-            as_belief(belief)
+    def test_belief_rejected(self, name, belief):
+        with pytest.raises(ValidationError, match=r"belief outside \[0, 1\]"):
+            BELIEF_CALLS[name](belief)
+
+    @pytest.mark.parametrize("name", sorted(BELIEF_CALLS))
+    @pytest.mark.parametrize("belief", [0, 1, HALF, "2/5"], ids=repr)
+    def test_belief_accepted(self, name, belief):
+        BELIEF_CALLS[name](belief)
 
 
 class TestIntegerParameters:
